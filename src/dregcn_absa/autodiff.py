@@ -9,7 +9,7 @@ message-passing rounds) collects the sum of all its contributions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -140,10 +140,20 @@ def transpose(a: Tensor) -> Tensor:
 
 
 def linear(x: ArrayLike, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
-    """x @ w.T (+ b); weights stored (out_dim, in_dim)."""
-    out = matmul(x, transpose(w))
-    if b is not None:
-        out = add(out, b)
+    """x @ w.T (+ b) as one op; weights stored (out_dim, in_dim)."""
+    xv, wv = _val(x), _val(w)
+    bv = None if b is None else _val(b)
+    if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[1]:
+        raise DimensionError(f"linear: incompatible shapes {xv.shape} and {wv.shape}")
+    out = Tensor(xv @ wv.T if bv is None else xv @ wv.T + bv)
+
+    def bwd(g):
+        _accum(x, g @ wv)
+        _accum(w, g.T @ xv)
+        if bv is not None:
+            _accum(b, _unbroadcast(g, bv.shape))
+
+    _record(out, (x, w, b), bwd)
     return out
 
 
@@ -320,34 +330,6 @@ def masked_softmax(scores: ArrayLike, mask, zero_fully_masked: bool = False) -> 
 
 def softmax_rows(x: ArrayLike) -> Tensor:
     return masked_softmax(x, np.ones(_val(x).shape, dtype=bool))
-
-
-def cross_entropy(predicted: ArrayLike, gold_onehot) -> Tensor:
-    """-log(predicted[gold class]) for one probability vector.
-
-    The log argument is clamped at LOG_CLAMP; below the clamp the gradient
-    is zero.
-    """
-    pv = _val(predicted)
-    gv = np.asarray(gold_onehot, dtype=np.float64)
-    if pv.ndim != 1 or gv.shape != pv.shape:
-        raise DimensionError(f"cross_entropy: shapes {pv.shape} vs {gv.shape}")
-    if abs(pv.sum() - 1.0) > 1e-9:
-        raise ContractViolation(f"cross_entropy: predicted sums to {pv.sum()!r}, not 1")
-    if not (np.isin(gv, (0.0, 1.0)).all() and gv.sum() == 1.0):
-        raise ContractViolation("cross_entropy: gold is not one-hot")
-    k = int(np.argmax(gv))
-    clamped = max(pv[k], LOG_CLAMP)
-    out = Tensor(-np.log(clamped))
-
-    def bwd(g):
-        full = np.zeros_like(pv)
-        if pv[k] > LOG_CLAMP:
-            full[k] = -float(g) / pv[k]
-        _accum(predicted, full)
-
-    _record(out, (predicted,), bwd)
-    return out
 
 
 def nll_rows(probs: ArrayLike, gold_idx, weights) -> Tensor:

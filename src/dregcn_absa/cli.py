@@ -13,15 +13,14 @@ import json
 import os
 import sys
 import time
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import synth
 from .autodiff import (
-    Tape,
     Tensor,
-    backward,
     concat,
     finite_diff_gradcheck,
     linear,
@@ -40,7 +39,6 @@ from .corpus import (
     Sentence,
     SplitError,
     VocabularyError,
-    build_dependency_graph,
     corpus_stats,
     load_embedding_table,
     parse_corpus_file,
@@ -199,14 +197,14 @@ def build_configs(cfg: Dict[str, object]) -> Tuple[TrainConfig, ModelConfig]:
 def _read_corpus(path: str) -> List[Sentence]:
     if not os.path.exists(path):
         raise UsageError(f"corpus file not found: {path}")
-    sentences = parse_corpus_file(open(path, encoding="utf-8").read())
+    sentences = parse_corpus_file(Path(path).read_text(encoding="utf-8"))
     if not sentences:
         raise ParseError(f"corpus file {path} contains no sentences")
     return sentences
 
 
 def _digest(path: str) -> str:
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _load_embeddings(
@@ -226,7 +224,7 @@ def _load_embeddings(
                 raise UsageError(f"embedding file not found: {path}")
             digests[label] = _digest(path)
             return load_embedding_table(
-                open(path, encoding="utf-8").read(), int(cfg[dim_key]), rng
+                Path(path).read_text(encoding="utf-8"), int(cfg[dim_key]), rng
             )
         digests[label] = f"random(dim={cfg[dim_key]}, seed={cfg['seed']})"
         return random_embedding_table(words, int(cfg[dim_key]), rng)

@@ -11,7 +11,7 @@ literal `ROOT`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -79,6 +79,18 @@ class Sentence:
                 raise ValueError(f"token {i}: head index {h} out of range for n={n}")
             if h == i:
                 raise ValueError(f"token {i}: head points at itself")
+        # Follow heads from every token, stamping each node with the walk
+        # that reached it first: a walk that meets its own stamp has looped,
+        # one that meets an older stamp joins a path already known to end
+        # at ROOT.
+        stamp = [-1] * n
+        for i in range(n):
+            j = i
+            while j is not None and stamp[j] < 0:
+                stamp[j] = i
+                j = self.heads[j]
+            if j is not None and stamp[j] == i:
+                raise ValueError(f"token {j}: heads form a cycle, not a tree")
 
     @property
     def n(self) -> int:
@@ -263,7 +275,13 @@ def load_embedding_table(
         vocab[word] = len(vectors)
         vectors.append(vec)
     oov = rng.uniform(-0.05, 0.05, size=expected_dim)
-    matrix = np.vstack(vectors + [oov]) if vectors else oov.reshape(1, -1)
+    matrix = np.vstack(vectors + [oov])
+    if not np.isfinite(matrix).all():
+        word = list(vocab)[int(np.argmin(np.isfinite(matrix).all(axis=1)))]
+        lineno = next(
+            k for k, line in enumerate(text.splitlines(), 1) if line.split()[:1] == [word]
+        )
+        raise ParseError(f"line {lineno}: non-finite embedding value")
     return EmbeddingMatrix(vocab, matrix, expected_dim)
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .corpus import AS_TAGS, Sentence
 
@@ -54,9 +54,9 @@ class MetricReport:
         return "\n".join(lines) + "\n"
 
 
-def decode_spans(tags: Sequence[str], strict: bool = False) -> List[Span]:
-    """Maximal BIO runs. An orphan I-tag starts a new span (lenient mode);
-    with strict=True it is treated as O."""
+def decode_spans(tags: Sequence[str]) -> List[Span]:
+    """Maximal BIO runs; an orphan I-tag starts a new span. No span is
+    returned twice."""
     spans: List[Span] = []
     open_start: Optional[int] = None
     open_kind: Optional[str] = None
@@ -76,8 +76,7 @@ def decode_spans(tags: Sequence[str], strict: bool = False) -> List[Span]:
             if open_kind == kind:
                 continue
             close(i)
-            if not strict:
-                open_start, open_kind = i, kind
+            open_start, open_kind = i, kind
         else:
             close(i)
     close(len(tags))
@@ -108,170 +107,78 @@ def extract_pairs(ae_tags: Sequence[str], as_tags: Sequence[str]) -> List[TermPo
     return pairs
 
 
-def _f1_from_counts(tp: int, fp: int, fn: int) -> Tuple[float, float, float]:
+def _f1(tp: int, fp: int, fn: int) -> float:
+    """Exact-match F1 from counts; an empty-vs-empty pool scores 1."""
     if tp + fp + fn == 0:
-        return 1.0, 1.0, 1.0  # empty-vs-empty convention
+        return 1.0
     p = tp / (tp + fp) if tp + fp else 0.0
     r = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * p * r / (p + r) if p + r else 0.0
-    return p, r, f1
-
-
-def span_f1(
-    pred: Sequence[Span], gold: Sequence[Span]
-) -> Tuple[float, float, float]:
-    """Exact-match (start, end, kind) precision/recall/F1 over one span pool."""
-    ps, gs = set(pred), set(gold)
-    tp = len(ps & gs)
-    return _f1_from_counts(tp, len(ps) - tp, len(gs) - tp)
-
-
-def sentiment_metrics(
-    pred_pairs: Sequence[TermPolarityPair], gold_pairs: Sequence[TermPolarityPair]
-) -> Tuple[float, float, int]:
-    """acc-s and macro-F1 restricted to predicted aspect spans that exactly
-    match a gold aspect span. Returns (acc_s, f1_s, matched_count); zero
-    matches yields (0, 0, 0)."""
-    pred_by_span = {p.span: p.polarity for p in _dedup(pred_pairs)}
-    gold_by_span = {g.span: g.polarity for g in _dedup(gold_pairs)}
-    matched = sorted(set(pred_by_span) & set(gold_by_span))
-    if not matched:
-        return 0.0, 0.0, 0
-    correct = sum(1 for sp in matched if pred_by_span[sp] == gold_by_span[sp])
-    acc = correct / len(matched)
-    # macro-F1 with the denominator fixed at the 3 polarity classes
-    f1_sum = 0.0
-    for cls in AS_TAGS:
-        tp = sum(
-            1 for sp in matched if pred_by_span[sp] == cls and gold_by_span[sp] == cls
-        )
-        fp = sum(
-            1 for sp in matched if pred_by_span[sp] == cls and gold_by_span[sp] != cls
-        )
-        fn = sum(
-            1 for sp in matched if pred_by_span[sp] != cls and gold_by_span[sp] == cls
-        )
-        if tp + fp + fn == 0:
-            continue  # absent class contributes 0
-        p = tp / (tp + fp) if tp + fp else 0.0
-        r = tp / (tp + fn) if tp + fn else 0.0
-        f1_sum += 2 * p * r / (p + r) if p + r else 0.0
-    return acc, f1_sum / len(AS_TAGS), len(matched)
-
-
-def _dedup(pairs: Sequence[TermPolarityPair]) -> List[TermPolarityPair]:
-    seen: Set[Span] = set()
-    out = []
-    for p in pairs:
-        if p.span in seen:
-            continue
-        seen.add(p.span)
-        out.append(p)
-    return out
-
-
-def overall_f1(
-    pred_pairs: Sequence[TermPolarityPair], gold_pairs: Sequence[TermPolarityPair]
-) -> Tuple[float, float, float]:
-    """Micro P/R/F1 where a prediction counts iff span and polarity both
-    match a gold pair; each gold pair is matched at most once."""
-    pred = _dedup(pred_pairs)
-    gold = _dedup(gold_pairs)
-    unmatched = set(gold)
-    tp = 0
-    for p in pred:
-        if p in unmatched:
-            unmatched.discard(p)
-            tp += 1
-    return _f1_from_counts(tp, len(pred) - tp, len(gold) - tp)
-
-
-# ---------------------------------------------------------------------------
-# corpus-level aggregation
+    return 2 * p * r / (p + r) if p + r else 0.0
 
 
 def corpus_metrics(
     pred_tags: Sequence[Tuple[Sequence[str], Sequence[str]]],
     gold_sentences: Sequence[Sentence],
-    strict_bio: bool = False,
 ) -> MetricReport:
     """Aggregate the five metrics over a corpus of (ae_tags, as_tags)
-    predictions aligned with gold sentences."""
+    predictions aligned with gold sentences.
+
+    Counts come first: tp/fp/fn for the aspect, opinion and (span, polarity)
+    pools, and per polarity class on the predicted aspect spans that exactly
+    match a gold one. Every pool is then scored by the same `_f1`. acc-s and
+    the 3-class macro F1-s (absent classes contribute 0) are read off the
+    matched spans only.
+    """
     counts = {
         "aspect_tp": 0, "aspect_fp": 0, "aspect_fn": 0,
         "opinion_tp": 0, "opinion_fp": 0, "opinion_fn": 0,
         "pair_tp": 0, "pair_fp": 0, "pair_fn": 0,
         "matched_spans": 0, "sent_correct": 0,
     }
-    matched_preds: List[TermPolarityPair] = []
-    matched_golds: List[TermPolarityPair] = []
+    per_class = {cls: [0, 0, 0] for cls in AS_TAGS}  # tp, fp, fn
+
+    def tally(key: str, pred: set, gold: set) -> None:
+        tp = len(pred & gold)
+        counts[f"{key}_tp"] += tp
+        counts[f"{key}_fp"] += len(pred) - tp
+        counts[f"{key}_fn"] += len(gold) - tp
 
     for (ae_pred, as_pred), sent in zip(pred_tags, gold_sentences):
-        pred_spans = set(decode_spans(ae_pred, strict=strict_bio))
-        gold_spans = set(decode_spans(sent.ae_tags))
-        for kind, key in (("aspect", "aspect"), ("opinion", "opinion")):
-            ps = {s for s in pred_spans if s.kind == kind}
-            gs = {s for s in gold_spans if s.kind == kind}
-            counts[f"{key}_tp"] += len(ps & gs)
-            counts[f"{key}_fp"] += len(ps - gs)
-            counts[f"{key}_fn"] += len(gs - ps)
+        pred_spans = decode_spans(ae_pred)
+        gold_spans = decode_spans(sent.ae_tags)
+        for kind in ("aspect", "opinion"):
+            tally(
+                kind,
+                {s for s in pred_spans if s.kind == kind},
+                {s for s in gold_spans if s.kind == kind},
+            )
+        pred_pairs = extract_pairs(ae_pred, as_pred)
+        gold_pairs = extract_pairs(sent.ae_tags, sent.as_tags)
+        tally("pair", set(pred_pairs), set(gold_pairs))
 
-        pred_pairs = _dedup(extract_pairs(ae_pred, as_pred))
-        gold_pairs = _dedup(extract_pairs(sent.ae_tags, sent.as_tags))
-        unmatched = set(gold_pairs)
+        gold_polarity = {g.span: g.polarity for g in gold_pairs}
         for p in pred_pairs:
-            if p in unmatched:
-                unmatched.discard(p)
-                counts["pair_tp"] += 1
-            else:
-                counts["pair_fp"] += 1
-        counts["pair_fn"] += len(unmatched)
+            gold = gold_polarity.get(p.span)
+            if gold is None:
+                continue
+            counts["matched_spans"] += 1
+            if p.polarity == gold:
+                counts["sent_correct"] += 1
+                per_class[gold][0] += 1
+                continue
+            if p.polarity in per_class:  # a prediction may read "none"
+                per_class[p.polarity][1] += 1
+            per_class[gold][2] += 1
 
-        gold_by_span = {g.span: g for g in gold_pairs}
-        for p in pred_pairs:
-            g = gold_by_span.get(p.span)
-            if g is not None:
-                matched_preds.append(p)
-                matched_golds.append(g)
-
-    _, _, f1_a = _f1_from_counts(counts["aspect_tp"], counts["aspect_fp"], counts["aspect_fn"])
-    _, _, f1_o = _f1_from_counts(counts["opinion_tp"], counts["opinion_fp"], counts["opinion_fn"])
-    _, _, f1_i = _f1_from_counts(counts["pair_tp"], counts["pair_fp"], counts["pair_fn"])
+    f1_a = _f1(counts["aspect_tp"], counts["aspect_fp"], counts["aspect_fn"])
+    f1_o = _f1(counts["opinion_tp"], counts["opinion_fp"], counts["opinion_fn"])
+    f1_i = _f1(counts["pair_tp"], counts["pair_fp"], counts["pair_fn"])
 
     notes = []
-    counts["matched_spans"] = len(matched_preds)
-    if matched_preds:
-        correct = sum(
-            1 for p, g in zip(matched_preds, matched_golds) if p.polarity == g.polarity
-        )
-        counts["sent_correct"] = correct
-        acc_s = correct / len(matched_preds)
-        f1_sum = 0.0
-        present = set()
-        for cls in AS_TAGS:
-            tp = sum(
-                1
-                for p, g in zip(matched_preds, matched_golds)
-                if p.polarity == cls and g.polarity == cls
-            )
-            fp = sum(
-                1
-                for p, g in zip(matched_preds, matched_golds)
-                if p.polarity == cls and g.polarity != cls
-            )
-            fn = sum(
-                1
-                for p, g in zip(matched_preds, matched_golds)
-                if p.polarity != cls and g.polarity == cls
-            )
-            if tp + fp + fn == 0:
-                continue
-            present.add(cls)
-            p_ = tp / (tp + fp) if tp + fp else 0.0
-            r_ = tp / (tp + fn) if tp + fn else 0.0
-            f1_sum += 2 * p_ * r_ / (p_ + r_) if p_ + r_ else 0.0
-        f1_s = f1_sum / len(AS_TAGS)
-        absent = [c for c in AS_TAGS if c not in present]
+    if counts["matched_spans"]:
+        acc_s = counts["sent_correct"] / counts["matched_spans"]
+        f1_s = sum(_f1(*c) for c in per_class.values() if any(c)) / len(AS_TAGS)
+        absent = [cls for cls, c in per_class.items() if not any(c)]
         if absent:
             notes.append("absent polarity classes on matched spans: " + ",".join(absent))
     else:

@@ -9,7 +9,7 @@ round.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .autodiff import (
     reshape,
     slice_last,
     softmax_rows,
-    sum_all,
     sum_axis,
     transpose,
 )
@@ -128,12 +127,6 @@ def ae_head_forward(hs: Tensor, head: AeHead):
     hae = relu(linear(hs, head.hidden_weight, head.hidden_bias))
     yae = softmax_rows(linear(hae, head.out_weight, head.out_bias))
     return hae, yae
-
-
-def opinion_prob(yae_row: Tensor) -> Tensor:
-    """p(BP) + p(IP) for one token's AE distribution."""
-    lo, hi = OPINION_CLASS_SLICE
-    return sum_all(slice_last(yae_row, lo, hi))
 
 
 def opinion_probs(yae: Tensor) -> Tensor:

@@ -6,10 +6,9 @@ optimizer and gradient checks, and bit-exact checkpoint serialization.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 

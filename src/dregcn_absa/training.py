@@ -15,8 +15,10 @@ import numpy as np
 from .autodiff import Tape, Tensor, add_n, backward, nll_rows, scale
 from .corpus import (
     AE_INDEX,
+    AE_TAGS,
     AS_INDEX,
     AS_NONE,
+    AS_TAGS,
     EmbeddingMatrix,
     RelationVocab,
     Sentence,
@@ -111,14 +113,17 @@ def adam_step(
 # evaluation plumbing
 
 
+def _argmax_tags(out: IterationOutput) -> Tuple[List[str], List[str]]:
+    """Per-token argmax AE and AS tags of the final round, unmasked."""
+    ae_tags = [AE_TAGS[i] for i in np.argmax(out.final.yae.data, axis=1)]
+    as_tags = [AS_TAGS[i] for i in np.argmax(out.final.yas.data, axis=1)]
+    return ae_tags, as_tags
+
+
 def predict_sentence_tags(model: Model, s: Sentence) -> Tuple[List[str], List[str]]:
     """Argmax decode of the final round; AS tags read 'none' outside the
     predicted aspect spans."""
-    from .corpus import AE_TAGS, AS_TAGS
-
-    out = model.forward(s)
-    ae_tags = [AE_TAGS[i] for i in np.argmax(out.final.yae.data, axis=1)]
-    as_raw = [AS_TAGS[i] for i in np.argmax(out.final.yas.data, axis=1)]
+    ae_tags, as_raw = _argmax_tags(model.forward(s))
     as_tags = [AS_NONE] * s.n
     for span in decode_spans(ae_tags):
         if span.kind != "aspect":
@@ -137,11 +142,7 @@ def token_accuracy(model: Model, sentences: Sequence[Sentence]) -> Tuple[float, 
     """(AE token accuracy, AS token accuracy on gold aspect tokens)."""
     ae_hit = ae_total = as_hit = as_total = 0
     for s in sentences:
-        ae_pred, _ = predict_sentence_tags(model, s)
-        out = model.forward(s)
-        from .corpus import AS_TAGS
-
-        as_pred = [AS_TAGS[i] for i in np.argmax(out.final.yas.data, axis=1)]
+        ae_pred, as_pred = _argmax_tags(model.forward(s))
         for i in range(s.n):
             ae_total += 1
             ae_hit += ae_pred[i] == s.ae_tags[i]

@@ -100,7 +100,12 @@ def random_tagging(rng, n):
 
 
 def random_gold_sentence(rng, n):
-    """A structurally valid random sentence (tags consistent, one root)."""
+    """A structurally valid random sentence (tags consistent, a random tree).
+
+    Each non-root token, in index order, hangs off a token placed before it
+    in the order root-first; this draws the same random numbers as picking
+    any other token as head, so the tags of every corpus stay as they were.
+    """
     from dregcn_absa.corpus import Sentence
 
     ae = [AE_TAGS[i] for i in rng.integers(0, len(AE_TAGS), size=n)]
@@ -108,13 +113,10 @@ def random_gold_sentence(rng, n):
         POLARITIES[rng.integers(0, 3)] if t in ("BA", "IA") else "none" for t in ae
     ]
     root = int(rng.integers(0, n))
-    heads = []
-    for i in range(n):
-        if i == root:
-            heads.append(None)
-        else:
-            h = int(rng.integers(0, n - 1))
-            heads.append(h if h < i else h + 1)
+    order = [root] + [i for i in range(n) if i != root]
+    heads = [None] * n
+    for k, i in enumerate(order[1:], 1):
+        heads[i] = order[int(rng.integers(0, n - 1)) % k]
     rels = [f"r{rng.integers(0, 4)}" for _ in range(n)]
     return Sentence(tuple(["w%d" % i for i in rng.integers(0, 6, size=n)]),
                     tuple(ae), tuple(asx), tuple(heads), tuple(rels))

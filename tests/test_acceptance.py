@@ -13,6 +13,7 @@ from dregcn_absa import cli, synth
 from dregcn_absa.autodiff import Tensor
 from dregcn_absa.corpus import (
     RelationVocab,
+    Sentence,
     parse_corpus_file,
     random_embedding_table,
     split_train_dev,
@@ -25,7 +26,7 @@ from dregcn_absa.encoder import (
     init_dregcn_layer,
     init_relation_table,
 )
-from dregcn_absa.evaluation import Span, corpus_metrics, span_f1
+from dregcn_absa.evaluation import corpus_metrics
 from dregcn_absa.heads import (
     MessagePassingConfig,
     distance_factors,
@@ -92,8 +93,6 @@ def test_criterion_02_loss_mask_invariance():
         assert float(joint_loss(out, s).data) == base  # exact, no tolerance
 
     # (b) aspect-free batches leave every AS-head parameter gradient at 0
-    from dregcn_absa.corpus import Sentence
-
     aspect_free = [
         Sentence(("it", "works"), ("O", "O"), ("none", "none"), (1, None), ("nsubj", "root")),
         Sentence(("so", "it", "goes"), ("O", "BP", "O"), ("none", "none", "none"),
@@ -147,11 +146,14 @@ def test_criterion_04_reduction_equivalence():
 
 
 def test_criterion_05_metric_oracle():
-    p, r, f1 = span_f1(
-        [Span(0, 1, "aspect"), Span(3, 5, "aspect")],
-        [Span(0, 1, "aspect"), Span(2, 4, "aspect")],
+    # predicted aspect spans [0,1) and [3,5) against gold [0,1) and [2,4)
+    gold = Sentence(
+        ("a", "b", "c", "d", "e"), ("BA", "O", "BA", "IA", "O"),
+        ("pos", "none", "pos", "pos", "none"), (None, 0, 1, 2, 3),
+        ("root", "dep", "dep", "dep", "dep"),
     )
-    assert f1 == 0.5
+    hand = corpus_metrics([(["BA", "O", "O", "BA", "IA"], ["pos"] * 5)], [gold])
+    assert hand.f1_a == 0.5
     rng = np.random.default_rng(29)
     for trial in range(1000):
         preds, gold = random_metric_corpus(rng)

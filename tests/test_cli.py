@@ -1,4 +1,6 @@
+import gc
 import json
+import pathlib
 import shutil
 
 import numpy as np
@@ -64,6 +66,9 @@ def test_data_errors_exit_2(tmp_path, workspace):
     malformed = tmp_path / "broken.corpus"
     malformed.write_text("word O none\n")  # 3 columns instead of 5
     assert cli.main(["train", "--corpus", str(malformed), "--config", config]) == 2
+    cyclic = tmp_path / "cyclic.corpus"
+    cyclic.write_text("a O none 1 x\nb O none 0 y\nc O none ROOT root\n")
+    assert cli.main(["stats", "--corpus", str(cyclic)]) == 2
     garbage = tmp_path / "garbage.npz"
     garbage.write_bytes(b"nope")
     assert cli.main(["evaluate", "--checkpoint", str(garbage), "--corpus", str(malformed)]) == 2
@@ -130,6 +135,36 @@ def test_train_with_embedding_files(workspace, fixtures_dir, monkeypatch):
     assert len(manifest["digests"]["general_emb"]) == 64  # sha256 hex
 
 
+def test_non_finite_embedding_exits_2(workspace, fixtures_dir, tmp_path, capsys):
+    _, corpus, config = workspace
+    conf = tmp_path / "emb.conf"
+    conf.write_text(SMALL_CONFIG.replace("general_dim = 6", "general_dim = 4"))
+    emb = tmp_path / "nan.emb"
+    emb.write_text((fixtures_dir / "tiny_general.emb").read_text().replace("0.00", "nan", 1))
+    code = cli.main(["train", "--corpus", corpus, "--config", str(conf), "--general-emb", str(emb)])
+    assert code == 2
+    assert "line 2: non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings(
+    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
+)
+def test_commands_close_their_files(workspace, fixtures_dir):
+    tmp_path, corpus, config = workspace
+    conf = tmp_path / "emb.conf"
+    conf.write_text(SMALL_CONFIG.replace("general_dim = 6", "general_dim = 4"))
+    code, _ = run_train(
+        tmp_path, corpus, str(conf),
+        extra=[
+            "--general-emb", str(fixtures_dir / "tiny_general.emb"),
+            "--domain-emb", str(fixtures_dir / "tiny_domain.emb"),
+        ],
+    )
+    assert code == 0
+    assert cli.main(["stats", "--corpus", corpus]) == 0
+    gc.collect()  # an unclosed handle warns when it is collected
+
+
 def test_evaluate_predict_stats(workspace, capsys):
     tmp_path, corpus, config = workspace
     _, out = run_train(tmp_path, corpus, config)
@@ -146,7 +181,7 @@ def test_evaluate_predict_stats(workspace, capsys):
         ["predict", "--checkpoint", ckpt, "--corpus", corpus, "--out", str(pred_path)]
     ) == 0
     predicted = parse_corpus_file(pred_path.read_text())
-    original = parse_corpus_file(open(corpus).read())
+    original = parse_corpus_file(pathlib.Path(corpus).read_text())
     assert len(predicted) == len(original)
     assert all(p.tokens == o.tokens for p, o in zip(predicted, original))
 

@@ -53,6 +53,21 @@ def test_sentence_requires_exactly_one_root():
         Sentence(("a", "b"), ("O", "O"), ("none", "none"), (None, 1), ("root", "det"))
 
 
+def test_sentence_rejects_cyclic_heads():
+    with pytest.raises(ValueError, match="cycle"):  # 0 <-> 1
+        Sentence(("a", "b", "c"), ("O",) * 3, ("none",) * 3, (1, 0, None), ("x", "y", "root"))
+    with pytest.raises(ValueError, match="cycle"):  # 1 -> 2 -> 3 -> 1
+        Sentence(("a", "b", "c", "d"), ("O",) * 4, ("none",) * 4, (None, 2, 3, 1), ("root", "x", "y", "z"))
+    # a deep chain that reaches ROOT is a tree
+    Sentence(("a", "b", "c", "d"), ("O",) * 4, ("none",) * 4, (1, 2, 3, None), ("x", "y", "z", "root"))
+
+
+def test_parse_rejects_cyclic_parse_with_line_number():
+    text = "a O none ROOT root\n\nb O none 1 x\nc O none 0 y\nd O none ROOT root\n"
+    with pytest.raises(ParseError, match="sentence starting at line 3: .*cycle"):
+        parse_corpus_file(text)
+
+
 def test_sentence_length_mismatch():
     with pytest.raises(ValueError, match="length"):
         Sentence(("a", "b"), ("O",), ("none", "none"), (None, 0), ("root", "det"))
@@ -161,6 +176,14 @@ def test_load_embedding_dim_mismatch():
         load_embedding_table("word 0.1 0.2\n", 3, rng)
     with pytest.raises(ParseError, match="non-numeric"):
         load_embedding_table("word 0.1 x 0.3\n", 3, rng)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_load_embedding_rejects_non_finite(bad):
+    rng = np.random.default_rng(0)
+    text = f"a 0.1 0.2\n\nb 0.3 0.4\nc 0.5 {bad}\nd 0.7 0.8\n"
+    with pytest.raises(ParseError, match="line 4: non-finite"):
+        load_embedding_table(text, 2, rng)
 
 
 def test_random_embedding_table_range():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dregcn_absa.corpus import Sentence
 from dregcn_absa.evaluation import (
     MetricReport,
     Span,
@@ -9,9 +10,6 @@ from dregcn_absa.evaluation import (
     decode_spans,
     encode_spans,
     extract_pairs,
-    overall_f1,
-    sentiment_metrics,
-    span_f1,
 )
 
 from oracles import brute_force_metrics, enumerate_spans, random_metric_corpus
@@ -34,10 +32,9 @@ def test_decode_adjacent_begins_split():
     assert decode_spans(["BA", "BA", "IA"]) == [Span(0, 1, "aspect"), Span(1, 3, "aspect")]
 
 
-def test_decode_orphan_inside_lenient_vs_strict():
+def test_decode_orphan_inside_opens_span():
     tags = ["O", "IA", "IA", "O", "IP"]
     assert decode_spans(tags) == [Span(1, 3, "aspect"), Span(4, 5, "opinion")]
-    assert decode_spans(tags, strict=True) == []
 
 
 def test_decode_kind_switch_closes_span():
@@ -63,7 +60,20 @@ def test_decode_agrees_with_interval_enumeration():
 
 
 # ---------------------------------------------------------------------------
-# pairs and single-pool scores
+# pairs and hand-checked scores
+
+
+def gold_sentence(ae_tags, as_tags):
+    """A gold sentence over the given tags, parsed as a left-to-right chain."""
+    n = len(ae_tags)
+    return Sentence(
+        tuple(f"w{i}" for i in range(n)), tuple(ae_tags), tuple(as_tags),
+        (None,) + tuple(range(n - 1)), ("root",) + ("dep",) * (n - 1),
+    )
+
+
+def score(pred_ae, pred_as, gold_ae, gold_as):
+    return corpus_metrics([(pred_ae, pred_as)], [gold_sentence(gold_ae, gold_as)])
 
 
 def test_extract_pairs_first_token_polarity():
@@ -72,37 +82,46 @@ def test_extract_pairs_first_token_polarity():
 
 
 def test_span_f1_hand_case():
-    pred = [Span(0, 1, "aspect"), Span(3, 5, "aspect")]
-    gold = [Span(0, 1, "aspect"), Span(2, 4, "aspect")]
-    p, r, f1 = span_f1(pred, gold)
-    assert (p, r, f1) == (0.5, 0.5, 0.5)
+    # predicted aspects [0,1) and [3,5); gold aspects [0,1) and [2,4)
+    report = score(
+        ["BA", "O", "O", "BA", "IA"], ["pos", "none", "none", "pos", "pos"],
+        ["BA", "O", "BA", "IA", "O"], ["pos", "none", "pos", "pos", "none"],
+    )
+    assert report.f1_a == 0.5
+    assert (report.counts["aspect_tp"], report.counts["aspect_fp"], report.counts["aspect_fn"]) == (1, 1, 1)
 
 
 def test_empty_vs_empty_is_perfect():
-    assert span_f1([], []) == (1.0, 1.0, 1.0)
-    assert overall_f1([], []) == (1.0, 1.0, 1.0)
+    report = score(["O", "O"], ["none", "none"], ["O", "O"], ["none", "none"])
+    assert (report.f1_a, report.f1_o, report.f1_i) == (1.0, 1.0, 1.0)
 
 
 def test_sentiment_metrics_hand_case():
-    mk = lambda s, e, pol: TermPolarityPair(Span(s, e, "aspect"), pol)
-    pred = [mk(0, 1, "pos"), mk(2, 3, "neg"), mk(5, 6, "neu")]
-    gold = [mk(0, 1, "pos"), mk(2, 3, "pos"), mk(7, 8, "neg")]
-    acc, f1s, matched = sentiment_metrics(pred, gold)
-    assert matched == 2
-    assert acc == 0.5
+    # pred pairs (0,pos) (2,neg) (5,neu); gold pairs (0,pos) (2,pos) (7,neg)
+    report = score(
+        ["BA", "O", "BA", "O", "O", "BA", "O", "O"],
+        ["pos", "none", "neg", "none", "none", "neu", "none", "none"],
+        ["BA", "O", "BA", "O", "O", "O", "O", "BA"],
+        ["pos", "none", "pos", "none", "none", "none", "none", "neg"],
+    )
+    assert report.counts["matched_spans"] == 2
+    assert report.acc_s == 0.5
     # pos: tp=1 fp=0 fn=1 -> f1 2/3; neg: tp=0 fp=1 fn=0 -> 0; neu absent
-    assert f1s == pytest.approx((2 / 3) / 3)
+    assert report.f1_s == pytest.approx((2 / 3) / 3)
+    assert report.notes == ["absent polarity classes on matched spans: neu"]
 
 
 def test_sentiment_metrics_no_matches():
-    mk = lambda s, e, pol: TermPolarityPair(Span(s, e, "aspect"), pol)
-    assert sentiment_metrics([mk(0, 1, "pos")], [mk(2, 3, "pos")]) == (0.0, 0.0, 0)
+    report = score(["BA", "O", "O"], ["pos", "none", "none"],
+                   ["O", "O", "BA"], ["none", "none", "pos"])
+    assert (report.acc_s, report.f1_s, report.counts["matched_spans"]) == (0.0, 0.0, 0)
+    assert report.notes == ["no predicted aspect span matched a gold span"]
 
 
 def test_overall_f1_polarity_must_match():
-    mk = lambda s, e, pol: TermPolarityPair(Span(s, e, "aspect"), pol)
-    p, r, f1 = overall_f1([mk(0, 1, "pos")], [mk(0, 1, "neg")])
-    assert f1 == 0.0
+    report = score(["BA"], ["pos"], ["BA"], ["neg"])
+    assert report.f1_a == 1.0
+    assert report.f1_i == 0.0
 
 
 # ---------------------------------------------------------------------------
