@@ -2,7 +2,8 @@
 
 Configuration is a flat `key = value` text file; command-line flags override
 file values, which override defaults. Exit codes: 0 success, 1 usage/config
-error, 2 data error, 3 verification failure.
+error, 2 data error, 3 verification failure, 4 training diverged (non-finite
+gradient).
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .corpus import (
     Sentence,
     SplitError,
     VocabularyError,
+    build_dependency_graph,
     corpus_stats,
     load_embedding_table,
     parse_corpus_file,
@@ -54,10 +56,12 @@ from .encoder import (
     init_dregcn_layer,
     init_gcn_layer,
     init_relation_table,
+    relation_counts,
 )
 from .heads import MessagePassingConfig, as_head_forward, init_as_head
 from .model import CheckpointError, Model, ModelConfig, load_checkpoint, save_checkpoint
 from .training import (
+    NumericError,
     TrainConfig,
     joint_loss,
     multi_run,
@@ -430,15 +434,14 @@ def gradcheck_suite(seed: int = 0) -> List[Tuple[str, float]]:
     # graph layers on a 4-token chain
     n, d, m = 4, 5, 3
     h = Tensor(rng.normal(size=(n, d)))
-    adj = np.eye(n)
-    for i in range(n - 1):
-        adj[i, i + 1] = adj[i + 1, i] = 1.0
-    q = np.zeros((n, n, 4))
-    for i in range(n):
-        q[i, i, 0] = 1.0
-    for i in range(n - 1):
-        k = 1 + (i % 3)
-        q[i, i + 1, k] = q[i + 1, i, k] = 1.0
+    chain = Sentence(
+        ("w0", "w1", "w2", "w3"), ("O",) * n, ("none",) * n,
+        (None, 0, 1, 2), ("r1", "r1", "r2", "r3"),
+    )
+    rv = RelationVocab.from_corpus([chain], include_unknown=False)  # <self>, r1, r2, r3
+    graph = build_dependency_graph(chain, rv)
+    adj = graph.adjacency
+    counts = relation_counts(adj, graph.relation_indicator, rv.size)
     gcn = init_gcn_layer(rng, d)
     probe_g = np.random.default_rng(seed + 3).normal(size=(n, d))
 
@@ -449,11 +452,11 @@ def gradcheck_suite(seed: int = 0) -> List[Tuple[str, float]]:
         ("gcn_layer", finite_diff_gradcheck(gcn_fn, [h, gcn.weight, gcn.bias]))
     )
 
-    table = init_relation_table(rng, 4, m)
+    table = init_relation_table(rng, rv.size, m)
     dre = init_dregcn_layer(rng, d, m)
 
     def dre_fn():
-        return sum_all(mul(dregcn_layer_forward(h, adj, q, dre, table), probe_g))
+        return sum_all(mul(dregcn_layer_forward(h, adj, counts, dre, table), probe_g))
 
     checks.append(
         (
@@ -609,6 +612,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except VerificationFailure as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 3
+    except NumericError as exc:
+        print(f"training diverged: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -138,7 +138,7 @@ class RelationVocab:
 @dataclass
 class DepGraph:
     adjacency: np.ndarray  # (n, n) binary, symmetric, unit diagonal
-    relation_indicator: np.ndarray  # (n, n, |N|) binary
+    relation_indicator: np.ndarray  # (3n - 2, 3) intp, one (i, j, k) row per Q_ijk = 1
 
     @property
     def n(self) -> int:
@@ -150,26 +150,27 @@ def build_dependency_graph(
     rv: RelationVocab,
     distinct_reverse_types: bool = False,
 ) -> DepGraph:
-    """Symmetric self-looped adjacency plus a relation-type indicator.
+    """Symmetric self-looped adjacency plus the typed arcs behind it.
 
-    Each dependency arc contributes both directions; self-loops carry the
-    dedicated SELF relation.
+    The arcs are the nonzeros of the relation indicator Q, one (i, j, k) row
+    per Q_ijk = 1: a SELF loop per token, then every dependency arc in both
+    directions (head -> dependent typed by its deprel, the mirror by the same
+    type or its reverse). A validated sentence is a tree, so every adjacency
+    edge carries exactly one type per direction.
     """
     n = s.n
-    a = np.eye(n)
-    q = np.zeros((n, n, rv.size))
     self_k = rv.index[SELF_RELATION]
-    for i in range(n):
-        q[i, i, self_k] = 1.0
+    rows = [(i, i, self_k) for i in range(n)]
     for i, (h, rel) in enumerate(zip(s.heads, s.deprels)):
         if h is None:
             continue
-        a[i, h] = a[h, i] = 1.0
         k_fwd = rv.index_of(rel)
         k_rev = rv.index_of(rel, reverse=True) if distinct_reverse_types else k_fwd
-        q[h, i, k_fwd] = 1.0
-        q[i, h, k_rev] = 1.0
-    return DepGraph(a, q)
+        rows += [(h, i, k_fwd), (i, h, k_rev)]
+    arcs = np.array(rows, dtype=np.intp)
+    a = np.zeros((n, n))
+    a[arcs[:, 0], arcs[:, 1]] = 1.0
+    return DepGraph(a, arcs)
 
 
 # ---------------------------------------------------------------------------

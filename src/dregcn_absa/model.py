@@ -254,5 +254,8 @@ def load_checkpoint(path: str) -> Model:
     for k, v in arrays.items():
         if params[k].data.shape != v.shape:
             raise CheckpointError(f"parameter {k!r} has shape {v.shape}, expected {params[k].data.shape}")
-        params[k].data = v.astype(np.float64).copy()
+        data = v.astype(np.float64)
+        if not np.isfinite(data).all():
+            raise CheckpointError(f"parameter {k!r} has non-finite values")
+        params[k].data = data
     return model

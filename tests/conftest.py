@@ -2,10 +2,16 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from dregcn_absa.corpus import parse_corpus_file, random_embedding_table
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+# The same examples on every run, no example database on disk, and no
+# per-example deadline for a loaded machine to trip.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

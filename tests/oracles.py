@@ -1,7 +1,9 @@
 """Independent brute-force re-implementations used to cross-check the
-package's evaluation code. Spans are found by enumerating every interval and
-testing it for maximality, not by scanning runs, so the two implementations
-share no logic."""
+package's evaluation code and its DreGCN layer. Spans are found by
+enumerating every interval and testing it for maximality, not by scanning
+runs; the relation indicator is a dense (n, n, |N|) tensor filled by a plain
+double loop over the heads, not the package's typed arcs. So the two
+implementations share no logic."""
 
 import numpy as np
 
@@ -129,3 +131,32 @@ def random_metric_corpus(rng, n_sentences=3, max_tokens=8):
         gold.append(random_gold_sentence(rng, n))
         preds.append(random_tagging(rng, n))
     return preds, gold
+
+
+def dense_relations(sentence, rv, distinct_reverse_types=False):
+    """Q[i, j, k] = 1 when node i hears node j over relation type k: SELF on
+    the diagonal, the deprel from head to dependent, and the same type (or
+    its reverse) back from dependent to head."""
+    n = sentence.n
+    q = np.zeros((n, n, rv.size))
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                q[i, j, rv.index["<self>"]] = 1.0
+            elif sentence.heads[j] == i:
+                q[i, j, rv.index_of(sentence.deprels[j])] = 1.0
+            elif sentence.heads[i] == j:
+                q[i, j, rv.index_of(sentence.deprels[i], reverse=distinct_reverse_types)] = 1.0
+    return q
+
+
+def dregcn_double_sum(h, a, q, weight, bias, table):
+    """ReLU(b + sum_j sum_k A_ij Q_ijk W [h_j; R[k]]), one term at a time."""
+    n = h.shape[0]
+    pre = np.zeros((n, weight.shape[0]))
+    for i in range(n):
+        for j in range(n):
+            for k in range(q.shape[2]):
+                if a[i, j] != 0 and q[i, j, k] != 0:
+                    pre[i] += a[i, j] * q[i, j, k] * (weight @ np.concatenate([h[j], table[k]]))
+    return np.maximum(pre + bias, 0.0)

@@ -135,9 +135,9 @@ def test_criterion_04_reduction_equivalence():
         table = init_relation_table(rng, n_types, 0)
         gcn = GcnLayer(Tensor(layer.weight.data.copy()), Tensor(layer.bias.data.copy()))
         h = Tensor(rng.normal(size=(n, d)))
-        a, q = random_graph(rng, n, n_types)
+        a, c = random_graph(rng, n, n_types)
         gap = np.abs(
-            dregcn_layer_forward(h, a, q, layer, table).data
+            dregcn_layer_forward(h, a, c, layer, table).data
             - gcn_layer_forward(h, a, gcn).data
         ).max()
         worst = max(worst, gap)

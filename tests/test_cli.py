@@ -74,6 +74,35 @@ def test_data_errors_exit_2(tmp_path, workspace):
     assert cli.main(["evaluate", "--checkpoint", str(garbage), "--corpus", str(malformed)]) == 2
 
 
+def test_non_finite_checkpoint_exits_2(workspace, capsys):
+    tmp_path, corpus, config = workspace
+    _, out = run_train(tmp_path, corpus, config)
+    ckpt = out / "checkpoint_seed0.npz"
+    with np.load(ckpt) as data:
+        arrays = {k: data[k] for k in data.files}
+    arrays["param:ae/hidden_b"][0] = np.nan
+    bad = tmp_path / "nan.npz"
+    with open(bad, "wb") as fh:
+        np.savez(fh, **arrays)
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--checkpoint", str(bad), "--corpus", corpus]) == 2
+    out = capsys.readouterr()
+    assert "'ae/hidden_b' has non-finite values" in out.err
+    assert "f1_a" not in out.out
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_diverged_training_exits_4(workspace, capsys):
+    tmp_path, corpus, _ = workspace
+    conf = tmp_path / "diverge.conf"
+    conf.write_text(SMALL_CONFIG.replace("learning_rate = 0.01", "learning_rate = 1e200"))
+    code, _ = run_train(tmp_path, corpus, str(conf))
+    assert code == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("training diverged: non-finite gradient for parameter '")
+
+
 # ---------------------------------------------------------------------------
 # config handling
 

@@ -126,6 +126,10 @@ def test_relation_vocab_oov_and_reverse():
 # dependency graphs
 
 
+def arc_rows(g):
+    return [tuple(int(x) for x in row) for row in g.relation_indicator]
+
+
 def test_graph_shape_and_symmetry():
     s = simple_sentence()
     rv = RelationVocab.from_corpus([s])
@@ -133,12 +137,14 @@ def test_graph_shape_and_symmetry():
     assert g.adjacency.shape == (4, 4)
     np.testing.assert_array_equal(g.adjacency, g.adjacency.T)
     np.testing.assert_array_equal(np.diag(g.adjacency), 1.0)
+    assert g.relation_indicator.shape == (3 * 4 - 2, 3)
+    assert g.relation_indicator.dtype == np.intp
     # every edge carries exactly one relation type in each direction
-    for i in range(4):
-        for j in range(4):
-            assert g.relation_indicator[i, j].sum() == g.adjacency[i, j]
+    pairs = [(i, j) for i, j, _ in arc_rows(g)]
+    assert len(set(pairs)) == len(pairs)
+    assert set(pairs) == {(int(i), int(j)) for i, j in np.argwhere(g.adjacency)}
     self_k = rv.index[SELF_RELATION]
-    assert all(g.relation_indicator[i, i, self_k] == 1 for i in range(4))
+    assert all((i, i, self_k) in arc_rows(g) for i in range(4))
 
 
 def test_graph_reverse_arcs_share_or_split_types():
@@ -146,12 +152,25 @@ def test_graph_reverse_arcs_share_or_split_types():
     rv = RelationVocab.from_corpus([s])
     g = build_dependency_graph(s, rv)
     k = rv.index["det"]
-    assert g.relation_indicator[1, 0, k] == 1  # head -> dependent
-    assert g.relation_indicator[0, 1, k] == 1  # mirrored arc reuses the type
+    assert (1, 0, k) in arc_rows(g)  # head -> dependent
+    assert (0, 1, k) in arc_rows(g)  # mirrored arc reuses the type
     rv2 = RelationVocab.from_corpus([s], distinct_reverse_types=True)
     g2 = build_dependency_graph(s, rv2, distinct_reverse_types=True)
-    assert g2.relation_indicator[1, 0, rv2.index["det"]] == 1
-    assert g2.relation_indicator[0, 1, rv2.index[REVERSE_PREFIX + "det"]] == 1
+    assert (1, 0, rv2.index["det"]) in arc_rows(g2)
+    assert (0, 1, rv2.index[REVERSE_PREFIX + "det"]) in arc_rows(g2)
+
+
+def test_graph_memory_is_linear_in_relation_types():
+    # an 80-token chain over 40 deprels with reverse types: |N| = 83
+    n = 80
+    s = Sentence(
+        tuple(f"w{i}" for i in range(n)), ("O",) * n, ("none",) * n,
+        (None, *range(n - 1)), tuple(f"d{i % 40}" for i in range(n)),
+    )
+    rv = RelationVocab.from_corpus([s], distinct_reverse_types=True)
+    assert rv.size == 83
+    g = build_dependency_graph(s, rv, distinct_reverse_types=True)
+    assert g.adjacency.nbytes + g.relation_indicator.nbytes <= 8 * n * n + 24 * (3 * n - 2)
 
 
 # ---------------------------------------------------------------------------

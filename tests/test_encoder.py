@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dregcn_absa.autodiff import ContractViolation, Tensor
-from dregcn_absa.corpus import RelationVocab, build_dependency_graph
+from dregcn_absa.corpus import SELF_RELATION, RelationVocab, Sentence, build_dependency_graph
 from dregcn_absa.encoder import (
     EncoderConfig,
     GcnLayer,
@@ -15,25 +15,26 @@ from dregcn_absa.encoder import (
     init_gcn_layer,
     init_relation_table,
     normalize_adjacency,
+    relation_counts,
 )
+from oracles import dense_relations, dregcn_double_sum
 from test_corpus import simple_sentence
 
 RNG = np.random.default_rng(7)
 
 
 def random_graph(rng, n, n_types):
-    """Random symmetric self-looped adjacency with one type per edge."""
-    a = np.eye(n)
-    q = np.zeros((n, n, n_types))
-    for i in range(n):
-        q[i, i, 0] = 1.0  # type 0 plays the self relation
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < 0.5:
-                a[i, j] = a[j, i] = 1.0
-                q[i, j, int(rng.integers(1, n_types))] = 1.0
-                q[j, i, int(rng.integers(1, n_types))] = 1.0
-    return a, q
+    """Adjacency and relation counts of a random parse tree whose arcs are
+    typed r1 .. r{n_types - 1} over the vocabulary <self>, r1, ..."""
+    order = rng.permutation(n)
+    heads = [None] * n
+    for k in range(1, n):
+        heads[order[k]] = int(order[rng.integers(0, k)])
+    rels = tuple(f"r{rng.integers(1, n_types)}" for _ in range(n))
+    s = Sentence(("w",) * n, ("O",) * n, ("none",) * n, tuple(heads), rels)
+    rv = RelationVocab({SELF_RELATION: 0, **{f"r{k}": k for k in range(1, n_types)}})
+    g = build_dependency_graph(s, rv)
+    return g.adjacency, relation_counts(g.adjacency, g.relation_indicator, rv.size)
 
 
 def test_encoder_config_validation():
@@ -62,24 +63,29 @@ def test_gcn_layer_matches_manual_formula():
 
 
 def test_dregcn_layer_matches_double_sum_oracle():
-    d, m, n, n_types = 5, 3, 4, 4
+    d, m = 5, 3
     rng = np.random.default_rng(2)
-    layer = init_dregcn_layer(rng, d, m)
-    table = init_relation_table(rng, n_types, m)
-    h = Tensor(RNG.normal(size=(n, d)))
-    a, q = random_graph(RNG, n, n_types)
-    out = dregcn_layer_forward(h, a, q, layer, table)
-
-    w = layer.weight.data  # (d, d + m)
-    pre = np.zeros((n, d))
-    for i in range(n):
-        for j in range(n):
-            if a[i, j] == 0:
-                continue
-            k = int(np.argmax(q[i, j]))
-            pre[i] += w @ np.concatenate([h.data[j], table.table.data[k]])
-    expect = np.maximum(pre + layer.bias.data, 0.0)
-    np.testing.assert_allclose(out.data, expect, atol=1e-10)
+    s = Sentence(
+        ("the", "screen", "is", "very", "great"),
+        ("O", "BA", "O", "O", "BP"),
+        ("none", "pos", "none", "none", "none"),
+        (1, 4, 4, 4, None),
+        ("det", "nsubj", "cop", "advmod", "root"),
+    )
+    h = Tensor(RNG.normal(size=(s.n, d)))
+    for distinct in (False, True):
+        rv = RelationVocab.from_corpus([s], distinct_reverse_types=distinct)
+        g = build_dependency_graph(s, rv, distinct_reverse_types=distinct)
+        layer = init_dregcn_layer(rng, d, m)
+        table = init_relation_table(rng, rv.size, m)
+        q = dense_relations(s, rv, distinct)
+        for a in (g.adjacency, normalize_adjacency(g.adjacency)):
+            counts = relation_counts(a, g.relation_indicator, rv.size)
+            out = dregcn_layer_forward(h, a, counts, layer, table)
+            expect = dregcn_double_sum(
+                h.data, a, q, layer.weight.data, layer.bias.data, table.table.data
+            )
+            np.testing.assert_allclose(out.data, expect, atol=1e-10)
 
 
 def test_dregcn_m0_reduces_to_gcn():
@@ -89,8 +95,8 @@ def test_dregcn_m0_reduces_to_gcn():
     table = init_relation_table(rng, 4, 0)
     gcn = GcnLayer(weight=Tensor(layer.weight.data.copy()), bias=Tensor(layer.bias.data.copy()))
     h = Tensor(RNG.normal(size=(n, d)))
-    a, q = random_graph(RNG, n, 4)
-    out_dre = dregcn_layer_forward(h, a, q, layer, table)
+    a, c = random_graph(RNG, n, 4)
+    out_dre = dregcn_layer_forward(h, a, c, layer, table)
     out_gcn = gcn_layer_forward(h, a, gcn)
     assert np.abs(out_dre.data - out_gcn.data).max() <= 1e-12
 
@@ -106,8 +112,8 @@ def test_dregcn_zero_relations_reduce_to_gcn():
         bias=Tensor(layer.bias.data.copy()),
     )
     h = Tensor(RNG.normal(size=(n, d)))
-    a, q = random_graph(RNG, n, 4)
-    out_dre = dregcn_layer_forward(h, a, q, layer, table)
+    a, c = random_graph(RNG, n, 4)
+    out_dre = dregcn_layer_forward(h, a, c, layer, table)
     out_gcn = gcn_layer_forward(h, a, gcn)
     assert np.abs(out_dre.data - out_gcn.data).max() <= 1e-12
 
@@ -118,20 +124,11 @@ def test_dregcn_rejects_inconsistent_indicator():
     layer = init_dregcn_layer(rng, d, m)
     table = init_relation_table(rng, 3, m)
     h = Tensor(RNG.normal(size=(n, d)))
-    a, q = random_graph(RNG, n, 3)
-    q_bad = q.copy()
-    free = np.argwhere(a == 0)
-    if len(free):
-        i, j = free[0]
-        q_bad[i, j, 1] = 1.0
-        with pytest.raises(ContractViolation):
-            dregcn_layer_forward(h, a, q_bad, layer, table)
-    q_missing = q.copy()
-    q_missing[0, 0] = 0.0  # self edge loses its type
+    a, c = random_graph(RNG, n, 3)
     with pytest.raises(ContractViolation):
-        dregcn_layer_forward(h, a, q_missing, layer, table)
+        dregcn_layer_forward(h, a, c[:, :2], layer, table)
     with pytest.raises(ContractViolation):
-        dregcn_layer_forward(h, a, q[:, :, :2], layer, table)
+        dregcn_layer_forward(h, a, c[:2], layer, table)
 
 
 def test_encode_shared_output_width_per_mode():
