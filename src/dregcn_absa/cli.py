@@ -162,27 +162,39 @@ def merged_config(args: argparse.Namespace) -> Dict[str, object]:
     return cfg
 
 
+def _integer(cfg: Dict[str, object], key: str) -> int:
+    """The value of an integer key; a fraction is an error, not truncated."""
+    value = cfg[key]
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and float(value).is_integer()):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def build_configs(cfg: Dict[str, object]) -> Tuple[TrainConfig, ModelConfig]:
     try:
+        for key in ("general_dim", "domain_dim"):
+            if _integer(cfg, key) < 0:
+                raise ValueError(f"{key} must be >= 0")
         train_cfg = TrainConfig(
             learning_rate=float(cfg["learning_rate"]),
-            batch_size=int(cfg["batch_size"]),
-            epochs=int(cfg["epochs"]),
-            seed=int(cfg["seed"]),
-            runs=int(cfg["runs"]),
+            batch_size=_integer(cfg, "batch_size"),
+            epochs=_integer(cfg, "epochs"),
+            seed=_integer(cfg, "seed"),
+            runs=_integer(cfg, "runs"),
             dev_ratio=float(cfg["dev_ratio"]),
         )
         model_cfg = ModelConfig(
             encoder=EncoderConfig(
                 mode=str(cfg["mode"]),
-                gcn_layers=int(cfg["gcn_layers"]),
-                cnn_layers=int(cfg["cnn_layers"]),
-                d=int(cfg["d"]),
-                m=int(cfg["m"]),
+                gcn_layers=_integer(cfg, "gcn_layers"),
+                cnn_layers=_integer(cfg, "cnn_layers"),
+                d=_integer(cfg, "d"),
+                m=_integer(cfg, "m"),
                 normalize_adjacency=bool(cfg["normalize_adjacency"]),
             ),
-            mp=MessagePassingConfig(str(cfg["mp_variant"]), int(cfg["rounds"])),
-            d_t=int(cfg["d_t"]),
+            mp=MessagePassingConfig(str(cfg["mp_variant"]), _integer(cfg, "rounds")),
+            d_t=_integer(cfg, "d_t"),
             opinion_passing=bool(cfg["opinion_passing"]),
             dropout=float(cfg["dropout"]),
             freeze_embeddings=bool(cfg["freeze_embeddings"]),
@@ -261,16 +273,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     started = time.time()
-    results: list = []
     report = multi_run(
         corpus, train_cfg, model_cfg, general, domain,
-        eval_corpus=eval_corpus, keep_results=results, dev_set=dev_set,
+        eval_corpus=eval_corpus, dev_set=dev_set,
     )
     wall_clock = time.time() - started
 
     checkpoints = []
-    for seed, result in zip(report.seeds, results):
-        result.model.restore(result.best_snapshot)
+    for seed, result in zip(report.seeds, report.results):
         ckpt_path = os.path.join(out_dir, f"checkpoint_seed{seed}.npz")
         save_checkpoint(result.model, ckpt_path)
         checkpoints.append(ckpt_path)
@@ -294,7 +304,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             "f1_s": report.averaged.f1_s,
             "f1_i": report.averaged.f1_i,
         },
-        "history_final_epoch": [r.history[-1] if r.history else None for r in results],
+        "history_final_epoch": [r.history[-1] if r.history else None for r in report.results],
         "wall_clock_seconds": wall_clock,
     }
     manifest_path = os.path.join(out_dir, "manifest.json")

@@ -47,6 +47,8 @@ class EncoderConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown encoder mode {self.mode!r}; expected one of {MODES}")
+        if self.d < 1 or self.m < 0 or self.gcn_layers < 0 or self.cnn_layers < 0:
+            raise ValueError("d must be >= 1; m, gcn_layers and cnn_layers >= 0")
 
     @property
     def uses_graph(self) -> bool:

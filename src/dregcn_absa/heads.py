@@ -138,9 +138,7 @@ def distance_factors(n: int) -> np.ndarray:
     """1/|i-j| off the diagonal, 0 on it."""
     idx = np.arange(n)
     dist = np.abs(idx[:, None] - idx[None, :]).astype(np.float64)
-    with np.errstate(divide="ignore"):
-        fac = np.where(dist > 0, 1.0 / np.where(dist > 0, dist, 1.0), 0.0)
-    return fac
+    return np.divide(1.0, dist, out=np.zeros_like(dist), where=dist > 0)
 
 
 def opinion_attention(

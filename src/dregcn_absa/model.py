@@ -14,7 +14,6 @@ import numpy as np
 
 from .autodiff import Tensor, mul
 from .corpus import (
-    DepGraph,
     EmbeddingMatrix,
     RelationVocab,
     Sentence,
@@ -51,6 +50,12 @@ class ModelConfig:
     freeze_embeddings: bool = False
     pass_pre_attention_as: bool = False
     distinct_reverse_types: bool = False
+
+    def __post_init__(self):
+        if self.d_t < 1:
+            raise ValueError(f"d_t must be >= 1, got {self.d_t}")
+        if not 0 <= self.dropout < 1:
+            raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -103,7 +108,6 @@ class Model:
             self.re_encoder = init_re_encoder(
                 rng, d_s, cfg.mp.variant, cfg.d_t, cfg.pass_pre_attention_as
             )
-        self._graph_cache: Dict[Sentence, DepGraph] = {}
 
     # -- parameter registry -------------------------------------------------
 
@@ -168,17 +172,6 @@ class Model:
 
     # -- forward -------------------------------------------------------------
 
-    def graph_for(self, s: Sentence) -> Optional[DepGraph]:
-        if not self.cfg.encoder.uses_graph:
-            return None
-        g = self._graph_cache.get(s)
-        if g is None:
-            g = build_dependency_graph(
-                s, self.relation_vocab, self.cfg.distinct_reverse_types
-            )
-            self._graph_cache[s] = g
-        return g
-
     def forward(
         self,
         s: Sentence,
@@ -194,7 +187,12 @@ class Model:
             keep = 1.0 - self.cfg.dropout
             mask = (rng.random(emb.shape) < keep) / keep
             emb = mul(emb, mask)
-        hs0 = encode_shared(emb, self.graph_for(s), self.cfg.encoder, self.encoder_params)
+        graph = None
+        if self.cfg.encoder.uses_graph:
+            graph = build_dependency_graph(
+                s, self.relation_vocab, self.cfg.distinct_reverse_types
+            )
+        hs0 = encode_shared(emb, graph, self.cfg.encoder, self.encoder_params)
         return forward_rounds(
             hs0,
             self.ae_head,
@@ -225,6 +223,16 @@ def save_checkpoint(model: Model, path: str) -> None:
         np.savez(fh, meta=np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8), **arrays)
 
 
+def _vocab(meta: dict, key: str, rows: int) -> Dict[str, int]:
+    """A word or relation index from checkpoint metadata, checked to stay
+    inside the table of `rows` rows that it indexes."""
+    index = {str(k): int(v) for k, v in meta[key].items()}
+    outside = [k for k, v in index.items() if not 0 <= v < rows]
+    if outside:
+        raise ValueError(f"{key} maps {outside[0]!r} outside its table's {rows} rows")
+    return index
+
+
 def load_checkpoint(path: str) -> Model:
     try:
         with np.load(path) as data:
@@ -234,14 +242,21 @@ def load_checkpoint(path: str) -> Model:
         raise CheckpointError(f"cannot read checkpoint {path!r}: {exc}") from exc
     if meta.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {meta.get('version')!r}")
-    cfg = ModelConfig.from_dict(meta["config"])
-    general = EmbeddingMatrix(
-        meta["general_vocab"], arrays["emb/general"].copy(), meta["general_dim"]
-    )
-    domain = EmbeddingMatrix(
-        meta["domain_vocab"], arrays["emb/domain"].copy(), meta["domain_dim"]
-    )
-    rv = RelationVocab({k: int(v) for k, v in meta["relation_vocab"].items()})
+    try:
+        cfg = ModelConfig.from_dict(meta["config"])
+        general = EmbeddingMatrix(
+            _vocab(meta, "general_vocab", len(arrays["emb/general"])),
+            arrays["emb/general"].copy(),
+            meta["general_dim"],
+        )
+        domain = EmbeddingMatrix(
+            _vocab(meta, "domain_vocab", len(arrays["emb/domain"])),
+            arrays["emb/domain"].copy(),
+            meta["domain_dim"],
+        )
+        rv = RelationVocab(_vocab(meta, "relation_vocab", len(meta["relation_vocab"])))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"malformed checkpoint {path!r}: {type(exc).__name__}: {exc}") from exc
     model = Model(cfg, general, domain, rv, np.random.default_rng(0))
     params = model.parameters()
     missing = set(params) - set(arrays)

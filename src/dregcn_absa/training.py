@@ -43,10 +43,13 @@ class TrainConfig:
     dev_ratio: float = 0.2
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.batch_size <= 0:
-            raise ValueError("learning rate and batch size must be positive")
-        if self.epochs < 0 or self.runs < 1:
-            raise ValueError("epochs must be >= 0 and runs >= 1")
+        # chained comparisons are False for nan, so nan fails every check
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        if not (self.batch_size >= 1 and self.runs >= 1 and self.epochs >= 0 and self.seed >= 0):
+            raise ValueError("batch_size and runs must be >= 1, epochs and seed >= 0")
+        if not 0 < self.dev_ratio < 1:
+            raise ValueError(f"dev_ratio must lie in (0, 1), got {self.dev_ratio}")
 
 
 def as_loss_mask(gold_ae_tags: Sequence[str]) -> np.ndarray:
@@ -171,7 +174,6 @@ def train(
     model_cfg: ModelConfig,
     general_emb: EmbeddingMatrix,
     domain_emb: EmbeddingMatrix,
-    relation_vocab: Optional[RelationVocab] = None,
     dev_set: Optional[Sequence[Sentence]] = None,
 ) -> TrainResult:
     """80/20 split, shuffled mini-batches, best-dev-F1-I checkpointing.
@@ -184,10 +186,7 @@ def train(
         train_set, dev_set = split_train_dev(corpus, train_cfg.dev_ratio, train_cfg.seed)
     else:
         train_set = list(corpus)
-    if relation_vocab is None:
-        relation_vocab = RelationVocab.from_corpus(
-            corpus, model_cfg.distinct_reverse_types
-        )
+    relation_vocab = RelationVocab.from_corpus(corpus, model_cfg.distinct_reverse_types)
     rng = np.random.default_rng(train_cfg.seed)
     model = Model(model_cfg, general_emb, domain_emb, relation_vocab, rng)
     params = model.trainable_parameters()
@@ -232,6 +231,7 @@ class MultiRunReport:
     averaged: MetricReport
     per_run: List[MetricReport]
     seeds: List[int]
+    results: List[TrainResult]
 
 
 def multi_run(
@@ -242,21 +242,18 @@ def multi_run(
     domain_emb: EmbeddingMatrix,
     eval_corpus: Optional[Sequence[Sentence]] = None,
     use_best: bool = True,
-    relation_vocab: Optional[RelationVocab] = None,
-    keep_results: Optional[list] = None,
     dev_set: Optional[Sequence[Sentence]] = None,
 ) -> MultiRunReport:
     """Repeat training with seeds seed+0 .. seed+runs-1 and average each
     metric arithmetically. Evaluation uses the dev split unless a separate
-    corpus is given."""
+    corpus is given. Each run's model holds its best snapshot when use_best
+    is set, else its final one."""
     reports: List[MetricReport] = []
     seeds: List[int] = []
+    results: List[TrainResult] = []
     for r in range(train_cfg.runs):
         run_cfg = replace(train_cfg, seed=train_cfg.seed + r)
-        result = train(
-            corpus, run_cfg, model_cfg, general_emb, domain_emb, relation_vocab,
-            dev_set=dev_set,
-        )
+        result = train(corpus, run_cfg, model_cfg, general_emb, domain_emb, dev_set=dev_set)
         if use_best:
             result.model.restore(result.best_snapshot)
         if eval_corpus is not None:
@@ -267,8 +264,7 @@ def multi_run(
             _, target = split_train_dev(corpus, run_cfg.dev_ratio, run_cfg.seed)
         reports.append(evaluate_model(result.model, target))
         seeds.append(run_cfg.seed)
-        if keep_results is not None:
-            keep_results.append(result)
+        results.append(result)
 
     avg = MetricReport(
         f1_a=float(np.mean([r.f1_a for r in reports])),
@@ -278,4 +274,4 @@ def multi_run(
         f1_i=float(np.mean([r.f1_i for r in reports])),
         counts={"runs": len(reports)},
     )
-    return MultiRunReport(avg, reports, seeds)
+    return MultiRunReport(avg, reports, seeds, results)

@@ -189,7 +189,6 @@ def test_criterion_06_overfit_sanity():
 def test_criterion_07_relation_type_separability():
     train_c = synth.relation_type_corpus(60, seed=11, leaves=4)
     test_c = synth.relation_type_corpus(200, seed=12, leaves=4)
-    rv = RelationVocab.from_corpus(train_c)
     rng = np.random.default_rng(3)
     general = random_embedding_table(["tok"], 16, rng)
     domain = random_embedding_table(["tok"], 8, rng)
@@ -206,7 +205,7 @@ def test_criterion_07_relation_type_separability():
         tc = TrainConfig(learning_rate=0.01, batch_size=50, epochs=80, seed=0, runs=5)
         rep = multi_run(
             train_c, tc, model_cfg, general, domain,
-            eval_corpus=test_c, use_best=False, relation_vocab=rv,
+            eval_corpus=test_c, use_best=False,
         )
         scores[mode] = rep.averaged.f1_i
 

@@ -59,6 +59,27 @@ def test_usage_errors_exit_1(tmp_path, workspace):
     no_eq = tmp_path / "noeq.conf"
     no_eq.write_text("epochs 3\n")
     assert cli.main(["train", "--corpus", corpus, "--config", str(no_eq)]) == 1
+    for setting in (
+        "learning_rate = nan",
+        "learning_rate = inf",
+        "dropout = 1.5",
+        "dropout = -0.5",
+        "dropout = 1.0",
+        "d = 0",
+        "d_t = 0",
+        "m = -1",
+        "gcn_layers = -1",
+        "epochs = 2.7",
+        "epochs = inf",
+        "dev_ratio = 0",
+        "seed = -1",
+        "general_dim = -1",
+    ):
+        bad_value = tmp_path / "bad_value.conf"
+        bad_value.write_text(SMALL_CONFIG + setting + "\n")
+        code, out = run_train(tmp_path, corpus, str(bad_value))
+        assert code == 1, setting
+        assert not out.exists(), setting
 
 
 def test_data_errors_exit_2(tmp_path, workspace):
@@ -74,21 +95,61 @@ def test_data_errors_exit_2(tmp_path, workspace):
     assert cli.main(["evaluate", "--checkpoint", str(garbage), "--corpus", str(malformed)]) == 2
 
 
+def rewrite_checkpoint(src, dst, edit):
+    """Copy a checkpoint, letting edit(meta, arrays) change it on the way."""
+    with np.load(src) as data:
+        arrays = {k: data[k] for k in data.files}
+    meta = json.loads(bytes(arrays.pop("meta")).decode())
+    edit(meta, arrays)
+    with open(dst, "wb") as fh:
+        np.savez(fh, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+
+
 def test_non_finite_checkpoint_exits_2(workspace, capsys):
     tmp_path, corpus, config = workspace
     _, out = run_train(tmp_path, corpus, config)
-    ckpt = out / "checkpoint_seed0.npz"
-    with np.load(ckpt) as data:
-        arrays = {k: data[k] for k in data.files}
-    arrays["param:ae/hidden_b"][0] = np.nan
     bad = tmp_path / "nan.npz"
-    with open(bad, "wb") as fh:
-        np.savez(fh, **arrays)
+
+    def poison(meta, arrays):
+        arrays["param:ae/hidden_b"][0] = np.nan
+
+    rewrite_checkpoint(out / "checkpoint_seed0.npz", bad, poison)
     capsys.readouterr()
     assert cli.main(["evaluate", "--checkpoint", str(bad), "--corpus", corpus]) == 2
     out = capsys.readouterr()
     assert "'ae/hidden_b' has non-finite values" in out.err
     assert "f1_a" not in out.out
+
+
+def _set_first_word(key, row):
+    def edit(meta, arrays):
+        meta[key][next(iter(meta[key]))] = row
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda meta, arrays: meta["config"]["encoder"].update(mode="bogus"), "unknown encoder mode"),
+        (lambda meta, arrays: meta["config"].pop("d_t"), "KeyError: 'd_t'"),
+        (lambda meta, arrays: meta.pop("general_vocab"), "KeyError: 'general_vocab'"),
+        (_set_first_word("general_vocab", 10_000), "outside its table's"),
+        (_set_first_word("domain_vocab", -1), "outside its table's"),
+        (_set_first_word("relation_vocab", 99), "outside its table's"),
+    ],
+    ids=["unknown_mode", "missing_config_key", "missing_vocab", "word_past_table",
+         "negative_word", "relation_past_table"],
+)
+def test_malformed_checkpoint_metadata_exits_2(workspace, capsys, edit, message):
+    tmp_path, corpus, config = workspace
+    _, out = run_train(tmp_path, corpus, config)
+    bad = tmp_path / "malformed.npz"
+    rewrite_checkpoint(out / "checkpoint_seed0.npz", bad, edit)
+    capsys.readouterr()
+    for command in ("evaluate", "predict"):
+        assert cli.main([command, "--checkpoint", str(bad), "--corpus", corpus]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: malformed checkpoint") and message in err
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")

@@ -16,6 +16,7 @@ from dregcn_absa.corpus import (
     serialize_corpus,
 )
 from dregcn_absa.encoder import normalize_adjacency, relation_counts
+from dregcn_absa.evaluation import Span, decode_spans, encode_spans
 
 from oracles import dense_relations
 
@@ -84,3 +85,29 @@ def test_relation_counts_equal_dense_contraction(s, distinct, normalize):
 @given(st.lists(sentences(max_n=8, words=WORDS), min_size=1, max_size=4))
 def test_corpus_round_trip(corpus):
     assert parse_corpus_file(serialize_corpus(corpus)) == corpus
+
+
+@st.composite
+def span_sets(draw, max_spans=6):
+    """Sorted non-overlapping spans and a sentence length that holds them;
+    spans may touch, including two of the same kind."""
+    spans, start = [], 0
+    for _ in range(draw(st.integers(0, max_spans))):
+        start += draw(st.integers(0, 3))
+        end = start + draw(st.integers(1, 4))
+        spans.append(Span(start, end, draw(st.sampled_from(("aspect", "opinion")))))
+        start = end
+    return spans, start + draw(st.integers(0, 3))
+
+
+@given(span_sets())
+def test_decode_inverts_encode(case):
+    spans, n = case
+    assert decode_spans(encode_spans(spans, n)) == spans
+
+
+@given(st.lists(st.sampled_from(AE_TAGS), max_size=30))
+def test_reencoding_decoded_tags_is_idempotent(tags):
+    once = encode_spans(decode_spans(tags), len(tags))
+    assert encode_spans(decode_spans(once), len(once)) == once
+    assert decode_spans(once) == decode_spans(tags)

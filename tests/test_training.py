@@ -206,6 +206,43 @@ def test_multi_run_average_is_mean_of_runs():
     assert report.averaged.f1_i == pytest.approx(
         np.mean([r.f1_i for r in report.per_run])
     )
+    assert len(report.results) == 3
+    for result in report.results:  # each model holds its best snapshot
+        for name, value in result.model.snapshot().items():
+            np.testing.assert_array_equal(value, result.best_snapshot[name])
+
+
+def _footprint(obj, path="model"):
+    """(path, size) for every container and array reachable from obj."""
+    if isinstance(obj, np.ndarray):
+        yield path, obj.shape
+    elif isinstance(obj, Tensor):
+        yield from _footprint(obj.data, path + ".data")
+        yield from _footprint(obj.grad, path + ".grad")
+    elif isinstance(obj, dict):
+        yield path, len(obj)
+        for k, v in obj.items():
+            yield from _footprint(v, f"{path}[{k!r}]")
+    elif isinstance(obj, (list, tuple)):
+        yield path, len(obj)
+        for i, v in enumerate(obj):
+            yield from _footprint(v, f"{path}[{i}]")
+    elif hasattr(obj, "__dict__"):
+        yield path, sorted(vars(obj))
+        for k, v in vars(obj).items():
+            yield from _footprint(v, f"{path}.{k}")
+
+
+@pytest.mark.parametrize("mode", ["dregcn_plus_cnn", "vanilla_gcn", "cnn_only"])
+def test_forward_keeps_no_per_sentence_state(tiny_corpus, mode):
+    cfg = small_model_config(mode=mode, variant="representations", rounds=2, dropout=0.5)
+    model, _, _ = build_model(tiny_corpus, cfg)
+    before = list(_footprint(model))
+    rng = np.random.default_rng(1)
+    for s in tiny_corpus * 3:
+        model.forward(s)
+        model.forward(s, train=True, rng=rng)
+    assert list(_footprint(model)) == before
 
 
 def test_freeze_embeddings_excludes_tables(tiny_corpus):
