@@ -10,6 +10,7 @@ message-passing rounds) collects the sum of all its contributions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -21,10 +22,6 @@ LOG_CLAMP = 1e-12
 
 class DimensionError(ValueError):
     """Operand shapes are incompatible for the requested operation."""
-
-
-class DegenerateMaskError(ValueError):
-    """masked_softmax received a row with every position masked."""
 
 
 class ContractViolation(ValueError):
@@ -98,8 +95,11 @@ def _accum(t, g: np.ndarray) -> None:
     if not isinstance(t, Tensor):
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # a copy: g may be a view, or the same array another input receives,
+        # and a later += must not write through it
+        t.grad = np.array(g, dtype=np.float64)
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -111,69 +111,87 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g
 
 
+def _softmax(sv: np.ndarray, mask: Optional[np.ndarray]) -> np.ndarray:
+    """Softmax over the last axis restricted to `mask` (broadcast against
+    `sv`; None keeps every position). A row with no unmasked position comes
+    out all-zero."""
+    if mask is None:
+        e = np.exp(sv - sv.max(axis=-1, keepdims=True))
+        return e / e.sum(axis=-1, keepdims=True)
+    shifted = np.where(mask, sv, -np.inf)
+    mx = shifted.max(axis=-1, keepdims=True)
+    mx = np.where(np.isfinite(mx), mx, 0.0)
+    e = np.exp(shifted - mx)
+    z = e.sum(axis=-1, keepdims=True)
+    return np.divide(e, z, out=np.zeros_like(e), where=z > 0)
+
+
+def _softmax_grad(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return p * (g - (p * g).sum(axis=-1, keepdims=True))
+
+
 # ---------------------------------------------------------------------------
-# core ops
+# core ops. Every op takes any number of leading (batch) axes: a length
+# bucket of B sentences flows through as (B, n, ...) arrays, one sentence as
+# (n, ...).
 
 
 def matmul(a: ArrayLike, b: ArrayLike) -> Tensor:
+    """a @ b over the last two axes, broadcasting the leading ones."""
     av, bv = _val(a), _val(b)
-    if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
+    if av.ndim < 2 or bv.ndim < 2 or av.shape[-1] != bv.shape[-2]:
         raise DimensionError(f"matmul: incompatible shapes {av.shape} and {bv.shape}")
     out = Tensor(av @ bv)
 
     def bwd(g):
-        _accum(a, g @ bv.T)
-        _accum(b, av.T @ g)
+        if isinstance(a, Tensor):
+            _accum(a, _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape))
+        if isinstance(b, Tensor):
+            _accum(b, _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape))
 
     _record(out, (a, b), bwd)
     return out
 
 
-def transpose(a: Tensor) -> Tensor:
-    out = Tensor(_val(a).T)
-
-    def bwd(g):
-        _accum(a, g.T)
-
-    _record(out, (a,), bwd)
-    return out
-
-
 def linear(x: ArrayLike, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
-    """x @ w.T (+ b) as one op; weights stored (out_dim, in_dim)."""
+    """x @ w.T (+ b) over the last axis as one op; weights stored
+    (out_dim, in_dim). Leading axes are flattened into one product."""
     xv, wv = _val(x), _val(w)
     bv = None if b is None else _val(b)
-    if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[1]:
+    if xv.ndim < 1 or wv.ndim != 2 or xv.shape[-1] != wv.shape[1]:
         raise DimensionError(f"linear: incompatible shapes {xv.shape} and {wv.shape}")
-    out = Tensor(xv @ wv.T if bv is None else xv @ wv.T + bv)
+    x2 = xv.reshape(-1, xv.shape[-1])
+    y = x2 @ wv.T
+    if bv is not None:
+        y += bv
+    out = Tensor(y.reshape(xv.shape[:-1] + (wv.shape[0],)))
 
     def bwd(g):
-        _accum(x, g @ wv)
-        _accum(w, g.T @ xv)
+        g2 = g.reshape(-1, g.shape[-1])
+        _accum(x, (g2 @ wv).reshape(xv.shape))
+        _accum(w, g2.T @ x2)
         if bv is not None:
-            _accum(b, _unbroadcast(g, bv.shape))
+            _accum(b, g2.sum(axis=0))
 
     _record(out, (x, w, b), bwd)
     return out
 
 
-def concat(*parts: ArrayLike, axis: int = -1) -> Tensor:
+def concat(*parts: ArrayLike) -> Tensor:
+    """Concatenation along the last axis."""
     if not parts:
         raise DimensionError("concat: no operands")
     vals = [_val(p) for p in parts]
-    lead = [v.shape[:axis] if axis != -1 else v.shape[:-1] for v in vals]
-    if any(s != lead[0] for s in lead):
+    if any(v.shape[:-1] != vals[0].shape[:-1] for v in vals):
         raise DimensionError(
             "concat: leading dimensions disagree: " + ", ".join(str(v.shape) for v in vals)
         )
-    out = Tensor(np.concatenate(vals, axis=axis))
-    sizes = [v.shape[axis] for v in vals]
-    offsets = np.cumsum([0] + sizes)
+    out = Tensor(np.concatenate(vals, axis=-1))
+    bounds = list(accumulate([0] + [v.shape[-1] for v in vals]))
 
     def bwd(g):
-        gm = np.moveaxis(g, axis, -1)
-        for part, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accum(part, np.moveaxis(gm[..., lo:hi], -1, axis))
+        for part, lo, hi in zip(parts, bounds[:-1], bounds[1:]):
+            _accum(part, g[..., lo:hi])
 
     _record(out, parts, bwd)
     return out
@@ -203,17 +221,6 @@ def mul(a: ArrayLike, b: ArrayLike) -> Tensor:
     return out
 
 
-def scale(a: ArrayLike, c: float) -> Tensor:
-    av = _val(a)
-    out = Tensor(av * c)
-
-    def bwd(g):
-        _accum(a, g * c)
-
-    _record(out, (a,), bwd)
-    return out
-
-
 def relu(x: ArrayLike) -> Tensor:
     xv = _val(x)
     out = Tensor(np.maximum(0.0, xv))
@@ -226,24 +233,14 @@ def relu(x: ArrayLike) -> Tensor:
     return out
 
 
-def reshape(a: ArrayLike, shape) -> Tensor:
+def sum_last(a: ArrayLike, start: int, stop: int) -> Tensor:
+    """a[..., start:stop] summed over the last axis, as one op."""
     av = _val(a)
-    out = Tensor(av.reshape(shape))
-
-    def bwd(g):
-        _accum(a, g.reshape(av.shape))
-
-    _record(out, (a,), bwd)
-    return out
-
-
-def slice_last(a: ArrayLike, start: int, stop: int) -> Tensor:
-    av = _val(a)
-    out = Tensor(av[..., start:stop])
+    out = Tensor(av[..., start:stop].sum(axis=-1))
 
     def bwd(g):
         full = np.zeros_like(av)
-        full[..., start:stop] = g
+        full[..., start:stop] = g[..., None]
         _accum(a, full)
 
     _record(out, (a,), bwd)
@@ -251,7 +248,7 @@ def slice_last(a: ArrayLike, start: int, stop: int) -> Tensor:
 
 
 def rows(table: Tensor, idx) -> Tensor:
-    """Row gather; backward scatter-adds into the table."""
+    """Row gather (idx of any shape); backward scatter-adds into the table."""
     idx = np.asarray(idx, dtype=np.intp)
     out = Tensor(_val(table)[idx])
 
@@ -275,19 +272,6 @@ def sum_all(a: ArrayLike) -> Tensor:
     return out
 
 
-def sum_axis(a: ArrayLike, axis: int, keepdims: bool = False) -> Tensor:
-    av = _val(a)
-    out = Tensor(av.sum(axis=axis, keepdims=keepdims))
-
-    def bwd(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, av.shape))
-
-    _record(out, (a,), bwd)
-    return out
-
-
 def add_n(tensors: Iterable[ArrayLike]) -> Tensor:
     tensors = list(tensors)
     if not tensors:
@@ -298,95 +282,151 @@ def add_n(tensors: Iterable[ArrayLike]) -> Tensor:
     return out
 
 
-def masked_softmax(scores: ArrayLike, mask, zero_fully_masked: bool = False) -> Tensor:
-    """Softmax along the last axis restricted to unmasked positions.
-
-    Masked positions receive exact probability 0; unmasked rows sum to 1.
-    A fully masked row raises unless zero_fully_masked is set, in which case
-    the row comes out all-zero (the n=1 attention case).
-    """
-    sv = _val(scores)
-    m = np.asarray(mask, dtype=bool)
-    if m.shape != sv.shape:
-        raise DimensionError(f"masked_softmax: mask shape {m.shape} != scores {sv.shape}")
-    row_has = m.any(axis=-1)
-    if not row_has.all() and not zero_fully_masked:
-        raise DegenerateMaskError("masked_softmax: a row has every position masked")
-    shifted = np.where(m, sv, -np.inf)
-    mx = shifted.max(axis=-1, keepdims=True)
-    mx = np.where(np.isfinite(mx), mx, 0.0)
-    e = np.exp(shifted - mx)
-    z = e.sum(axis=-1, keepdims=True)
-    p = np.divide(e, z, out=np.zeros_like(e), where=z > 0)
+def softmax_rows(x: ArrayLike) -> Tensor:
+    """Unmasked softmax along the last axis."""
+    p = _softmax(_val(x), None)
     out = Tensor(p)
 
     def bwd(g):
-        inner = (p * g).sum(axis=-1, keepdims=True)
-        _accum(scores, p * (g - inner))
+        _accum(x, _softmax_grad(p, g))
 
-    _record(out, (scores,), bwd)
+    _record(out, (x,), bwd)
     return out
 
 
-def softmax_rows(x: ArrayLike) -> Tensor:
-    return masked_softmax(x, np.ones(_val(x).shape, dtype=bool))
-
-
 def nll_rows(probs: ArrayLike, gold_idx, weights) -> Tensor:
-    """sum_j weights[j] * -log(clamp(probs[j, gold_idx[j]])) as one scalar op."""
+    """sum over rows of weights * -log(clamp(probs[..., gold_idx])) as one
+    scalar op: probs (..., classes), gold_idx and weights (...)."""
     pv = _val(probs)
     idx = np.asarray(gold_idx, dtype=np.intp)
     w = np.asarray(weights, dtype=np.float64)
-    if pv.ndim != 2 or idx.shape != (pv.shape[0],) or w.shape != idx.shape:
+    if pv.ndim < 2 or idx.shape != pv.shape[:-1] or w.shape != idx.shape:
         raise DimensionError(
             f"nll_rows: probs {pv.shape}, gold {idx.shape}, weights {w.shape}"
         )
-    picked = pv[np.arange(pv.shape[0]), idx]
+    picked = np.take_along_axis(pv, idx[..., None], axis=-1)[..., 0]
     clamped = np.maximum(picked, LOG_CLAMP)
     out = Tensor(float(-(w * np.log(clamped)).sum()))
 
     def bwd(g):
+        coef = np.where(picked > LOG_CLAMP, -float(g) * w / clamped, 0.0)
         full = np.zeros_like(pv)
-        live = picked > LOG_CLAMP
-        rows_ = np.arange(pv.shape[0])[live]
-        full[rows_, idx[live]] = -float(g) * w[live] / picked[live]
+        np.put_along_axis(full, idx[..., None], coef[..., None], axis=-1)
         _accum(probs, full)
 
     _record(out, (probs,), bwd)
     return out
 
 
-def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Length-preserving 1-D convolution over the token axis.
+# ---------------------------------------------------------------------------
+# fused layer ops
 
-    x: (n, d_in); w: (width, d_in, c_out) with odd width; b: (c_out,).
-    The input is zero-padded by width//2 on each side.
+
+def _windows(xp: np.ndarray, n: int, span: int) -> np.ndarray:
+    """(..., n, span * d): row i holds padded rows i .. i + span - 1."""
+    return np.concatenate([xp[..., k : k + n, :] for k in range(span)], axis=-1)
+
+
+def conv_branches(
+    x: ArrayLike,
+    weights: Sequence[ArrayLike],
+    biases: Sequence[ArrayLike],
+    pad_mask: Optional[np.ndarray] = None,
+) -> Tensor:
+    """ReLU of parallel length-preserving 1-D convolutions over the token
+    axis, concatenated on the last axis, as one op.
+
+    x: (..., n, d_in); weights[k]: (width_k, d_in, c_k) with odd widths;
+    biases[k]: (c_k,). The input is zero-padded by max(width)//2 on each side
+    and a width-w kernel reads the centre w offsets of that window. Rows
+    where `pad_mask` (..., n) is False are zeroed first, so a padded
+    sentence convolves exactly as it would alone. The backward keeps only the
+    padded input; the window matrix is rebuilt from it.
     """
-    xv, wv, bv = _val(x), _val(w), _val(b)
-    if xv.ndim != 2 or wv.ndim != 3 or wv.shape[1] != xv.shape[1]:
-        raise DimensionError(f"conv1d: x {xv.shape}, w {wv.shape}")
-    width = wv.shape[0]
-    if width % 2 == 0:
-        raise DimensionError(f"conv1d: kernel width {width} must be odd")
-    n = xv.shape[0]
-    pad = width // 2
-    xp = np.pad(xv, ((pad, pad), (0, 0)))
-    acc = np.broadcast_to(bv, (n, wv.shape[2])).copy()
-    for k in range(width):
-        acc += xp[k : k + n] @ wv[k]
-    out = Tensor(acc)
+    xv = _val(x)
+    wvs = [_val(w) for w in weights]
+    bvs = [_val(b) for b in biases]
+    if xv.ndim < 2 or not wvs or any(
+        w.ndim != 3 or w.shape[1] != xv.shape[-1] or w.shape[0] % 2 == 0 for w in wvs
+    ):
+        raise DimensionError(
+            f"conv_branches: x {xv.shape}, kernels {[w.shape for w in wvs]} (odd widths)"
+        )
+    n, d = xv.shape[-2:]
+    half = max(w.shape[0] for w in wvs) // 2
+    span = 2 * half + 1
+    real = None if pad_mask is None else np.asarray(pad_mask, dtype=bool)[..., None]
+    x0 = xv if real is None else np.where(real, xv, 0.0)
+    xp = np.pad(x0, [(0, 0)] * (xv.ndim - 2) + [(half, half), (0, 0)])
+    # every branch as one (span * d_in, sum c_k) kernel, zero outside its offsets
+    blocks = list(accumulate([0] + [w.shape[2] for w in wvs]))
+    kernel = np.zeros((span, d, blocks[-1]))
+    for w, lo, hi in zip(wvs, blocks[:-1], blocks[1:]):
+        k0 = half - w.shape[0] // 2
+        kernel[k0 : k0 + w.shape[0], :, lo:hi] = w
+    kernel = kernel.reshape(span * d, -1)
+    pre = _windows(xp, n, span).reshape(-1, span * d) @ kernel + np.concatenate(bvs)
+    pos = pre > 0
+    out = Tensor(np.where(pos, pre, 0.0).reshape(xv.shape[:-1] + (blocks[-1],)))
 
     def bwd(g):
+        g2 = g.reshape(-1, blocks[-1]) * pos
+        gk = (_windows(xp, n, span).reshape(-1, span * d).T @ g2).reshape(span, d, -1)
+        gb = g2.sum(axis=0)
+        for w, b, wv, lo, hi in zip(weights, biases, wvs, blocks[:-1], blocks[1:]):
+            k0 = half - wv.shape[0] // 2
+            _accum(w, gk[k0 : k0 + wv.shape[0], :, lo:hi])
+            _accum(b, gb[lo:hi])
+        gcols = (g2 @ kernel.T).reshape(xv.shape[:-1] + (span, d))
         gxp = np.zeros_like(xp)
-        gw = np.zeros_like(wv)
-        for k in range(width):
-            gw[k] = xp[k : k + n].T @ g
-            gxp[k : k + n] += g @ wv[k].T
-        _accum(x, gxp[pad : pad + n])
-        _accum(w, gw)
-        _accum(b, g.sum(axis=0))
+        for k in range(span):
+            gxp[..., k : k + n, :] += gcols[..., k, :]
+        gx = gxp[..., half : half + n, :]
+        _accum(x, gx if real is None else np.where(real, gx, 0.0))
 
-    _record(out, (x, w, b), bwd)
+    _record(out, (x, *weights, *biases), bwd)
+    return out
+
+
+def bilinear_attention(
+    h: ArrayLike,
+    w: ArrayLike,
+    col_weight: ArrayLike,
+    factors: np.ndarray,
+    mask: np.ndarray,
+) -> Tensor:
+    """Row-stochastic attention P[..., i, :] = softmax over the unmasked j of
+    (h_i W h_j) * factors[i, j] * col_weight[..., j], as one op.
+
+    h: (..., n, d); w: (d, d); col_weight: (..., n); factors: constant
+    (n, n); mask: broadcastable to (..., n, n). A row with no unmasked
+    position comes out all-zero. The backward is in closed form.
+    """
+    hv, wv, cv = _val(h), _val(w), _val(col_weight)
+    n = hv.shape[-2]
+    if hv.ndim < 2 or wv.shape != (hv.shape[-1],) * 2 or cv.shape != hv.shape[:-1]:
+        raise DimensionError(
+            f"bilinear_attention: h {hv.shape}, w {wv.shape}, col_weight {cv.shape}"
+        )
+    if factors.shape != (n, n):
+        raise DimensionError(f"bilinear_attention: factors {factors.shape} for n = {n}")
+    hw = hv @ wv
+    raw = hw @ np.swapaxes(hv, -1, -2)
+    scaled = raw * factors
+    cols = cv[..., None, :]
+    p = _softmax(scaled * cols, mask)
+    out = Tensor(p)
+
+    def bwd(g):
+        gs = _softmax_grad(p, g)
+        _accum(col_weight, (gs * scaled).sum(axis=-2))
+        graw = gs * cols * factors
+        ghw = graw @ hv
+        gw = np.swapaxes(hv, -1, -2) @ ghw
+        _accum(w, gw.reshape(-1, *wv.shape).sum(axis=0))
+        _accum(h, np.swapaxes(graw, -1, -2) @ hw + ghw @ wv.T)
+
+    _record(out, (h, w, col_weight), bwd)
     return out
 
 

@@ -22,10 +22,11 @@ import numpy as np
 from . import synth
 from .autodiff import (
     Tensor,
+    bilinear_attention,
     concat,
+    conv_branches,
     finite_diff_gradcheck,
     linear,
-    masked_softmax,
     matmul,
     mul,
     nll_rows,
@@ -63,10 +64,10 @@ from .model import CheckpointError, Model, ModelConfig, load_checkpoint, save_ch
 from .training import (
     NumericError,
     TrainConfig,
+    evaluate_model,
     joint_loss,
     multi_run,
-    predict_sentence_tags,
-    evaluate_model,
+    predict_tags,
 )
 
 CONFIG_DIR_ENV = "DREGCN_ABSA_CONFIG_DIR"
@@ -171,6 +172,14 @@ def _integer(cfg: Dict[str, object], key: str) -> int:
     return int(value)
 
 
+def _boolean(cfg: Dict[str, object], key: str) -> bool:
+    """The value of a boolean key: only a parsed true/false is accepted."""
+    value = cfg[key]
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def build_configs(cfg: Dict[str, object]) -> Tuple[TrainConfig, ModelConfig]:
     try:
         for key in ("general_dim", "domain_dim"):
@@ -191,15 +200,15 @@ def build_configs(cfg: Dict[str, object]) -> Tuple[TrainConfig, ModelConfig]:
                 cnn_layers=_integer(cfg, "cnn_layers"),
                 d=_integer(cfg, "d"),
                 m=_integer(cfg, "m"),
-                normalize_adjacency=bool(cfg["normalize_adjacency"]),
+                normalize_adjacency=_boolean(cfg, "normalize_adjacency"),
             ),
             mp=MessagePassingConfig(str(cfg["mp_variant"]), _integer(cfg, "rounds")),
             d_t=_integer(cfg, "d_t"),
-            opinion_passing=bool(cfg["opinion_passing"]),
+            opinion_passing=_boolean(cfg, "opinion_passing"),
             dropout=float(cfg["dropout"]),
-            freeze_embeddings=bool(cfg["freeze_embeddings"]),
-            pass_pre_attention_as=bool(cfg["pass_pre_attention_as"]),
-            distinct_reverse_types=bool(cfg["distinct_reverse_types"]),
+            freeze_embeddings=_boolean(cfg, "freeze_embeddings"),
+            pass_pre_attention_as=_boolean(cfg, "pass_pre_attention_as"),
+            distinct_reverse_types=_boolean(cfg, "distinct_reverse_types"),
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -330,12 +339,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     model = load_checkpoint(args.checkpoint)
     corpus = _read_corpus(args.corpus)
-    predicted = []
-    for s in corpus:
-        ae, asx = predict_sentence_tags(model, s)
-        predicted.append(
-            Sentence(s.tokens, tuple(ae), tuple(asx), s.heads, s.deprels)
-        )
+    predicted = [
+        Sentence(s.tokens, tuple(ae), tuple(asx), s.heads, s.deprels)
+        for s, (ae, asx) in zip(corpus, predict_tags(model, corpus))
+    ]
     text = serialize_corpus(predicted)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -419,17 +426,6 @@ def gradcheck_suite(seed: int = 0) -> List[Tuple[str, float]]:
 
     rng_fixed_core = np.random.default_rng(seed + 1).normal(size=(3, 5))
     checks.append(("softmax_cross_entropy", finite_diff_gradcheck(core, [logits, w])))
-
-    # masked softmax with a nontrivial mask
-    scores = Tensor(rng.normal(size=(4, 4)))
-    mask = np.ones((4, 4), dtype=bool)
-    np.fill_diagonal(mask, False)
-    probe = np.random.default_rng(seed + 2).normal(size=(4, 4))
-
-    def msoft():
-        return sum_all(mul(masked_softmax(scores, mask), probe))
-
-    checks.append(("masked_softmax", finite_diff_gradcheck(msoft, [scores])))
 
     # concat + relu + linear
     a = Tensor(rng.normal(size=(3, 2)))
@@ -530,6 +526,33 @@ def gradcheck_suite(seed: int = 0) -> List[Tuple[str, float]]:
     checks.append(
         ("full_model_T2", finite_diff_gradcheck(full_fn, list(model.parameters().values())))
     )
+
+    # the fused ops on a padded bucket of lengths 2 and 4, so that the pad
+    # masks are differentiated too. Nonzero biases keep the windows that
+    # read only padding off the ReLU kink.
+    pad = np.arange(n) < np.array([[2], [n]])
+    xb = Tensor(rng.normal(size=(2, n, d)))
+    conv_w = [Tensor(rng.normal(size=(width, d, d))) for width in (3, 5)]
+    conv_b = [Tensor(rng.normal(size=d)) for _ in conv_w]
+    probe_b = np.random.default_rng(seed + 6).normal(size=(2, n, 2 * d))
+
+    def conv_fn():
+        return sum_all(mul(conv_branches(xb, conv_w, conv_b, pad), probe_b))
+
+    checks.append(
+        ("conv_branches_bucket", finite_diff_gradcheck(conv_fn, [xb] + conv_w + conv_b))
+    )
+
+    wb = Tensor(rng.normal(size=(d, d)))
+    pop_b = Tensor(rng.random((2, n)))
+    factors = rng.random((n, n))
+    att_mask = ~np.eye(n, dtype=bool) & pad[:, None, :] & pad[:, :, None]
+    probe_a = np.random.default_rng(seed + 7).normal(size=(2, n, n))
+
+    def att_fn():
+        return sum_all(mul(bilinear_attention(xb, wb, pop_b, factors, att_mask), probe_a))
+
+    checks.append(("bilinear_attention_bucket", finite_diff_gradcheck(att_fn, [xb, wb, pop_b])))
     return checks
 
 

@@ -142,7 +142,20 @@ class DepGraph:
 
     @property
     def n(self) -> int:
-        return self.adjacency.shape[0]
+        return self.adjacency.shape[-1]
+
+
+def stack_graphs(graphs: Sequence[DepGraph], n: int) -> DepGraph:
+    """The graphs of a length bucket as one DepGraph: adjacency (B, n, n),
+    zero on every padded row and column, and graph b's arcs as rows
+    (b, i, j, k)."""
+    a = np.zeros((len(graphs), n, n))
+    for b, g in enumerate(graphs):
+        a[b, : g.n, : g.n] = g.adjacency
+    arcs = np.concatenate(
+        [np.insert(g.relation_indicator, 0, b, axis=1) for b, g in enumerate(graphs)]
+    )
+    return DepGraph(a, arcs)
 
 
 def build_dependency_graph(
@@ -296,20 +309,30 @@ def random_embedding_table(
 
 
 def embed_tokens(
-    s: Sentence,
+    sentences: Sequence[Sentence],
     general: EmbeddingMatrix,
     domain: EmbeddingMatrix,
     general_param: Optional[Tensor] = None,
     domain_param: Optional[Tensor] = None,
 ) -> Tensor:
-    """Row i = [general(w_i); domain(w_i)]; unseen words hit the OOV rows.
+    """(B, n, d_g + d_d) for a bucket of B sentences padded to the longest,
+    n: row (b, i) = [general(w); domain(w)] for token i of sentence b.
+    Unseen words and padded rows read the OOV rows.
 
     When trainable parameter tensors backing the two tables are supplied the
     lookup stays on the tape, so the embeddings fine-tune during training.
     """
+    n = max(s.n for s in sentences)
+
+    def indices(table: EmbeddingMatrix) -> np.ndarray:
+        idx = np.full((len(sentences), n), table.oov_index, dtype=np.intp)
+        for b, s in enumerate(sentences):
+            idx[b, : s.n] = table.indices(s.tokens)
+        return idx
+
     gp = general_param if general_param is not None else Tensor(general.matrix)
     dp = domain_param if domain_param is not None else Tensor(domain.matrix)
-    return concat(rows(gp, general.indices(s.tokens)), rows(dp, domain.indices(s.tokens)))
+    return concat(rows(gp, indices(general)), rows(dp, indices(domain)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """Shared-feature encoders: vanilla GCN, relation-embedded GCN, n-gram CNN.
 
-All layers consume and produce (n, d) token matrices built on the autodiff
-kernel. The graph layers follow the update rules literally, without degree
-normalization, unless `normalize_adjacency` is set.
+All layers consume and produce (..., n, d) token matrices built on the
+autodiff kernel: one sentence as (n, d), or a length bucket of B sentences
+padded to its longest as (B, n, d). Padded rows never reach a real one: the
+adjacency is zero on them, and each convolution zeroes them first. The graph
+layers follow the update rules literally, without degree normalization,
+unless `normalize_adjacency` is set.
 
 DreGCN needs the relation types only through the counts C[i, k] =
 sum_j A_ij Q_ijk. `encode_shared` computes C once per forward, after any
-normalization of A, with one `np.bincount` over the graph's typed arcs: O(n)
+normalization of A, with one `np.bincount` over the graphs' typed arcs: O(n)
 for a parse tree's 3n - 2 arcs, and no (n, n, |N|) tensor is ever formed.
 """
 
@@ -21,13 +24,11 @@ from .autodiff import (
     ContractViolation,
     DimensionError,
     Tensor,
-    add,
     concat,
-    conv1d,
+    conv_branches,
     linear,
     matmul,
     relu,
-    slice_last,
 )
 from .corpus import DepGraph
 
@@ -115,31 +116,33 @@ def init_cnn_layer(rng: np.random.Generator, d: int, widths: Sequence[int]) -> C
 
 
 def normalize_adjacency(a: np.ndarray) -> np.ndarray:
-    """Symmetric degree normalization D^-1/2 A D^-1/2."""
-    deg = a.sum(axis=1)
+    """Symmetric degree normalization D^-1/2 A D^-1/2 of each (n, n) graph."""
+    deg = a.sum(axis=-1)
     inv_sqrt = 1.0 / np.sqrt(np.maximum(deg, 1e-12))
-    return a * inv_sqrt[:, None] * inv_sqrt[None, :]
+    return a * inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
 
 
 def _check_graph(h: Tensor, a: np.ndarray):
-    n = h.shape[0]
-    if a.shape != (n, n):
-        raise DimensionError(f"adjacency {a.shape} does not match features ({n}, ...)")
+    n = h.shape[-2]
+    if a.shape != h.shape[:-1] + (n,):
+        raise DimensionError(f"adjacency {a.shape} does not match features {h.shape}")
 
 
 def gcn_layer_forward(h: Tensor, a: np.ndarray, layer: GcnLayer) -> Tensor:
-    """ReLU(A @ H W^T + b) with raw (or pre-normalized) adjacency."""
+    """ReLU((A H) W^T + b) with raw (or pre-normalized) adjacency."""
     _check_graph(h, a)
-    return relu(add(matmul(a, linear(h, layer.weight)), layer.bias))
+    return relu(linear(matmul(a, h), layer.weight, layer.bias))
 
 
 def relation_counts(a: np.ndarray, arcs: np.ndarray, n_types: int) -> np.ndarray:
-    """C[i, k] = sum_j A_ij Q_ijk, summed over the typed arcs (i, j, k) that
-    mark the nonzeros of Q."""
-    i, j, k = arcs.T
-    n = a.shape[0]
-    counts = np.bincount(i * n_types + k, weights=a[i, j], minlength=n * n_types)
-    return counts.reshape(n, n_types)
+    """C[..., i, k] = sum_j A_ij Q_ijk, summed over the typed arcs that mark
+    the nonzeros of Q: rows (i, j, k) for one (n, n) graph, or (b, i, j, k)
+    for a bucket's (B, n, n) adjacency."""
+    *lead, i, j, k = arcs.T
+    shape = a.shape[:-1] + (n_types,)
+    cell = np.ravel_multi_index((*lead, i, k), shape)
+    counts = np.bincount(cell, weights=a[(*lead, i, j)], minlength=int(np.prod(shape)))
+    return counts.reshape(shape)
 
 
 def dregcn_layer_forward(
@@ -152,37 +155,32 @@ def dregcn_layer_forward(
     """Typed graph convolution: each edge (i, j) of type k contributes
     W [h_j; R[k]]; summed over neighbors, bias and ReLU on top.
 
-    Splitting W into its node and relation blocks turns the double sum into
-    A @ H W_node^T + C @ R W_rel^T, where `counts` is C (n, |N|), built by
-    `relation_counts` from the same A and the graph's typed arcs.
+    The double sum is W [A H; C R] row by row, where `counts` is C
+    (..., n, |N|), built by `relation_counts` from the same A and the graph's
+    typed arcs.
     """
     _check_graph(h, a)
-    n = h.shape[0]
     n_types = table.table.shape[0]
-    if counts.shape != (n, n_types):
-        raise ContractViolation(f"relation counts shape {counts.shape} != ({n}, {n_types})")
-
-    d = h.shape[1]
-    m = table.m
-    w_node = slice_last(layer.weight, 0, d)
-    node_part = matmul(a, linear(h, w_node))
-    if m == 0:
-        return relu(add(node_part, layer.bias))
-    w_rel = slice_last(layer.weight, d, d + m)
-    rel_part = linear(matmul(counts, table.table), w_rel)
-    return relu(add(add(node_part, rel_part), layer.bias))
+    if counts.shape != h.shape[:-1] + (n_types,):
+        raise ContractViolation(
+            f"relation counts shape {counts.shape} != {h.shape[:-1] + (n_types,)}"
+        )
+    neighbors = matmul(a, h)
+    if table.m > 0:
+        neighbors = concat(neighbors, matmul(counts, table.table))
+    return relu(linear(neighbors, layer.weight, layer.bias))
 
 
-def cnn_encoder_forward(e: Tensor, layers: Sequence[CnnLayer]) -> Tensor:
+def cnn_encoder_forward(
+    e: Tensor, layers: Sequence[CnnLayer], pad_mask: Optional[np.ndarray] = None
+) -> Tensor:
     """Length-preserving n-gram stack: per layer, parallel odd-width
-    convolutions with ReLU, concatenated and projected back to d."""
+    convolutions with ReLU, concatenated and projected back to d. Rows where
+    `pad_mask` is False are zeroed before each convolution."""
     x = e
     for layer in layers:
-        branches = [
-            relu(conv1d(x, w, b))
-            for w, b in zip(layer.conv_weights, layer.conv_biases)
-        ]
-        x = linear(concat(*branches), layer.proj_weight, layer.proj_bias)
+        branches = conv_branches(x, layer.conv_weights, layer.conv_biases, pad_mask)
+        x = linear(branches, layer.proj_weight, layer.proj_bias)
     return x
 
 
@@ -222,16 +220,22 @@ def init_encoder_params(
 
 
 def encode_shared(
-    emb: Tensor, graph: Optional[DepGraph], cfg: EncoderConfig, params: EncoderParams
+    emb: Tensor,
+    graph: Optional[DepGraph],
+    cfg: EncoderConfig,
+    params: EncoderParams,
+    pad_mask: Optional[np.ndarray] = None,
 ) -> Tensor:
     """Project the token embeddings to width d and run the mode's stack(s).
 
     Output width is d (= d_s) in every mode; the dregcn_plus_cnn mode
-    concatenates both stacks and projects back down.
+    concatenates both stacks and projects back down. For a padded bucket,
+    `graph` is the bucket's stacked graph and `pad_mask` (B, n) marks the
+    real tokens.
     """
     x0 = linear(emb, params.input_proj_weight, params.input_proj_bias)
     if cfg.mode == "cnn_only":
-        return cnn_encoder_forward(x0, params.cnn_layers)
+        return cnn_encoder_forward(x0, params.cnn_layers, pad_mask)
 
     if graph is None:
         raise ContractViolation(f"mode {cfg.mode!r} requires a dependency graph")
@@ -251,5 +255,5 @@ def encode_shared(
         h = dregcn_layer_forward(h, a, counts, layer, table)
     if cfg.mode == "dregcn":
         return h
-    c = cnn_encoder_forward(x0, params.cnn_layers)
+    c = cnn_encoder_forward(x0, params.cnn_layers, pad_mask)
     return linear(concat(h, c), params.combine_weight, params.combine_bias)

@@ -3,7 +3,8 @@
 The AE head tags every token over {BA, IA, BP, IP, O}; the AS head tags
 polarity over {pos, neg, neu} after attending to likely opinion tokens. Both
 heads are re-applied with shared parameters after every message-passing
-round.
+round. Every piece takes (..., n, d) token matrices: one sentence, or a
+padded length bucket whose `pad_mask` (B, n) marks the real tokens.
 """
 
 from __future__ import annotations
@@ -16,17 +17,13 @@ import numpy as np
 from .autodiff import (
     ContractViolation,
     Tensor,
+    bilinear_attention,
     concat,
     linear,
-    masked_softmax,
     matmul,
-    mul,
     relu,
-    reshape,
-    slice_last,
     softmax_rows,
-    sum_axis,
-    transpose,
+    sum_last,
 )
 from .corpus import AE_TAGS, AS_TAGS
 from .encoder import glorot
@@ -131,7 +128,7 @@ def ae_head_forward(hs: Tensor, head: AeHead):
 
 def opinion_probs(yae: Tensor) -> Tensor:
     lo, hi = OPINION_CLASS_SLICE
-    return sum_axis(slice_last(yae, lo, hi), axis=1)
+    return sum_last(yae, lo, hi)
 
 
 def distance_factors(n: int) -> np.ndarray:
@@ -153,16 +150,12 @@ def opinion_attention(
     The diagonal and padded positions are excluded from each row's softmax;
     a row with no candidates (n = 1, or a padded row) comes out all-zero.
     """
-    n = has.shape[0]
-    scores = matmul(matmul(has, ws), transpose(has))
-    scores = mul(scores, distance_factors(n))
-    scores = mul(scores, reshape(pop, (1, n)))
+    n = has.shape[-2]
     mask = ~np.eye(n, dtype=bool)
     if pad_mask is not None:
         real = np.asarray(pad_mask, dtype=bool)
-        mask &= real[None, :]
-        mask &= real[:, None]
-    return masked_softmax(scores, mask, zero_fully_masked=True)
+        mask = mask & real[..., None, :] & real[..., :, None]
+    return bilinear_attention(has, ws, pop, distance_factors(n), mask)
 
 
 def opinion_passing_apply(has: Tensor, m: Tensor) -> Tensor:
@@ -178,12 +171,11 @@ def as_head_forward(
     opinion_passing: bool = True,
 ):
     """(concatenated AS representation, 3-way distribution, attention)."""
-    n = hs.shape[0]
     has = relu(linear(hs, head.hidden_weight, head.hidden_bias))
     if opinion_passing:
         m = opinion_attention(has, head.bilinear, opinion_probs(yae), pad_mask)
     else:
-        m = Tensor(np.zeros((n, n)))
+        m = Tensor(np.zeros(hs.shape[:-1] + (hs.shape[-2],)))
     has_final = opinion_passing_apply(has, m)
     yas = softmax_rows(linear(has_final, head.out_weight, head.out_bias))
     return has, has_final, yas, m

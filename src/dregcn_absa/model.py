@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .corpus import (
     Sentence,
     build_dependency_graph,
     embed_tokens,
+    stack_graphs,
 )
 from .encoder import EncoderConfig, EncoderParams, encode_shared, init_encoder_params
 from .heads import (
@@ -172,27 +173,50 @@ class Model:
 
     # -- forward -------------------------------------------------------------
 
+    def dropout_masks(
+        self, sentences: Sequence[Sentence], rng: np.random.Generator
+    ) -> Optional[List[np.ndarray]]:
+        """One inverted-dropout mask (n, embedding width) per sentence, drawn
+        in order; None when dropout is off, which draws nothing."""
+        if self.cfg.dropout == 0:
+            return None
+        keep = 1.0 - self.cfg.dropout
+        width = self.general_emb.dim + self.domain_emb.dim
+        return [(rng.random((s.n, width)) < keep) / keep for s in sentences]
+
     def forward(
         self,
-        s: Sentence,
-        train: bool = False,
-        rng: Optional[np.random.Generator] = None,
+        batch: Union[Sentence, Sequence[Sentence]],
+        dropout: Optional[Sequence[np.ndarray]] = None,
     ) -> IterationOutput:
+        """Forward over a length bucket padded to its longest sentence, n.
+
+        Every output has a leading bucket axis: (B, n, ...), or (1, n, ...)
+        for a lone sentence. `dropout` holds the bucket's masks from
+        `dropout_masks`; without it the forward evaluates.
+        """
+        bucket = [batch] if isinstance(batch, Sentence) else list(batch)
+        lengths = np.array([s.n for s in bucket])
+        n = int(lengths.max())
+        pad_mask = None if (lengths == n).all() else np.arange(n) < lengths[:, None]
         emb = embed_tokens(
-            s, self.general_emb, self.domain_emb, self.general_param, self.domain_param
+            bucket, self.general_emb, self.domain_emb, self.general_param, self.domain_param
         )
-        if train and self.cfg.dropout > 0:
-            if rng is None:
-                raise ValueError("training forward requires an rng for dropout")
-            keep = 1.0 - self.cfg.dropout
-            mask = (rng.random(emb.shape) < keep) / keep
-            emb = mul(emb, mask)
+        if dropout is not None:
+            keep = np.zeros(emb.shape)
+            for b, mask in enumerate(dropout):
+                keep[b, : len(mask)] = mask
+            emb = mul(emb, keep)
         graph = None
         if self.cfg.encoder.uses_graph:
-            graph = build_dependency_graph(
-                s, self.relation_vocab, self.cfg.distinct_reverse_types
+            graph = stack_graphs(
+                [
+                    build_dependency_graph(s, self.relation_vocab, self.cfg.distinct_reverse_types)
+                    for s in bucket
+                ],
+                n,
             )
-        hs0 = encode_shared(emb, graph, self.cfg.encoder, self.encoder_params)
+        hs0 = encode_shared(emb, graph, self.cfg.encoder, self.encoder_params, pad_mask)
         return forward_rounds(
             hs0,
             self.ae_head,
@@ -200,6 +224,7 @@ class Model:
             self.re_encoder,
             self.cfg.mp,
             opinion_passing=self.cfg.opinion_passing,
+            pad_mask=pad_mask,
             pass_pre_attention_as=self.cfg.pass_pre_attention_as,
         )
 

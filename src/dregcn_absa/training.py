@@ -3,16 +3,21 @@
 The loss follows the sentence-mean-then-corpus-mean weighting: each sentence
 contributes the mean over its tokens of the AE cross-entropy plus the AS
 cross-entropy masked to gold aspect tokens.
+
+Training and evaluation run the model on length buckets: the sentences of a
+mini-batch (or of an evaluation pass) that share ceil(log2 n), padded to the
+bucket's longest. A bucket records one tape op per layer, not one per
+sentence; padded tokens get loss weight 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, add_n, backward, nll_rows, scale
+from .autodiff import Tape, Tensor, add_n, backward, nll_rows
 from .corpus import (
     AE_INDEX,
     AE_TAGS,
@@ -27,6 +32,9 @@ from .corpus import (
 from .evaluation import MetricReport, corpus_metrics, decode_spans
 from .heads import IterationOutput
 from .model import Model, ModelConfig
+
+
+MAX_BUCKET = 50  # sentences per forward; the default mini-batch size
 
 
 class NumericError(RuntimeError):
@@ -57,25 +65,57 @@ def as_loss_mask(gold_ae_tags: Sequence[str]) -> np.ndarray:
     return np.array([t in ("BA", "IA") for t in gold_ae_tags], dtype=bool)
 
 
-def joint_loss(outputs: IterationOutput, s: Sentence) -> Tensor:
-    """Mean over tokens of AE cross-entropy plus masked AS cross-entropy,
-    computed on the final round's distributions."""
+def length_buckets(sentences: Sequence[Sentence]) -> List[List[int]]:
+    """Indices of the sentences grouped by ceil(log2 n), shortest bucket
+    first, in corpus order within a bucket. A bucket holds at most
+    MAX_BUCKET sentences, so that an evaluation pass over a whole corpus
+    keeps only one mini-batch's worth of activations alive."""
+    groups: Dict[int, List[int]] = {}
+    for i, s in enumerate(sentences):
+        groups.setdefault((s.n - 1).bit_length(), []).append(i)
+    return [
+        groups[key][start : start + MAX_BUCKET]
+        for key in sorted(groups)
+        for start in range(0, len(groups[key]), MAX_BUCKET)
+    ]
+
+
+def joint_loss(
+    outputs: IterationOutput,
+    batch: Union[Sentence, Sequence[Sentence]],
+    batch_size: int = 1,
+) -> Tensor:
+    """Sum over the bucket's sentences of the token mean of AE cross-entropy
+    plus masked AS cross-entropy, computed on the final round's
+    distributions. Sentence s weighs each of its tokens 1 / (batch_size *
+    n_s); padded tokens weigh 0."""
+    bucket = [batch] if isinstance(batch, Sentence) else list(batch)
     final = outputs.final
-    n = s.n
-    ae_idx = np.array([AE_INDEX[t] for t in s.ae_tags], dtype=np.intp)
-    mask = as_loss_mask(s.ae_tags)
-    as_idx = np.array(
-        [AS_INDEX[t] if t != AS_NONE else 0 for t in s.as_tags], dtype=np.intp
-    )
-    token_weight = np.full(n, 1.0 / n)
-    ae_term = nll_rows(final.yae, ae_idx, token_weight)
-    as_term = nll_rows(final.yas, as_idx, token_weight * mask)
+    shape = final.yae.shape[:-1]
+    ae_idx = np.zeros(shape, dtype=np.intp)
+    as_idx = np.zeros(shape, dtype=np.intp)
+    weight = np.zeros(shape)
+    aspect = np.zeros(shape, dtype=bool)
+    for b, s in enumerate(bucket):
+        ae_idx[b, : s.n] = [AE_INDEX[t] for t in s.ae_tags]
+        as_idx[b, : s.n] = [AS_INDEX[t] if t != AS_NONE else 0 for t in s.as_tags]
+        weight[b, : s.n] = 1.0 / (batch_size * s.n)
+        aspect[b, : s.n] = as_loss_mask(s.ae_tags)
+    ae_term = nll_rows(final.yae, ae_idx, weight)
+    as_term = nll_rows(final.yas, as_idx, weight * aspect)
     return add_n([ae_term, as_term])
 
 
 def batch_loss(model: Model, batch: Sequence[Sentence], rng: np.random.Generator) -> Tensor:
-    losses = [joint_loss(model.forward(s, train=True, rng=rng), s) for s in batch]
-    return scale(add_n(losses), 1.0 / len(batch))
+    """Mean over the batch of each sentence's joint loss, one forward per
+    length bucket. Dropout masks are drawn per sentence in batch order."""
+    dropout = model.dropout_masks(batch, rng)
+    losses = []
+    for idx in length_buckets(batch):
+        bucket = [batch[i] for i in idx]
+        masks = None if dropout is None else [dropout[i] for i in idx]
+        losses.append(joint_loss(model.forward(bucket, masks), bucket, len(batch)))
+    return add_n(losses)
 
 
 # ---------------------------------------------------------------------------
@@ -116,43 +156,34 @@ def adam_step(
 # evaluation plumbing
 
 
-def _argmax_tags(out: IterationOutput) -> Tuple[List[str], List[str]]:
-    """Per-token argmax AE and AS tags of the final round, unmasked."""
-    ae_tags = [AE_TAGS[i] for i in np.argmax(out.final.yae.data, axis=1)]
-    as_tags = [AS_TAGS[i] for i in np.argmax(out.final.yas.data, axis=1)]
-    return ae_tags, as_tags
+def predict_tags(
+    model: Model, sentences: Sequence[Sentence]
+) -> List[Tuple[List[str], List[str]]]:
+    """Argmax decode of the final round for every sentence, one forward per
+    length bucket; AS tags read 'none' outside the predicted aspect spans."""
+    preds: List[Tuple[List[str], List[str]]] = [([], [])] * len(sentences)
+    for idx in length_buckets(sentences):
+        final = model.forward([sentences[i] for i in idx]).final
+        ae_best = np.argmax(final.yae.data, axis=-1)
+        as_best = np.argmax(final.yas.data, axis=-1)
+        for b, i in enumerate(idx):
+            ae_tags = [AE_TAGS[k] for k in ae_best[b, : sentences[i].n]]
+            as_tags = [AS_NONE] * len(ae_tags)
+            for span in decode_spans(ae_tags):
+                if span.kind == "aspect":
+                    for t in range(span.start, span.end):
+                        as_tags[t] = AS_TAGS[as_best[b, t]]
+            preds[i] = (ae_tags, as_tags)
+    return preds
 
 
 def predict_sentence_tags(model: Model, s: Sentence) -> Tuple[List[str], List[str]]:
-    """Argmax decode of the final round; AS tags read 'none' outside the
-    predicted aspect spans."""
-    ae_tags, as_raw = _argmax_tags(model.forward(s))
-    as_tags = [AS_NONE] * s.n
-    for span in decode_spans(ae_tags):
-        if span.kind != "aspect":
-            continue
-        for i in range(span.start, span.end):
-            as_tags[i] = as_raw[i]
-    return ae_tags, as_tags
+    """`predict_tags` of one sentence: a forward with B = 1."""
+    return predict_tags(model, [s])[0]
 
 
 def evaluate_model(model: Model, sentences: Sequence[Sentence]) -> MetricReport:
-    preds = [predict_sentence_tags(model, s) for s in sentences]
-    return corpus_metrics(preds, sentences)
-
-
-def token_accuracy(model: Model, sentences: Sequence[Sentence]) -> Tuple[float, float]:
-    """(AE token accuracy, AS token accuracy on gold aspect tokens)."""
-    ae_hit = ae_total = as_hit = as_total = 0
-    for s in sentences:
-        ae_pred, as_pred = _argmax_tags(model.forward(s))
-        for i in range(s.n):
-            ae_total += 1
-            ae_hit += ae_pred[i] == s.ae_tags[i]
-            if s.as_tags[i] != AS_NONE:
-                as_total += 1
-                as_hit += as_pred[i] == s.as_tags[i]
-    return ae_hit / max(ae_total, 1), (as_hit / as_total) if as_total else 1.0
+    return corpus_metrics(predict_tags(model, sentences), sentences)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,33 @@
 """Independent brute-force re-implementations used to cross-check the
-package's evaluation code and its DreGCN layer. Spans are found by
-enumerating every interval and testing it for maximality, not by scanning
-runs; the relation indicator is a dense (n, n, |N|) tensor filled by a plain
-double loop over the heads, not the package's typed arcs. So the two
-implementations share no logic."""
+package's evaluation code, its DreGCN layer, its fused ops and its bucketed
+forward. Spans are found by enumerating every interval and testing it for
+maximality, not by scanning runs; the relation indicator is a dense
+(n, n, |N|) tensor filled by a plain double loop over the heads, not the
+package's typed arcs. So the two implementations share no logic.
+
+The model is re-composed one sentence at a time from small taped ops (a
+per-offset `conv1d`, `transpose`, `reshape`, `slice_last`, `sum_axis`,
+`scale`, `masked_softmax`) that the package does not use: its layers run
+fused ops over padded length buckets."""
 
 import numpy as np
+
+from dregcn_absa import autodiff as ad
+from dregcn_absa.autodiff import (
+    Tensor,
+    _accum,
+    _record,
+    _val,
+    add,
+    add_n,
+    concat,
+    linear,
+    matmul,
+    mul,
+    nll_rows,
+    relu,
+    rows,
+)
 
 AE_TAGS = ("BA", "IA", "BP", "IP", "O")
 POLARITIES = ("pos", "neg", "neu")
@@ -92,6 +114,23 @@ def brute_force_metrics(pred_tags, gold_sentences):
     return f1_a, f1_o, acc_s, f1_s, f1_i
 
 
+def token_accuracy(model, sentences):
+    """(AE token accuracy, AS token accuracy on gold aspect tokens) of the
+    final round's argmax, one sentence at a time."""
+    ae_hit = ae_total = as_hit = as_total = 0
+    for s in sentences:
+        final = model.forward(s).final
+        ae_pred = np.argmax(final.yae.data[0], axis=-1)
+        as_pred = np.argmax(final.yas.data[0], axis=-1)
+        for i in range(s.n):
+            ae_total += 1
+            ae_hit += AE_TAGS[ae_pred[i]] == s.ae_tags[i]
+            if s.as_tags[i] != "none":
+                as_total += 1
+                as_hit += POLARITIES[as_pred[i]] == s.as_tags[i]
+    return ae_hit / max(ae_total, 1), (as_hit / as_total) if as_total else 1.0
+
+
 def random_tagging(rng, n):
     """A random (ae_tags, as_tags) pair; AS tags unconstrained by validity."""
     ae = [AE_TAGS[i] for i in rng.integers(0, len(AE_TAGS), size=n)]
@@ -160,3 +199,217 @@ def dregcn_double_sum(h, a, q, weight, bias, table):
                 if a[i, j] != 0 and q[i, j, k] != 0:
                     pre[i] += a[i, j] * q[i, j, k] * (weight @ np.concatenate([h[j], table[k]]))
     return np.maximum(pre + bias, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# small taped ops, the pieces of the unfused compositions
+
+
+class DegenerateMaskError(ValueError):
+    """masked_softmax received a row with every position masked."""
+
+
+
+def transpose(a):
+    out = Tensor(_val(a).T)
+    _record(out, (a,), lambda g: _accum(a, g.T))
+    return out
+
+
+def reshape(a, shape):
+    av = _val(a)
+    out = Tensor(av.reshape(shape))
+    _record(out, (a,), lambda g: _accum(a, g.reshape(av.shape)))
+    return out
+
+
+def slice_last(a, start, stop):
+    av = _val(a)
+    out = Tensor(av[..., start:stop])
+
+    def bwd(g):
+        full = np.zeros_like(av)
+        full[..., start:stop] = g
+        _accum(a, full)
+
+    _record(out, (a,), bwd)
+    return out
+
+
+def sum_axis(a, axis):
+    av = _val(a)
+    out = Tensor(av.sum(axis=axis))
+    _record(out, (a,), lambda g: _accum(a, np.broadcast_to(np.expand_dims(g, axis), av.shape)))
+    return out
+
+
+def masked_softmax(scores, mask, zero_fully_masked=False):
+    """Softmax along the last axis restricted to unmasked positions; a fully
+    masked row raises unless zero_fully_masked, which leaves it all-zero."""
+    sv = _val(scores)
+    m = np.asarray(mask, dtype=bool)
+    if m.shape != sv.shape:
+        raise ad.DimensionError(f"masked_softmax: mask shape {m.shape} != scores {sv.shape}")
+    if not zero_fully_masked and not m.any(axis=-1).all():
+        raise DegenerateMaskError("masked_softmax: a row has every position masked")
+    p = ad._softmax(sv, m)
+    out = Tensor(p)
+    _record(out, (scores,), lambda g: _accum(scores, ad._softmax_grad(p, g)))
+    return out
+
+
+def scale(a, c):
+    out = Tensor(_val(a) * c)
+    _record(out, (a,), lambda g: _accum(a, g * c))
+    return out
+
+
+def conv1d(x, w, b):
+    """Length-preserving 1-D convolution of one sentence, x (n, d_in), with
+    w (width, d_in, c_out), odd width, zero padding of width//2 per side;
+    one product per kernel offset."""
+    xv, wv, bv = _val(x), _val(w), _val(b)
+    if xv.ndim != 2 or wv.ndim != 3 or wv.shape[1] != xv.shape[1] or wv.shape[0] % 2 == 0:
+        raise ad.DimensionError(f"conv1d: x {xv.shape}, w {wv.shape}")
+    width, n = wv.shape[0], xv.shape[0]
+    pad = width // 2
+    xp = np.pad(xv, ((pad, pad), (0, 0)))
+    acc = np.broadcast_to(bv, (n, wv.shape[2])).copy()
+    for k in range(width):
+        acc += xp[k : k + n] @ wv[k]
+    out = Tensor(acc)
+
+    def bwd(g):
+        gxp = np.zeros_like(xp)
+        gw = np.zeros_like(wv)
+        for k in range(width):
+            gw[k] = xp[k : k + n].T @ g
+            gxp[k : k + n] += g @ wv[k].T
+        _accum(x, gxp[pad : pad + n])
+        _accum(w, gw)
+        _accum(b, g.sum(axis=0))
+
+    _record(out, (x, w, b), bwd)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# unfused compositions of the fused ops, one sentence at a time
+
+
+def conv_branches_unfused(x, weights, biases):
+    """ReLU(conv1d) per kernel, concatenated."""
+    return concat(*[relu(conv1d(x, w, b)) for w, b in zip(weights, biases)])
+
+
+def opinion_attention_unfused(has, ws, pop):
+    """Bilinear scores, scaled by 1/|i - j| and by pop_j, masked softmax off
+    the diagonal; has (n, d_t), pop (n,)."""
+    n = has.shape[0]
+    idx = np.arange(n)
+    dist = np.abs(idx[:, None] - idx[None, :]).astype(np.float64)
+    factors = np.where(dist > 0, 1.0 / np.maximum(dist, 1.0), 0.0)
+    scores = matmul(matmul(has, ws), transpose(has))
+    scores = mul(scores, factors)
+    scores = mul(scores, reshape(pop, (1, n)))
+    return masked_softmax(scores, ~np.eye(n, dtype=bool), zero_fully_masked=True)
+
+
+# ---------------------------------------------------------------------------
+# the model, one sentence at a time
+
+
+def _sentence_encoder(model, s, emb):
+    cfg, params = model.cfg.encoder, model.encoder_params
+    x0 = linear(emb, params.input_proj_weight, params.input_proj_bias)
+
+    def cnn(x):
+        for layer in params.cnn_layers:
+            branches = conv_branches_unfused(x, layer.conv_weights, layer.conv_biases)
+            x = linear(branches, layer.proj_weight, layer.proj_bias)
+        return x
+
+    if cfg.mode == "cnn_only":
+        return cnn(x0)
+    a = np.zeros((s.n, s.n))
+    for i, h in enumerate(s.heads):
+        a[i, i] = 1.0
+        if h is not None:
+            a[i, h] = a[h, i] = 1.0
+    if cfg.normalize_adjacency:
+        inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
+        a = a * inv_sqrt[:, None] * inv_sqrt[None, :]
+    h = x0
+    if cfg.mode == "vanilla_gcn":
+        for layer in params.gcn_layers:
+            h = relu(add(matmul(a, linear(h, layer.weight)), layer.bias))
+        return h
+    table = params.relation_table.table
+    d, m = x0.shape[1], table.shape[1]
+    q = dense_relations(s, model.relation_vocab, model.cfg.distinct_reverse_types)
+    counts = np.einsum("ij,ijk->ik", a, q)
+    for layer in params.dregcn_layers:
+        pre = matmul(a, linear(h, slice_last(layer.weight, 0, d)))
+        if m:
+            rel = linear(matmul(counts, table), slice_last(layer.weight, d, d + m))
+            pre = add(pre, rel)
+        h = relu(add(pre, layer.bias))
+    if cfg.mode == "dregcn":
+        return h
+    return linear(concat(h, cnn(x0)), params.combine_weight, params.combine_bias)
+
+
+def sentence_forward(model, s, keep=None):
+    """Final-round (yae, yas) of one sentence as (n, 5) and (n, 3), composed
+    from the unfused ops; `keep` is the sentence's dropout mask."""
+    emb = concat(
+        rows(model.general_param, model.general_emb.indices(s.tokens)),
+        rows(model.domain_param, model.domain_emb.indices(s.tokens)),
+    )
+    if keep is not None:
+        emb = mul(emb, keep)
+    hs = _sentence_encoder(model, s, emb)
+    ae, asp, re, cfg = model.ae_head, model.as_head, model.re_encoder, model.cfg
+    prev = None
+    for _ in range(cfg.mp.effective_rounds + 1):
+        if prev is not None:
+            hs_prev, hae, yae, has_pre, has_final, yas = prev
+            if cfg.mp.variant == "predictions":
+                message = concat(hs_prev, yae, yas)
+            else:
+                message = concat(hs_prev, hae, has_pre if cfg.pass_pre_attention_as else has_final)
+            hs = linear(message, re.weight, re.bias)
+        hae = relu(linear(hs, ae.hidden_weight, ae.hidden_bias))
+        yae = ad.softmax_rows(linear(hae, ae.out_weight, ae.out_bias))
+        has = relu(linear(hs, asp.hidden_weight, asp.hidden_bias))
+        if cfg.opinion_passing:
+            pop = sum_axis(slice_last(yae, 2, 4), axis=1)
+            att = opinion_attention_unfused(has, asp.bilinear, pop)
+        else:
+            att = Tensor(np.zeros((s.n, s.n)))
+        has_final = concat(has, matmul(att, has))
+        yas = ad.softmax_rows(linear(has_final, asp.out_weight, asp.out_bias))
+        prev = (hs, hae, yae, has, has_final, yas)
+    return yae, yas
+
+
+def sentence_loss(model, s, keep=None):
+    """Token mean of AE cross-entropy plus AS cross-entropy on gold aspects."""
+    yae, yas = sentence_forward(model, s, keep)
+    ae_idx = [AE_TAGS.index(t) for t in s.ae_tags]
+    as_idx = [POLARITIES.index(t) if t in POLARITIES else 0 for t in s.as_tags]
+    aspect = np.array([t in ("BA", "IA") for t in s.ae_tags])
+    weight = np.full(s.n, 1.0 / s.n)
+    return add_n([nll_rows(yae, ae_idx, weight), nll_rows(yas, as_idx, weight * aspect)])
+
+
+def per_sentence_batch_loss(model, batch, rng):
+    """Batch mean of sentence losses, one forward per sentence; the inverted
+    dropout mask of each sentence is drawn just before its forward."""
+    keep = 1.0 - model.cfg.dropout
+    width = model.general_emb.dim + model.domain_emb.dim
+    losses = []
+    for s in batch:
+        mask = (rng.random((s.n, width)) < keep) / keep if model.cfg.dropout else None
+        losses.append(sentence_loss(model, s, mask))
+    return scale(add_n(losses), 1.0 / len(batch))

@@ -44,12 +44,11 @@ from dregcn_absa.training import (
     batch_loss,
     joint_loss,
     multi_run,
-    token_accuracy,
     train,
 )
 from dregcn_absa.autodiff import Tape, backward
 
-from oracles import brute_force_metrics, random_metric_corpus
+from oracles import brute_force_metrics, random_metric_corpus, token_accuracy
 from test_encoder import random_graph
 
 SEMEVAL_DIR = pathlib.Path(__file__).resolve().parents[1] / "data" / "semeval14_laptop"
@@ -89,7 +88,7 @@ def test_criterion_02_loss_mask_invariance():
         out = model.forward(s)
         base = float(joint_loss(out, s).data)
         mask = as_loss_mask(s.ae_tags)
-        out.final.yas.data[~mask] = rng.dirichlet(np.ones(3), size=(~mask).sum())
+        out.final.yas.data[0, ~mask] = rng.dirichlet(np.ones(3), size=(~mask).sum())
         assert float(joint_loss(out, s).data) == base  # exact, no tolerance
 
     # (b) aspect-free batches leave every AS-head parameter gradient at 0

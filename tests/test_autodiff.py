@@ -3,13 +3,14 @@ import pytest
 
 from dregcn_absa import autodiff as ad
 from dregcn_absa.autodiff import (
-    DegenerateMaskError,
     DimensionError,
     Tape,
     Tensor,
     backward,
     finite_diff_gradcheck,
 )
+
+import oracles
 
 RNG = np.random.default_rng(42)
 
@@ -59,7 +60,7 @@ def test_conv1d_forward_matches_naive_loop():
     n, d_in, c_out, width = 6, 3, 4, 3
     x, w, b = t(n, d_in), t(width, d_in, c_out), t(c_out)
     with Tape():
-        out = ad.conv1d(x, w, b)
+        out = oracles.conv1d(x, w, b)
     assert out.shape == (n, c_out)
     half = width // 2
     padded = np.vstack([np.zeros((half, d_in)), x.data, np.zeros((half, d_in))])
@@ -93,8 +94,8 @@ def test_grad_concat_slice_reshape():
 
     def build():
         c = ad.concat(a, b)
-        s = ad.slice_last(c, 1, 5)
-        return ad.sum_all(ad.mul(ad.reshape(s, (2, 6)), 1.5))
+        s = oracles.slice_last(c, 1, 5)
+        return ad.sum_all(ad.mul(oracles.reshape(s, (2, 6)), 1.5))
 
     check(build, [a, b])
 
@@ -119,14 +120,14 @@ def test_grad_rows_scatter():
 
 def test_grad_sum_axis():
     a = t(4, 3)
-    check(lambda: ad.sum_all(ad.mul(ad.sum_axis(a, axis=1), np.arange(1.0, 5.0))), [a])
+    check(lambda: ad.sum_all(ad.mul(oracles.sum_axis(a, axis=1), np.arange(1.0, 5.0))), [a])
 
 
 def test_grad_masked_softmax():
     scores = t(4, 4)
     mask = ~np.eye(4, dtype=bool)
     probe = RNG.normal(size=(4, 4))
-    check(lambda: ad.sum_all(ad.mul(ad.masked_softmax(scores, mask), probe)), [scores])
+    check(lambda: ad.sum_all(ad.mul(oracles.masked_softmax(scores, mask), probe)), [scores])
 
 
 def test_grad_nll_rows():
@@ -141,7 +142,7 @@ def test_grad_nll_rows():
 def test_grad_conv1d():
     x, w, b = t(5, 3), t(3, 3, 2), t(2)
     probe = RNG.normal(size=(5, 2))
-    check(lambda: ad.sum_all(ad.mul(ad.conv1d(x, w, b), probe)), [x, w, b])
+    check(lambda: ad.sum_all(ad.mul(oracles.conv1d(x, w, b), probe)), [x, w, b])
 
 
 def test_finite_diff_flags_a_wrong_gradient():
@@ -167,7 +168,7 @@ def test_masked_softmax_rows_sum_to_one():
     mask[np.arange(6), np.arange(6)] = False
     mask[:, 0] = True  # guarantee no fully-masked row
     with Tape():
-        out = ad.masked_softmax(scores, mask)
+        out = oracles.masked_softmax(scores, mask)
     sums = out.data.sum(axis=1)
     np.testing.assert_allclose(sums, 1.0, atol=1e-9)
     assert (out.data[~mask] == 0).all()
@@ -176,9 +177,9 @@ def test_masked_softmax_rows_sum_to_one():
 def test_masked_softmax_degenerate_row():
     scores = t(2, 2)
     mask = np.zeros((2, 2), dtype=bool)
-    with pytest.raises(DegenerateMaskError):
-        ad.masked_softmax(scores, mask)
-    out = ad.masked_softmax(scores, mask, zero_fully_masked=True)
+    with pytest.raises(oracles.DegenerateMaskError):
+        oracles.masked_softmax(scores, mask)
+    out = oracles.masked_softmax(scores, mask, zero_fully_masked=True)
     assert (out.data == 0).all()
 
 
@@ -206,3 +207,93 @@ def test_reused_tensor_accumulates_both_paths():
         loss = ad.add_n([ad.sum_all(ad.mul(a, 2.0)), ad.sum_all(ad.mul(a, 3.0))])
     backward(tape, loss, params=[a])
     np.testing.assert_allclose(a.grad, np.full((3, 3), 5.0))
+
+
+def test_first_gradient_is_not_aliased():
+    # add hands the same g to both inputs; x's first gradient comes from add,
+    # so the later += from mul(x, 2) must not write through into y's
+    x, y = t(3), t(3)
+    probe = RNG.normal(size=3)
+    with Tape() as tape:
+        doubled = ad.mul(x, 2.0)  # recorded first, so its backward runs last
+        total = ad.add(x, y)
+        loss = ad.add_n([ad.sum_all(ad.mul(total, probe)), ad.sum_all(doubled)])
+    backward(tape, loss, params=[x, y])
+    np.testing.assert_array_equal(y.grad, probe)
+    np.testing.assert_array_equal(x.grad, probe + 2.0)
+
+
+# ---------------------------------------------------------------------------
+# batched ops and the fused convolution
+
+
+def test_grad_batched_ops():
+    a, b, w, bias = t(2, 3, 4), t(2, 4, 3), t(5, 3), t(5)
+    table = t(4, 2)
+    probe = RNG.normal(size=(2, 3, 5))
+    check(
+        lambda: ad.sum_all(ad.mul(ad.linear(ad.matmul(a, b), w, bias), probe)),
+        [a, b, w, bias],
+    )
+    counts = RNG.normal(size=(2, 3, 4))  # a constant batched left operand
+    check(lambda: ad.sum_all(ad.mul(ad.matmul(counts, table), counts[..., :2])), [table])
+    logits = t(2, 3, 5)
+    gold = np.array([[0, 4, 2], [1, 1, 3]])
+    weights = np.array([[0.5, 0.0, 0.25], [0.1, 0.2, 0.3]])
+    check(lambda: ad.nll_rows(ad.softmax_rows(logits), gold, weights), [logits])
+    check(lambda: ad.sum_all(ad.mul(ad.sum_last(logits, 2, 4), probe[..., 0])), [logits])
+
+
+def _value_and_grads(out_fn, params, probe):
+    with Tape() as tape:
+        out = out_fn()
+        loss = ad.sum_all(ad.mul(out, probe))
+    backward(tape, loss, params=params)
+    return out.data, [p.grad.copy() for p in params]
+
+
+def _conv_params(widths, d_in, c_out):
+    weights = [t(w, d_in, c_out) for w in widths]
+    return weights, [t(c_out) for _ in widths]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9])
+@pytest.mark.parametrize("widths", [(3, 5), (1, 3), (5,)])
+def test_conv_branches_matches_unfused_oracle(n, widths):
+    weights, biases = _conv_params(widths, 4, 3)
+    x = t(n, 4)
+    probe = RNG.normal(size=(n, 3 * len(widths)))
+    params = [x, *weights, *biases]
+    fused, g_fused = _value_and_grads(lambda: ad.conv_branches(x, weights, biases), params, probe)
+    ref, g_ref = _value_and_grads(
+        lambda: oracles.conv_branches_unfused(x, weights, biases), params, probe
+    )
+    assert np.abs(fused - ref).max() <= 1e-12
+    for a, b in zip(g_fused, g_ref):
+        assert np.abs(a - b).max() <= 1e-12
+
+
+def test_conv_branches_bucket_matches_each_sentence_alone():
+    weights, biases = _conv_params((3, 5), 4, 3)
+    lengths = [1, 2, 6, 4]
+    n = max(lengths)
+    pad = np.arange(n) < np.array(lengths)[:, None]
+    xb = t(len(lengths), n, 4)  # padded rows hold noise that must not leak
+    probe = RNG.normal(size=(len(lengths), n, 6)) * pad[..., None]
+    out, grads = _value_and_grads(
+        lambda: ad.conv_branches(xb, weights, biases, pad), [xb, *weights, *biases], probe
+    )
+    assert (grads[0][~pad] == 0).all()
+    g_w = [np.zeros_like(g) for g in grads[1:]]
+    for b, k in enumerate(lengths):
+        x = Tensor(xb.data[b, :k])
+        ref, g_ref = _value_and_grads(
+            lambda: oracles.conv_branches_unfused(x, weights, biases),
+            [x, *weights, *biases],
+            probe[b, :k],
+        )
+        assert np.abs(out[b, :k] - ref).max() <= 1e-12
+        assert np.abs(grads[0][b, :k] - g_ref[0]).max() <= 1e-12
+        g_w = [acc + g for acc, g in zip(g_w, g_ref[1:])]
+    for a, b in zip(grads[1:], g_w):
+        assert np.abs(a - b).max() <= 1e-12

@@ -74,6 +74,12 @@ def test_usage_errors_exit_1(tmp_path, workspace):
         "dev_ratio = 0",
         "seed = -1",
         "general_dim = -1",
+        "normalize_adjacency = no",
+        "normalize_adjacency = 1",
+        "opinion_passing = 1",
+        "freeze_embeddings = no",
+        "pass_pre_attention_as = 1",
+        "distinct_reverse_types = no",
     ):
         bad_value = tmp_path / "bad_value.conf"
         bad_value.write_text(SMALL_CONFIG + setting + "\n")

@@ -218,10 +218,10 @@ def test_embed_tokens_concatenates_both_tables():
     rng = np.random.default_rng(2)
     general = random_embedding_table(s.tokens, 3, rng)
     domain = random_embedding_table(["screen"], 2, rng)  # others hit OOV
-    emb = embed_tokens(s, general, domain)
-    assert emb.shape == (4, 5)
-    np.testing.assert_allclose(emb.data[1, :3], general.matrix[general.vocab["screen"]])
-    np.testing.assert_allclose(emb.data[0, 3:], domain.matrix[domain.oov_index])
+    emb = embed_tokens([s], general, domain)
+    assert emb.shape == (1, 4, 5)
+    np.testing.assert_allclose(emb.data[0, 1, :3], general.matrix[general.vocab["screen"]])
+    np.testing.assert_allclose(emb.data[0, 0, 3:], domain.matrix[domain.oov_index])
 
 
 def test_embed_tokens_trainable_path():
@@ -232,10 +232,10 @@ def test_embed_tokens_trainable_path():
     gp = ad.Tensor(general.matrix.copy())
     dp = ad.Tensor(domain.matrix.copy())
     with ad.Tape() as tape:
-        emb = embed_tokens(s, general, domain, gp, dp)
+        emb = embed_tokens([s], general, domain, gp, dp)
         loss = ad.sum_all(emb)
     ad.backward(tape, loss, params=[gp, dp])
-    assert gp.grad.sum() == emb.shape[0] * 3
+    assert gp.grad.sum() == s.n * 3
     assert dp.grad is not None and dp.grad.any()
 
 

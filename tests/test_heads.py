@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dregcn_absa.autodiff import Tensor
+from dregcn_absa.autodiff import Tape, Tensor, backward, mul, sum_all
 from dregcn_absa.heads import (
     MessagePassingConfig,
     ae_head_forward,
@@ -15,6 +15,8 @@ from dregcn_absa.heads import (
     opinion_attention,
     opinion_probs,
 )
+
+import oracles
 
 RNG = np.random.default_rng(11)
 D_S, D_T = 10, 6
@@ -166,3 +168,63 @@ def test_forward_rounds_pre_attention_message():
         pass_pre_attention_as=True,
     )
     assert len(out.rounds) == 2
+
+
+# ---------------------------------------------------------------------------
+# the fused attention against its unfused composition
+
+
+def _attention_value_and_grads(fn, params, probe):
+    with Tape() as tape:
+        out = fn()
+        loss = sum_all(mul(out, probe))
+    backward(tape, loss, params=params)
+    return out.data, [p.grad.copy() for p in params]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 9])
+def test_attention_matches_unfused_oracle(n):
+    _, as_head = make_heads()
+    has = Tensor(RNG.normal(size=(n, D_T)))
+    pop = Tensor(RNG.random(n))
+    probe = RNG.normal(size=(n, n))
+    params = [has, as_head.bilinear, pop]
+    fused, g_fused = _attention_value_and_grads(
+        lambda: opinion_attention(has, as_head.bilinear, pop), params, probe
+    )
+    ref, g_ref = _attention_value_and_grads(
+        lambda: oracles.opinion_attention_unfused(has, as_head.bilinear, pop), params, probe
+    )
+    assert np.abs(fused - ref).max() <= 1e-12
+    for a, b in zip(g_fused, g_ref):
+        assert np.abs(a - b).max() <= 1e-12
+
+
+def test_attention_bucket_matches_each_sentence_alone():
+    _, as_head = make_heads()
+    lengths = [2, 1, 5, 3]
+    n = max(lengths)
+    pad = np.arange(n) < np.array(lengths)[:, None]
+    has = Tensor(RNG.normal(size=(len(lengths), n, D_T)))
+    pop = Tensor(RNG.random((len(lengths), n)))
+    probe = RNG.normal(size=(len(lengths), n, n))
+    out, (g_has, g_w, g_pop) = _attention_value_and_grads(
+        lambda: opinion_attention(has, as_head.bilinear, pop, pad_mask=pad),
+        [has, as_head.bilinear, pop],
+        probe,
+    )
+    assert (out[~pad] == 0).all() and (out.transpose(0, 2, 1)[~pad] == 0).all()
+    assert (g_has[~pad] == 0).all() and (g_pop[~pad] == 0).all()
+    w_sum = np.zeros_like(g_w)
+    for b, k in enumerate(lengths):
+        h1, p1 = Tensor(has.data[b, :k]), Tensor(pop.data[b, :k])
+        ref, (gh, gw, gp) = _attention_value_and_grads(
+            lambda: oracles.opinion_attention_unfused(h1, as_head.bilinear, p1),
+            [h1, as_head.bilinear, p1],
+            probe[b, :k, :k],
+        )
+        assert np.abs(out[b, :k, :k] - ref).max() <= 1e-12
+        assert np.abs(g_has[b, :k] - gh).max() <= 1e-12
+        assert np.abs(g_pop[b, :k] - gp).max() <= 1e-12
+        w_sum += gw
+    assert np.abs(g_w - w_sum).max() <= 1e-12

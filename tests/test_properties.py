@@ -1,8 +1,12 @@
-"""Property tests over random parse trees and random corpora."""
+"""Property tests over random parse trees, random corpora and random
+mini-batches."""
 
 import numpy as np
-from hypothesis import given
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from dregcn_absa.autodiff import Tape, backward
 
 from dregcn_absa.corpus import (
     AE_TAGS,
@@ -13,12 +17,16 @@ from dregcn_absa.corpus import (
     Sentence,
     build_dependency_graph,
     parse_corpus_file,
+    random_embedding_table,
     serialize_corpus,
 )
-from dregcn_absa.encoder import normalize_adjacency, relation_counts
+from dregcn_absa.encoder import MODES, EncoderConfig, normalize_adjacency, relation_counts
 from dregcn_absa.evaluation import Span, decode_spans, encode_spans
+from dregcn_absa.heads import MP_VARIANTS, MessagePassingConfig
+from dregcn_absa.model import Model, ModelConfig
+from dregcn_absa.training import batch_loss
 
-from oracles import dense_relations
+from oracles import dense_relations, per_sentence_batch_loss
 
 DEPRELS = ("root", "nsubj", "det", "amod", "dobj", "advmod", "cop")
 WORDS = st.text(
@@ -27,10 +35,14 @@ WORDS = st.text(
 
 
 @st.composite
-def sentences(draw, max_n=30, words=st.just("w")):
+def sentences(draw, max_n=30, words=st.just("w"), small_lengths=False):
     """A valid sentence whose heads form a random tree: tokens join the tree
-    in a random order, each hanging off one that joined before it."""
-    n = draw(st.integers(1, max_n))
+    in a random order, each hanging off one that joined before it. With
+    `small_lengths`, about half of the draws have one or two tokens."""
+    lengths = st.integers(1, max_n)
+    if small_lengths:
+        lengths = st.one_of(st.integers(1, 2), lengths)
+    n = draw(lengths)
     order = draw(st.permutations(range(n)))
     heads = [None] * n
     for k in range(1, n):
@@ -111,3 +123,59 @@ def test_reencoding_decoded_tags_is_idempotent(tags):
     once = encode_spans(decode_spans(tags), len(tags))
     assert encode_spans(decode_spans(once), len(once)) == once
     assert decode_spans(once) == decode_spans(tags)
+
+
+@st.composite
+def model_configs(draw, mode):
+    return ModelConfig(
+        encoder=EncoderConfig(
+            mode=mode,
+            gcn_layers=1,
+            cnn_layers=draw(st.integers(1, 2)),
+            d=6,
+            m=draw(st.sampled_from((0, 3))),
+            normalize_adjacency=draw(st.booleans()),
+        ),
+        mp=MessagePassingConfig(draw(st.sampled_from(MP_VARIANTS)), draw(st.integers(0, 2))),
+        d_t=4,
+        opinion_passing=draw(st.booleans()),
+        dropout=0.5,
+        pass_pre_attention_as=draw(st.booleans()),
+        distinct_reverse_types=draw(st.booleans()),
+    )
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_bucketed_batch_loss_equals_per_sentence_composition(mode):
+    """Loss and every gradient of a bucketed mini-batch, with dropout on,
+    against one forward per sentence through the unfused ops."""
+
+    @settings(max_examples=25)
+    @given(
+        st.lists(
+            sentences(max_n=80, words=st.sampled_from("abcdefg"), small_lengths=True),
+            min_size=1,
+            max_size=7,
+        ),
+        model_configs(mode),
+        st.integers(0, 2**32 - 1),
+    )
+    def check(batch, cfg, seed):
+        rng = np.random.default_rng(seed)
+        general = random_embedding_table("abcde", 5, rng)  # f and g are out of vocabulary
+        domain = random_embedding_table("abc", 3, rng)
+        rv = RelationVocab.from_corpus(batch, cfg.distinct_reverse_types)
+        model = Model(cfg, general, domain, rv, rng)
+        params = list(model.parameters().values())
+        results = []
+        for loss_fn in (batch_loss, per_sentence_batch_loss):
+            with Tape() as tape:
+                loss = loss_fn(model, batch, np.random.default_rng(seed))  # same dropout draws
+            backward(tape, loss, params=params)
+            results.append((float(loss.data), [p.grad.copy() for p in params]))
+        (loss, grads), (ref_loss, ref_grads) = results
+        assert abs(loss - ref_loss) <= 1e-10 * abs(ref_loss)
+        for name, g, ref in zip(model.parameters(), grads, ref_grads):
+            assert np.abs(g - ref).max(initial=0.0) <= 1e-10 * np.abs(ref).max(initial=0.0), name
+
+    check()

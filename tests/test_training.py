@@ -13,18 +13,25 @@ from dregcn_absa.model import (
     load_checkpoint,
     save_checkpoint,
 )
+from dregcn_absa.evaluation import corpus_metrics
 from dregcn_absa.training import (
+    MAX_BUCKET,
     AdamState,
     NumericError,
     TrainConfig,
     adam_step,
     as_loss_mask,
     batch_loss,
+    evaluate_model,
     joint_loss,
+    length_buckets,
     multi_run,
     predict_sentence_tags,
+    predict_tags,
     train,
 )
+
+from oracles import random_gold_sentence
 
 
 def small_model_config(mode="dregcn", variant="none", rounds=0, dropout=0.0):
@@ -64,7 +71,7 @@ def test_joint_loss_matches_manual_formula(tiny_corpus):
 
     from dregcn_absa.corpus import AE_INDEX, AS_INDEX
 
-    yae, yas = out.final.yae.data, out.final.yas.data
+    yae, yas = out.final.yae.data[0], out.final.yas.data[0]
     expect = 0.0
     for i in range(s.n):
         expect += -np.log(yae[i, AE_INDEX[s.ae_tags[i]]]) / s.n
@@ -80,7 +87,8 @@ def test_loss_ignores_as_probs_outside_aspects(tiny_corpus):
     base = float(joint_loss(out, s).data)
     mask = as_loss_mask(s.ae_tags)
     # scramble AS rows on non-aspect tokens
-    out.final.yas.data[~mask] = np.roll(out.final.yas.data[~mask], 1, axis=1)
+    yas = out.final.yas.data[0]
+    yas[~mask] = np.roll(yas[~mask], 1, axis=1)
     perturbed = float(joint_loss(out, s).data)
     assert perturbed == base  # exactly, not approximately
 
@@ -241,7 +249,7 @@ def test_forward_keeps_no_per_sentence_state(tiny_corpus, mode):
     rng = np.random.default_rng(1)
     for s in tiny_corpus * 3:
         model.forward(s)
-        model.forward(s, train=True, rng=rng)
+        model.forward(s, model.dropout_masks([s], rng))
     assert list(_footprint(model)) == before
 
 
@@ -289,3 +297,24 @@ def test_synth_majority_baseline_is_constant_ceiling():
     ae, asx = synth.majority_baseline_tags(corpus, 5)
     assert len(ae) == len(asx) == 5
     assert ae[0] == "O" and asx[0] == "none"  # the hub is never an aspect
+
+
+def test_bucketed_prediction_equals_one_sentence_at_a_time(tiny_corpus):
+    rng = np.random.default_rng(5)
+    generated = [random_gold_sentence(rng, int(n)) for n in np.clip(rng.normal(18, 12, 160), 1, 80)]
+    cfg = small_model_config(mode="dregcn_plus_cnn", variant="representations", rounds=2)
+    for corpus in (tiny_corpus, generated):
+        model, _, _ = build_model(corpus, cfg)
+        alone = [predict_sentence_tags(model, s) for s in corpus]
+        assert predict_tags(model, corpus) == alone
+        assert evaluate_model(model, corpus) == corpus_metrics(alone, corpus)
+
+
+def test_length_buckets_share_log2_length_and_cover_the_corpus():
+    rng = np.random.default_rng(6)
+    corpus = [random_gold_sentence(rng, int(n)) for n in rng.integers(1, 81, size=300)]
+    buckets = length_buckets(corpus)
+    assert sorted(i for b in buckets for i in b) == list(range(len(corpus)))
+    for b in buckets:
+        assert 1 <= len(b) <= MAX_BUCKET and b == sorted(b)
+        assert len({int(np.ceil(np.log2(corpus[i].n))) for i in b}) == 1
