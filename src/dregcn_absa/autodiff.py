@@ -29,12 +29,16 @@ class ContractViolation(ValueError):
 
 
 class Tensor:
-    """A dense float64 array plus an optional gradient of the same shape."""
+    """A dense float64 array plus an optional gradient of the same shape.
+
+    A float64 array is wrapped without a copy (every op builds a fresh one),
+    so a caller that later mutates the array it passed in must copy it first.
+    """
 
     __slots__ = ("data", "grad", "name")
 
     def __init__(self, data, name: Optional[str] = None):
-        self.data = np.array(data, dtype=np.float64)
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
         self.name = name
 
@@ -356,8 +360,8 @@ def conv_branches(
     half = max(w.shape[0] for w in wvs) // 2
     span = 2 * half + 1
     real = None if pad_mask is None else np.asarray(pad_mask, dtype=bool)[..., None]
-    x0 = xv if real is None else np.where(real, xv, 0.0)
-    xp = np.pad(x0, [(0, 0)] * (xv.ndim - 2) + [(half, half), (0, 0)])
+    xp = np.zeros(xv.shape[:-2] + (n + 2 * half, d))
+    xp[..., half : half + n, :] = xv if real is None else np.where(real, xv, 0.0)
     # every branch as one (span * d_in, sum c_k) kernel, zero outside its offsets
     blocks = list(accumulate([0] + [w.shape[2] for w in wvs]))
     kernel = np.zeros((span, d, blocks[-1]))

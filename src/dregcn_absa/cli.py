@@ -58,8 +58,9 @@ from .encoder import (
     init_gcn_layer,
     init_relation_table,
     relation_counts,
+    relation_messages,
 )
-from .heads import MessagePassingConfig, as_head_forward, init_as_head
+from .heads import MessagePassingConfig, as_head_forward, attention_constants, init_as_head
 from .model import CheckpointError, Model, ModelConfig, load_checkpoint, save_checkpoint
 from .training import (
     NumericError,
@@ -182,9 +183,9 @@ def _boolean(cfg: Dict[str, object], key: str) -> bool:
 
 def build_configs(cfg: Dict[str, object]) -> Tuple[TrainConfig, ModelConfig]:
     try:
-        for key in ("general_dim", "domain_dim"):
-            if _integer(cfg, key) < 0:
-                raise ValueError(f"{key} must be >= 0")
+        widths = [_integer(cfg, key) for key in ("general_dim", "domain_dim")]
+        if min(widths) < 0 or sum(widths) == 0:
+            raise ValueError("general_dim and domain_dim must be >= 0, and not both 0")
         train_cfg = TrainConfig(
             learning_rate=float(cfg["learning_rate"]),
             batch_size=_integer(cfg, "batch_size"),
@@ -462,7 +463,8 @@ def gradcheck_suite(seed: int = 0) -> List[Tuple[str, float]]:
     dre = init_dregcn_layer(rng, d, m)
 
     def dre_fn():
-        return sum_all(mul(dregcn_layer_forward(h, adj, counts, dre, table), probe_g))
+        messages = relation_messages(counts, table)
+        return sum_all(mul(dregcn_layer_forward(h, adj, messages, dre), probe_g))
 
     checks.append(
         (
@@ -485,7 +487,7 @@ def gradcheck_suite(seed: int = 0) -> List[Tuple[str, float]]:
     gold_as = np.array([0, 1, 2, 0])
 
     def as_fn():
-        _, _, yas, _ = as_head_forward(h, as_head, yae, opinion_passing=True)
+        _, _, yas, _ = as_head_forward(h, as_head, yae, attention_constants(n))
         return nll_rows(yas, gold_as, np.full(n, 0.25))
 
     as_params = [

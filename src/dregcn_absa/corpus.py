@@ -152,10 +152,9 @@ def stack_graphs(graphs: Sequence[DepGraph], n: int) -> DepGraph:
     a = np.zeros((len(graphs), n, n))
     for b, g in enumerate(graphs):
         a[b, : g.n, : g.n] = g.adjacency
-    arcs = np.concatenate(
-        [np.insert(g.relation_indicator, 0, b, axis=1) for b, g in enumerate(graphs)]
-    )
-    return DepGraph(a, arcs)
+    arcs = [g.relation_indicator for g in graphs]
+    owner = np.repeat(np.arange(len(arcs)), [len(r) for r in arcs])
+    return DepGraph(a, np.concatenate((owner[:, None], np.concatenate(arcs)), axis=1))
 
 
 def build_dependency_graph(
@@ -261,7 +260,8 @@ class EmbeddingMatrix:
         return self.vocab.get(word, self.oov_index)
 
     def indices(self, words: Sequence[str]) -> np.ndarray:
-        return np.array([self.row_index(w) for w in words], dtype=np.intp)
+        get, oov = self.vocab.get, self.oov_index
+        return np.array([get(w, oov) for w in words], dtype=np.intp)
 
 
 def load_embedding_table(

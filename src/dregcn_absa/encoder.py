@@ -11,6 +11,8 @@ DreGCN needs the relation types only through the counts C[i, k] =
 sum_j A_ij Q_ijk. `encode_shared` computes C once per forward, after any
 normalization of A, with one `np.bincount` over the graphs' typed arcs: O(n)
 for a parse tree's 3n - 2 arcs, and no (n, n, |N|) tensor is ever formed.
+Every DreGCN layer shares one relation table R, so the relation messages
+C R are also computed once per forward and handed to each layer.
 """
 
 from __future__ import annotations
@@ -145,29 +147,38 @@ def relation_counts(a: np.ndarray, arcs: np.ndarray, n_types: int) -> np.ndarray
     return counts.reshape(shape)
 
 
+def relation_messages(counts: np.ndarray, table: RelationTable) -> Optional[Tensor]:
+    """The relation messages C R (..., n, m) from the counts C (..., n, |N|)
+    that `relation_counts` builds; None when m = 0, where there are none."""
+    n_types = table.table.shape[0]
+    if counts.shape[-1] != n_types:
+        raise ContractViolation(
+            f"relation counts have {counts.shape[-1]} types, the table {n_types}"
+        )
+    return matmul(counts, table.table) if table.m > 0 else None
+
+
 def dregcn_layer_forward(
     h: Tensor,
     a: np.ndarray,
-    counts: np.ndarray,
+    messages: Optional[Tensor],
     layer: DreGcnLayer,
-    table: RelationTable,
 ) -> Tensor:
     """Typed graph convolution: each edge (i, j) of type k contributes
     W [h_j; R[k]]; summed over neighbors, bias and ReLU on top.
 
-    The double sum is W [A H; C R] row by row, where `counts` is C
-    (..., n, |N|), built by `relation_counts` from the same A and the graph's
-    typed arcs.
+    The double sum is W [A H; C R] row by row, where `messages` is C R
+    (..., n, m), built by `relation_messages` from the same A and the graph's
+    typed arcs (None when m = 0).
     """
     _check_graph(h, a)
-    n_types = table.table.shape[0]
-    if counts.shape != h.shape[:-1] + (n_types,):
-        raise ContractViolation(
-            f"relation counts shape {counts.shape} != {h.shape[:-1] + (n_types,)}"
-        )
     neighbors = matmul(a, h)
-    if table.m > 0:
-        neighbors = concat(neighbors, matmul(counts, table.table))
+    if messages is not None:
+        if messages.shape[:-1] != h.shape[:-1]:
+            raise ContractViolation(
+                f"relation messages shape {messages.shape} does not match features {h.shape}"
+            )
+        neighbors = concat(neighbors, messages)
     return relu(linear(neighbors, layer.weight, layer.bias))
 
 
@@ -251,8 +262,9 @@ def encode_shared(
 
     table = params.relation_table
     counts = relation_counts(a, graph.relation_indicator, table.table.shape[0])
+    messages = relation_messages(counts, table)
     for layer in params.dregcn_layers:
-        h = dregcn_layer_forward(h, a, counts, layer, table)
+        h = dregcn_layer_forward(h, a, messages, layer)
     if cfg.mode == "dregcn":
         return h
     c = cnn_encoder_forward(x0, params.cnn_layers, pad_mask)

@@ -10,7 +10,7 @@ padded length bucket whose `pad_mask` (B, n) marks the real tokens.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -138,24 +138,35 @@ def distance_factors(n: int) -> np.ndarray:
     return np.divide(1.0, dist, out=np.zeros_like(dist), where=dist > 0)
 
 
-def opinion_attention(
-    has: Tensor,
-    ws: Tensor,
-    pop: Tensor,
-    pad_mask: Optional[np.ndarray] = None,
-) -> Tensor:
-    """Row-stochastic context attention: bilinear relevance scaled by inverse
-    token distance and by the context token's predicted opinion probability.
+class AttentionConstants(NamedTuple):
+    """What the opinion attention needs of a forward's shape alone, built once
+    per forward by `attention_constants` and shared by every round."""
 
-    The diagonal and padded positions are excluded from each row's softmax;
-    a row with no candidates (n = 1, or a padded row) comes out all-zero.
-    """
-    n = has.shape[-2]
+    factors: np.ndarray  # (n, n) distance factors
+    mask: np.ndarray  # broadcastable to (..., n, n): True where j is a candidate for i
+
+
+def attention_constants(n: int, pad_mask: Optional[np.ndarray] = None) -> AttentionConstants:
+    """The distance factors over n tokens and the candidate mask, which
+    excludes the diagonal and, given `pad_mask` (B, n), padded positions."""
     mask = ~np.eye(n, dtype=bool)
     if pad_mask is not None:
         real = np.asarray(pad_mask, dtype=bool)
         mask = mask & real[..., None, :] & real[..., :, None]
-    return bilinear_attention(has, ws, pop, distance_factors(n), mask)
+    return AttentionConstants(distance_factors(n), mask)
+
+
+def opinion_attention(
+    has: Tensor, ws: Tensor, pop: Tensor, constants: AttentionConstants
+) -> Tensor:
+    """Row-stochastic context attention: bilinear relevance scaled by inverse
+    token distance and by the context token's predicted opinion probability.
+
+    The positions `constants.mask` excludes (the diagonal, padding) get no
+    weight; a row with no candidates (n = 1, or a padded row) comes out
+    all-zero.
+    """
+    return bilinear_attention(has, ws, pop, constants.factors, constants.mask)
 
 
 def opinion_passing_apply(has: Tensor, m: Tensor) -> Tensor:
@@ -167,13 +178,13 @@ def as_head_forward(
     hs: Tensor,
     head: AsHead,
     yae: Tensor,
-    pad_mask: Optional[np.ndarray] = None,
+    constants: AttentionConstants,
     opinion_passing: bool = True,
 ):
     """(concatenated AS representation, 3-way distribution, attention)."""
     has = relu(linear(hs, head.hidden_weight, head.hidden_bias))
     if opinion_passing:
-        m = opinion_attention(has, head.bilinear, opinion_probs(yae), pad_mask)
+        m = opinion_attention(has, head.bilinear, opinion_probs(yae), constants)
     else:
         m = Tensor(np.zeros(hs.shape[:-1] + (hs.shape[-2],)))
     has_final = opinion_passing_apply(has, m)
@@ -232,8 +243,10 @@ def forward_rounds(
 ) -> IterationOutput:
     """Round 0 evaluates both heads on the encoder output; each further round
     re-encodes the shared vectors from the previous round's outputs and
-    re-applies the heads with the same parameters."""
+    re-applies the heads with the same parameters. The attention constants
+    depend only on the bucket's shape, so every round shares one set."""
     out = IterationOutput()
+    constants = attention_constants(hs0.shape[-2], pad_mask)
     hs = hs0
     for t in range(mp.effective_rounds + 1):
         if t > 0:
@@ -244,7 +257,7 @@ def forward_rounds(
             )
         hae, yae = ae_head_forward(hs, ae_head)
         has_pre, has_final, yas, attn = as_head_forward(
-            hs, as_head, yae, pad_mask, opinion_passing=opinion_passing
+            hs, as_head, yae, constants, opinion_passing=opinion_passing
         )
         out.rounds.append(RoundOutput(hs, hae, yae, has_pre, has_final, yas, attn))
     return out

@@ -25,10 +25,12 @@ from dregcn_absa.encoder import (
     gcn_layer_forward,
     init_dregcn_layer,
     init_relation_table,
+    relation_messages,
 )
 from dregcn_absa.evaluation import corpus_metrics
 from dregcn_absa.heads import (
     MessagePassingConfig,
+    attention_constants,
     distance_factors,
     forward_rounds,
     init_ae_head,
@@ -114,7 +116,7 @@ def test_criterion_03_attention_contract():
         head = init_as_head(rng, 10, d_t)
         has = Tensor(rng.normal(size=(n, d_t)))
         pop = Tensor(rng.random(n))
-        m = opinion_attention(has, head.bilinear, pop).data
+        m = opinion_attention(has, head.bilinear, pop, attention_constants(n)).data
         assert (np.diag(m) == 0).all(), f"draw {draw}: nonzero diagonal"
         gap = np.abs(m.sum(axis=1) - 1.0).max()
         worst_row_gap = max(worst_row_gap, gap)
@@ -136,7 +138,7 @@ def test_criterion_04_reduction_equivalence():
         h = Tensor(rng.normal(size=(n, d)))
         a, c = random_graph(rng, n, n_types)
         gap = np.abs(
-            dregcn_layer_forward(h, a, c, layer, table).data
+            dregcn_layer_forward(h, a, relation_messages(c, table), layer).data
             - gcn_layer_forward(h, a, gcn).data
         ).max()
         worst = max(worst, gap)

@@ -273,6 +273,22 @@ def test_conv_branches_matches_unfused_oracle(n, widths):
         assert np.abs(a - b).max() <= 1e-12
 
 
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_conv_branches_all_true_mask_equals_no_mask(lead):
+    weights, biases = _conv_params((3, 5), 4, 3)
+    x = t(*lead, 6, 4)
+    probe = RNG.normal(size=(*lead, 6, 6))
+    params = [x, *weights, *biases]
+    full = np.ones(lead + (6,), dtype=bool)
+    bare, g_bare = _value_and_grads(lambda: ad.conv_branches(x, weights, biases), params, probe)
+    masked, g_masked = _value_and_grads(
+        lambda: ad.conv_branches(x, weights, biases, full), params, probe
+    )
+    np.testing.assert_array_equal(bare, masked)
+    for a, b in zip(g_bare, g_masked):
+        np.testing.assert_array_equal(a, b)
+
+
 def test_conv_branches_bucket_matches_each_sentence_alone():
     weights, biases = _conv_params((3, 5), 4, 3)
     lengths = [1, 2, 6, 4]

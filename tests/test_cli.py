@@ -74,6 +74,7 @@ def test_usage_errors_exit_1(tmp_path, workspace):
         "dev_ratio = 0",
         "seed = -1",
         "general_dim = -1",
+        "general_dim = 0\ndomain_dim = 0",
         "normalize_adjacency = no",
         "normalize_adjacency = 1",
         "opinion_passing = 1",

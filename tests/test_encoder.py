@@ -16,6 +16,7 @@ from dregcn_absa.encoder import (
     init_relation_table,
     normalize_adjacency,
     relation_counts,
+    relation_messages,
 )
 from oracles import dense_relations, dregcn_double_sum
 from test_corpus import simple_sentence
@@ -81,7 +82,7 @@ def test_dregcn_layer_matches_double_sum_oracle():
         q = dense_relations(s, rv, distinct)
         for a in (g.adjacency, normalize_adjacency(g.adjacency)):
             counts = relation_counts(a, g.relation_indicator, rv.size)
-            out = dregcn_layer_forward(h, a, counts, layer, table)
+            out = dregcn_layer_forward(h, a, relation_messages(counts, table), layer)
             expect = dregcn_double_sum(
                 h.data, a, q, layer.weight.data, layer.bias.data, table.table.data
             )
@@ -96,7 +97,7 @@ def test_dregcn_m0_reduces_to_gcn():
     gcn = GcnLayer(weight=Tensor(layer.weight.data.copy()), bias=Tensor(layer.bias.data.copy()))
     h = Tensor(RNG.normal(size=(n, d)))
     a, c = random_graph(RNG, n, 4)
-    out_dre = dregcn_layer_forward(h, a, c, layer, table)
+    out_dre = dregcn_layer_forward(h, a, relation_messages(c, table), layer)
     out_gcn = gcn_layer_forward(h, a, gcn)
     assert np.abs(out_dre.data - out_gcn.data).max() <= 1e-12
 
@@ -113,7 +114,7 @@ def test_dregcn_zero_relations_reduce_to_gcn():
     )
     h = Tensor(RNG.normal(size=(n, d)))
     a, c = random_graph(RNG, n, 4)
-    out_dre = dregcn_layer_forward(h, a, c, layer, table)
+    out_dre = dregcn_layer_forward(h, a, relation_messages(c, table), layer)
     out_gcn = gcn_layer_forward(h, a, gcn)
     assert np.abs(out_dre.data - out_gcn.data).max() <= 1e-12
 
@@ -126,9 +127,9 @@ def test_dregcn_rejects_inconsistent_indicator():
     h = Tensor(RNG.normal(size=(n, d)))
     a, c = random_graph(RNG, n, 3)
     with pytest.raises(ContractViolation):
-        dregcn_layer_forward(h, a, c[:, :2], layer, table)
+        relation_messages(c[:, :2], table)
     with pytest.raises(ContractViolation):
-        dregcn_layer_forward(h, a, c[:2], layer, table)
+        dregcn_layer_forward(h, a, relation_messages(c[:2], table), layer)
 
 
 def test_encode_shared_output_width_per_mode():

@@ -6,6 +6,7 @@ from dregcn_absa.heads import (
     MessagePassingConfig,
     ae_head_forward,
     as_head_forward,
+    attention_constants,
     distance_factors,
     forward_rounds,
     init_ae_head,
@@ -64,7 +65,7 @@ def test_attention_zero_diagonal_and_stochastic_rows():
     n = 6
     has = Tensor(RNG.normal(size=(n, D_T)))
     pop = Tensor(RNG.random(n))
-    m = opinion_attention(has, as_head.bilinear, pop)
+    m = opinion_attention(has, as_head.bilinear, pop, attention_constants(n))
     assert (np.diag(m.data) == 0).all()
     np.testing.assert_allclose(m.data.sum(axis=1), 1.0, atol=1e-9)
 
@@ -73,7 +74,7 @@ def test_attention_single_token_row_is_zero():
     _, as_head = make_heads()
     has = Tensor(RNG.normal(size=(1, D_T)))
     pop = Tensor(RNG.random(1))
-    m = opinion_attention(has, as_head.bilinear, pop)
+    m = opinion_attention(has, as_head.bilinear, pop, attention_constants(1))
     assert m.shape == (1, 1) and (m.data == 0).all()
 
 
@@ -83,7 +84,7 @@ def test_attention_respects_pad_mask():
     has = Tensor(RNG.normal(size=(n, D_T)))
     pop = Tensor(RNG.random(n))
     pad = np.array([True, True, True, False, False])
-    m = opinion_attention(has, as_head.bilinear, pop, pad_mask=pad)
+    m = opinion_attention(has, as_head.bilinear, pop, attention_constants(n, pad))
     assert (m.data[:, ~pad] == 0).all()
     assert (m.data[~pad] == 0).all()
     np.testing.assert_allclose(m.data[pad].sum(axis=1), 1.0, atol=1e-9)
@@ -93,13 +94,14 @@ def test_as_head_shapes_and_opinion_passing_toggle():
     ae_head, as_head = make_heads()
     hs = Tensor(RNG.normal(size=(4, D_S)))
     _, yae = ae_head_forward(hs, ae_head)
-    has, has_final, yas, m = as_head_forward(hs, as_head, yae)
+    constants = attention_constants(4)
+    has, has_final, yas, m = as_head_forward(hs, as_head, yae, constants)
     assert has.shape == (4, D_T)
     assert has_final.shape == (4, 2 * D_T)
     assert yas.shape == (4, 3)
     np.testing.assert_allclose(yas.data.sum(axis=1), 1.0, atol=1e-12)
     # disabling opinion passing keeps all widths but zeroes the context half
-    has2, has_final2, _, m2 = as_head_forward(hs, as_head, yae, opinion_passing=False)
+    has2, has_final2, _, m2 = as_head_forward(hs, as_head, yae, constants, opinion_passing=False)
     assert (m2.data == 0).all()
     assert has_final2.shape == (4, 2 * D_T)
     np.testing.assert_array_equal(has_final2.data[:, D_T:], 0.0)
@@ -190,7 +192,9 @@ def test_attention_matches_unfused_oracle(n):
     probe = RNG.normal(size=(n, n))
     params = [has, as_head.bilinear, pop]
     fused, g_fused = _attention_value_and_grads(
-        lambda: opinion_attention(has, as_head.bilinear, pop), params, probe
+        lambda: opinion_attention(has, as_head.bilinear, pop, attention_constants(n)),
+        params,
+        probe,
     )
     ref, g_ref = _attention_value_and_grads(
         lambda: oracles.opinion_attention_unfused(has, as_head.bilinear, pop), params, probe
@@ -209,7 +213,7 @@ def test_attention_bucket_matches_each_sentence_alone():
     pop = Tensor(RNG.random((len(lengths), n)))
     probe = RNG.normal(size=(len(lengths), n, n))
     out, (g_has, g_w, g_pop) = _attention_value_and_grads(
-        lambda: opinion_attention(has, as_head.bilinear, pop, pad_mask=pad),
+        lambda: opinion_attention(has, as_head.bilinear, pop, attention_constants(n, pad)),
         [has, as_head.bilinear, pop],
         probe,
     )

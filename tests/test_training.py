@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dregcn_absa import synth
+from dregcn_absa import heads, synth
 from dregcn_absa.autodiff import Tape, Tensor, backward
 from dregcn_absa.corpus import RelationVocab, Sentence, random_embedding_table
 from dregcn_absa.encoder import EncoderConfig
@@ -251,6 +251,51 @@ def test_forward_keeps_no_per_sentence_state(tiny_corpus, mode):
         model.forward(s)
         model.forward(s, model.dropout_masks([s], rng))
     assert list(_footprint(model)) == before
+
+
+def test_lone_sentence_forward_builds_its_constants_once(tiny_corpus, monkeypatch):
+    model, _, _ = build_model(tiny_corpus, ModelConfig())
+    calls = []
+    factors = heads.distance_factors
+
+    def counted(n):
+        calls.append(n)
+        return factors(n)
+
+    monkeypatch.setattr(heads, "distance_factors", counted)
+    for s in tiny_corpus:
+        with Tape() as tape:
+            joint_loss(model.forward(s), s)
+        assert len(tape.ops) == 62
+    assert calls == [s.n for s in tiny_corpus]
+
+
+def test_parameters_share_no_memory_with_their_sources(tmp_path):
+    corpus = synth.overfit_corpus(6, seed=1)
+    rng = np.random.default_rng(0)
+    words = [w for s in corpus for w in s.tokens]
+    general = random_embedding_table(words, 6, rng)
+    domain = random_embedding_table(words, 3, rng)
+    tables = general.matrix.copy(), domain.matrix.copy()
+    tc = TrainConfig(learning_rate=0.01, batch_size=4, epochs=2, seed=0, runs=1)
+    result = train(corpus, tc, small_model_config(), general, domain)
+    # training fine-tuned copies of the tables, not the caller's arrays
+    np.testing.assert_array_equal(general.matrix, tables[0])
+    np.testing.assert_array_equal(domain.matrix, tables[1])
+    assert np.abs(result.model.general_param.data - tables[0]).max() > 0
+
+    path = str(tmp_path / "model.npz")
+    save_checkpoint(result.model, path)
+    loaded = load_checkpoint(path)
+    arrays = [p.data for p in loaded.parameters().values()]
+    arrays += [loaded.general_emb.matrix, loaded.domain_emb.matrix]
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :])
+
+    snapshot = loaded.snapshot()
+    loaded.restore(snapshot)
+    for name, p in loaded.parameters().items():
+        assert not np.shares_memory(p.data, snapshot[name]), name
 
 
 def test_freeze_embeddings_excludes_tables(tiny_corpus):
