@@ -19,7 +19,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import synth
 from .autodiff import (
     Tensor,
     bilinear_attention,
@@ -52,10 +51,8 @@ from .encoder import (
     EncoderConfig,
     cnn_encoder_forward,
     dregcn_layer_forward,
-    gcn_layer_forward,
     init_cnn_layer,
     init_dregcn_layer,
-    init_gcn_layer,
     init_relation_table,
     relation_counts,
     relation_messages,
@@ -449,11 +446,11 @@ def gradcheck_suite(seed: int = 0) -> List[Tuple[str, float]]:
     graph = build_dependency_graph(chain, rv)
     adj = graph.adjacency
     counts = relation_counts(adj, graph.relation_indicator, rv.size)
-    gcn = init_gcn_layer(rng, d)
+    gcn = init_dregcn_layer(rng, d, 0)
     probe_g = np.random.default_rng(seed + 3).normal(size=(n, d))
 
     def gcn_fn():
-        return sum_all(mul(gcn_layer_forward(h, adj, gcn), probe_g))
+        return sum_all(mul(dregcn_layer_forward(h, adj, None, gcn), probe_g))
 
     checks.append(
         ("gcn_layer", finite_diff_gradcheck(gcn_fn, [h, gcn.weight, gcn.bias]))
@@ -469,7 +466,7 @@ def gradcheck_suite(seed: int = 0) -> List[Tuple[str, float]]:
     checks.append(
         (
             "dregcn_layer",
-            finite_diff_gradcheck(dre_fn, [h, dre.weight, dre.bias, table.table]),
+            finite_diff_gradcheck(dre_fn, [h, dre.weight, dre.bias, table]),
         )
     )
 
@@ -508,7 +505,11 @@ def gradcheck_suite(seed: int = 0) -> List[Tuple[str, float]]:
     # resolve.
     full_seed = seed + 4
     full_rng = np.random.default_rng(full_seed)
-    sentence = synth.overfit_corpus(3, seed=full_seed + 5)[0]
+    sentence = Sentence(
+        ("speaker", "fragile", "and", "feels", "feels"), ("BA", "BP", "O", "O", "O"),
+        ("neg", "none", "none", "none", "none"), (None, 0, 1, 2, 3),
+        ("root", "nsubj", "nsubj", "obj", "det"),
+    )
     model_cfg = ModelConfig(
         encoder=EncoderConfig(mode="dregcn_plus_cnn", gcn_layers=1, cnn_layers=1, d=6, m=3),
         mp=MessagePassingConfig("representations", 2),

@@ -344,11 +344,14 @@ def split_train_dev(
 ) -> Tuple[List[Sentence], List[Sentence]]:
     if not (0 < ratio < 1):
         raise SplitError(f"ratio must be in (0, 1), got {ratio}")
-    if len(corpus) < 2:
-        raise SplitError(f"cannot split a corpus of {len(corpus)} sentences")
+    dev_size = int(round(ratio * len(corpus)))
+    if not 0 < dev_size < len(corpus):
+        raise SplitError(
+            f"splitting {len(corpus)} sentences at dev ratio {ratio} leaves "
+            f"{len(corpus) - dev_size} train and {dev_size} dev sentences; both must be nonempty"
+        )
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(corpus))
-    dev_size = int(round(ratio * len(corpus)))
     dev_idx = set(perm[:dev_size].tolist())
     train = [s for i, s in enumerate(corpus) if i not in dev_idx]
     dev = [s for i, s in enumerate(corpus) if i in dev_idx]

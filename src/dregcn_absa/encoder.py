@@ -1,11 +1,13 @@
-"""Shared-feature encoders: vanilla GCN, relation-embedded GCN, n-gram CNN.
+"""Shared-feature encoders: relation-embedded GCN (DreGCN), n-gram CNN.
 
 All layers consume and produce (..., n, d) token matrices built on the
 autodiff kernel: one sentence as (n, d), or a length bucket of B sentences
 padded to its longest as (B, n, d). Padded rows never reach a real one: the
 adjacency is zero on them, and each convolution zeroes them first. The graph
 layers follow the update rules literally, without degree normalization,
-unless `normalize_adjacency` is set.
+unless `normalize_adjacency` is set. The vanilla GCN is the DreGCN layer
+without relation messages: `vanilla_gcn` runs the same layers with m = 0
+and no relation table.
 
 DreGCN needs the relation types only through the counts C[i, k] =
 sum_j A_ij Q_ijk. `encode_shared` computes C once per forward, after any
@@ -63,21 +65,6 @@ class EncoderConfig:
 
 
 @dataclass
-class GcnLayer:
-    weight: Tensor  # (d, d)
-    bias: Tensor  # (d,)
-
-
-@dataclass
-class RelationTable:
-    table: Tensor  # (|N|, m)
-
-    @property
-    def m(self) -> int:
-        return self.table.shape[1]
-
-
-@dataclass
 class DreGcnLayer:
     weight: Tensor  # (d, d + m)
     bias: Tensor  # (d,)
@@ -96,16 +83,12 @@ def glorot(rng: np.random.Generator, fan_out: int, fan_in: int, *lead) -> np.nda
     return rng.uniform(-r, r, size=(*lead, fan_out, fan_in) if lead else (fan_out, fan_in))
 
 
-def init_gcn_layer(rng: np.random.Generator, d: int) -> GcnLayer:
-    return GcnLayer(Tensor(glorot(rng, d, d)), Tensor(np.zeros(d)))
-
-
 def init_dregcn_layer(rng: np.random.Generator, d: int, m: int) -> DreGcnLayer:
     return DreGcnLayer(Tensor(glorot(rng, d, d + m)), Tensor(np.zeros(d)))
 
 
-def init_relation_table(rng: np.random.Generator, n_types: int, m: int) -> RelationTable:
-    return RelationTable(Tensor(rng.uniform(-0.05, 0.05, size=(n_types, m))))
+def init_relation_table(rng: np.random.Generator, n_types: int, m: int) -> Tensor:
+    return Tensor(rng.uniform(-0.05, 0.05, size=(n_types, m)))
 
 
 def init_cnn_layer(rng: np.random.Generator, d: int, widths: Sequence[int]) -> CnnLayer:
@@ -124,18 +107,6 @@ def normalize_adjacency(a: np.ndarray) -> np.ndarray:
     return a * inv_sqrt[..., :, None] * inv_sqrt[..., None, :]
 
 
-def _check_graph(h: Tensor, a: np.ndarray):
-    n = h.shape[-2]
-    if a.shape != h.shape[:-1] + (n,):
-        raise DimensionError(f"adjacency {a.shape} does not match features {h.shape}")
-
-
-def gcn_layer_forward(h: Tensor, a: np.ndarray, layer: GcnLayer) -> Tensor:
-    """ReLU((A H) W^T + b) with raw (or pre-normalized) adjacency."""
-    _check_graph(h, a)
-    return relu(linear(matmul(a, h), layer.weight, layer.bias))
-
-
 def relation_counts(a: np.ndarray, arcs: np.ndarray, n_types: int) -> np.ndarray:
     """C[..., i, k] = sum_j A_ij Q_ijk, summed over the typed arcs that mark
     the nonzeros of Q: rows (i, j, k) for one (n, n) graph, or (b, i, j, k)
@@ -147,15 +118,16 @@ def relation_counts(a: np.ndarray, arcs: np.ndarray, n_types: int) -> np.ndarray
     return counts.reshape(shape)
 
 
-def relation_messages(counts: np.ndarray, table: RelationTable) -> Optional[Tensor]:
+def relation_messages(counts: np.ndarray, table: Tensor) -> Optional[Tensor]:
     """The relation messages C R (..., n, m) from the counts C (..., n, |N|)
-    that `relation_counts` builds; None when m = 0, where there are none."""
-    n_types = table.table.shape[0]
+    that `relation_counts` builds and the table R (|N|, m); None when m = 0,
+    where there are none."""
+    n_types, m = table.shape
     if counts.shape[-1] != n_types:
         raise ContractViolation(
             f"relation counts have {counts.shape[-1]} types, the table {n_types}"
         )
-    return matmul(counts, table.table) if table.m > 0 else None
+    return matmul(counts, table) if m > 0 else None
 
 
 def dregcn_layer_forward(
@@ -169,9 +141,11 @@ def dregcn_layer_forward(
 
     The double sum is W [A H; C R] row by row, where `messages` is C R
     (..., n, m), built by `relation_messages` from the same A and the graph's
-    typed arcs (None when m = 0).
+    typed arcs. Without messages (m = 0, or no relation table) this is the
+    vanilla GCN, ReLU((A H) W^T + b).
     """
-    _check_graph(h, a)
+    if a.shape != h.shape[:-1] + (h.shape[-2],):
+        raise DimensionError(f"adjacency {a.shape} does not match features {h.shape}")
     neighbors = matmul(a, h)
     if messages is not None:
         if messages.shape[:-1] != h.shape[:-1]:
@@ -199,9 +173,8 @@ def cnn_encoder_forward(
 class EncoderParams:
     input_proj_weight: Tensor  # (d, d_g + d_d)
     input_proj_bias: Tensor
-    gcn_layers: List[GcnLayer] = field(default_factory=list)
-    dregcn_layers: List[DreGcnLayer] = field(default_factory=list)
-    relation_table: Optional[RelationTable] = None
+    graph_layers: List[DreGcnLayer] = field(default_factory=list)
+    relation_table: Optional[Tensor] = None  # (|N|, m); None in vanilla_gcn
     cnn_layers: List[CnnLayer] = field(default_factory=list)
     combine_weight: Optional[Tensor] = None  # (d, 2d) for dregcn_plus_cnn
     combine_bias: Optional[Tensor] = None
@@ -213,13 +186,11 @@ def init_encoder_params(
     params = EncoderParams(
         Tensor(glorot(rng, cfg.d, emb_dim)), Tensor(np.zeros(cfg.d))
     )
-    if cfg.mode == "vanilla_gcn":
-        params.gcn_layers = [init_gcn_layer(rng, cfg.d) for _ in range(cfg.gcn_layers)]
-    elif cfg.mode in ("dregcn", "dregcn_plus_cnn"):
+    if cfg.mode in ("dregcn", "dregcn_plus_cnn"):
         params.relation_table = init_relation_table(rng, n_relation_types, cfg.m)
-        params.dregcn_layers = [
-            init_dregcn_layer(rng, cfg.d, cfg.m) for _ in range(cfg.gcn_layers)
-        ]
+    if cfg.uses_graph:
+        m = 0 if params.relation_table is None else cfg.m
+        params.graph_layers = [init_dregcn_layer(rng, cfg.d, m) for _ in range(cfg.gcn_layers)]
     if cfg.uses_cnn:
         params.cnn_layers = [
             init_cnn_layer(rng, cfg.d, cfg.kernel_widths) for _ in range(cfg.cnn_layers)
@@ -254,18 +225,15 @@ def encode_shared(
     if cfg.normalize_adjacency:
         a = normalize_adjacency(a)
 
-    h = x0
-    if cfg.mode == "vanilla_gcn":
-        for layer in params.gcn_layers:
-            h = gcn_layer_forward(h, a, layer)
-        return h
-
     table = params.relation_table
-    counts = relation_counts(a, graph.relation_indicator, table.table.shape[0])
-    messages = relation_messages(counts, table)
-    for layer in params.dregcn_layers:
+    messages = None
+    if table is not None:
+        counts = relation_counts(a, graph.relation_indicator, table.shape[0])
+        messages = relation_messages(counts, table)
+    h = x0
+    for layer in params.graph_layers:
         h = dregcn_layer_forward(h, a, messages, layer)
-    if cfg.mode == "dregcn":
+    if not cfg.uses_cnn:
         return h
     c = cnn_encoder_forward(x0, params.cnn_layers, pad_mask)
     return linear(concat(h, c), params.combine_weight, params.combine_bias)

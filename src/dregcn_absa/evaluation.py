@@ -83,18 +83,6 @@ def decode_spans(tags: Sequence[str]) -> List[Span]:
     return spans
 
 
-def encode_spans(spans: Sequence[Span], n: int) -> List[str]:
-    """Inverse of decode_spans for non-overlapping span sets."""
-    tags = ["O"] * n
-    for span in spans:
-        begin = "BA" if span.kind == "aspect" else "BP"
-        inside = "IA" if span.kind == "aspect" else "IP"
-        tags[span.start] = begin
-        for i in range(span.start + 1, span.end):
-            tags[i] = inside
-    return tags
-
-
 def extract_pairs(ae_tags: Sequence[str], as_tags: Sequence[str]) -> List[TermPolarityPair]:
     """One pair per decoded aspect span; polarity taken from the span's first
     token even when interior tokens disagree."""

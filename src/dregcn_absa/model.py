@@ -119,14 +119,13 @@ class Model:
             "enc/in_w": self.encoder_params.input_proj_weight,
             "enc/in_b": self.encoder_params.input_proj_bias,
         }
-        for i, layer in enumerate(self.encoder_params.gcn_layers):
-            params[f"enc/gcn{i}_w"] = layer.weight
-            params[f"enc/gcn{i}_b"] = layer.bias
-        if self.encoder_params.relation_table is not None:
-            params["enc/relations"] = self.encoder_params.relation_table.table
-        for i, layer in enumerate(self.encoder_params.dregcn_layers):
-            params[f"enc/dregcn{i}_w"] = layer.weight
-            params[f"enc/dregcn{i}_b"] = layer.bias
+        table = self.encoder_params.relation_table
+        if table is not None:
+            params["enc/relations"] = table
+        kind = "gcn" if table is None else "dregcn"  # vanilla_gcn keeps its enc/gcn{i} names
+        for i, layer in enumerate(self.encoder_params.graph_layers):
+            params[f"enc/{kind}{i}_w"] = layer.weight
+            params[f"enc/{kind}{i}_b"] = layer.bias
         for i, layer in enumerate(self.encoder_params.cnn_layers):
             for j, (w, b) in enumerate(zip(layer.conv_weights, layer.conv_biases)):
                 params[f"enc/cnn{i}_conv{j}_w"] = w
@@ -159,9 +158,6 @@ class Model:
         if self.cfg.freeze_embeddings:
             params = {k: v for k, v in params.items() if not k.startswith("emb/")}
         return params
-
-    def as_head_parameters(self) -> Dict[str, Tensor]:
-        return {k: v for k, v in self.parameters().items() if k.startswith("as/")}
 
     def snapshot(self) -> Dict[str, np.ndarray]:
         return {k: v.data.copy() for k, v in self.parameters().items()}

@@ -1,9 +1,10 @@
 """Independent brute-force re-implementations used to cross-check the
-package's evaluation code, its DreGCN layer, its fused ops and its bucketed
-forward. Spans are found by enumerating every interval and testing it for
-maximality, not by scanning runs; the relation indicator is a dense
-(n, n, |N|) tensor filled by a plain double loop over the heads, not the
-package's typed arcs. So the two implementations share no logic.
+package's evaluation code, its graph layer (DreGCN, and the vanilla GCN it
+reduces to), its fused ops and its bucketed forward. Spans are found by
+enumerating every interval and testing it for maximality, not by scanning
+runs; the relation indicator is a dense (n, n, |N|) tensor filled by a plain
+double loop over the heads, not the package's typed arcs. So the two
+implementations share no logic.
 
 The model is re-composed one sentence at a time from small taped ops (a
 per-offset `conv1d`, `transpose`, `reshape`, `slice_last`, `sum_axis`,
@@ -61,6 +62,18 @@ def enumerate_pairs(ae_tags, as_tags):
         for (s, e, kind) in enumerate_spans(ae_tags)
         if kind == "aspect"
     }
+
+
+def encode_spans(spans, n):
+    """Inverse of decode_spans for non-overlapping span sets."""
+    tags = ["O"] * n
+    for span in spans:
+        begin = "BA" if span.kind == "aspect" else "BP"
+        inside = "IA" if span.kind == "aspect" else "IP"
+        tags[span.start] = begin
+        for i in range(span.start + 1, span.end):
+            tags[i] = inside
+    return tags
 
 
 def f1(tp, fp, fn):
@@ -199,6 +212,11 @@ def dregcn_double_sum(h, a, q, weight, bias, table):
                 if a[i, j] != 0 and q[i, j, k] != 0:
                     pre[i] += a[i, j] * q[i, j, k] * (weight @ np.concatenate([h[j], table[k]]))
     return np.maximum(pre + bias, 0.0)
+
+
+def gcn_reference(h, a, weight, bias):
+    """The vanilla GCN update ReLU(A H W^T + b) in plain NumPy."""
+    return np.maximum(0, a @ h @ weight.T + bias)
 
 
 # ---------------------------------------------------------------------------
@@ -341,14 +359,14 @@ def _sentence_encoder(model, s, emb):
         a = a * inv_sqrt[:, None] * inv_sqrt[None, :]
     h = x0
     if cfg.mode == "vanilla_gcn":
-        for layer in params.gcn_layers:
+        for layer in params.graph_layers:
             h = relu(add(matmul(a, linear(h, layer.weight)), layer.bias))
         return h
-    table = params.relation_table.table
+    table = params.relation_table
     d, m = x0.shape[1], table.shape[1]
     q = dense_relations(s, model.relation_vocab, model.cfg.distinct_reverse_types)
     counts = np.einsum("ij,ijk->ik", a, q)
-    for layer in params.dregcn_layers:
+    for layer in params.graph_layers:
         pre = matmul(a, linear(h, slice_last(layer.weight, 0, d)))
         if m:
             rel = linear(matmul(counts, table), slice_last(layer.weight, d, d + m))

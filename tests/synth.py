@@ -6,7 +6,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .corpus import AS_NONE, Sentence
+from dregcn_absa.corpus import AS_NONE, Sentence
 
 # word -> (ae_tag, as_tag) roles for the overfit corpus
 _ASPECT_POS = ("screen", "battery", "keyboard")
@@ -93,7 +93,7 @@ def majority_baseline_tags(train: List[Sentence], n: int) -> Tuple[List[str], Li
     import itertools
     from collections import Counter
 
-    from .evaluation import corpus_metrics
+    from dregcn_absa.evaluation import corpus_metrics
 
     per_pos: List[List[Tuple[str, str]]] = []
     freq_choice: List[Tuple[str, str]] = []

@@ -89,7 +89,7 @@ def test_usage_errors_exit_1(tmp_path, workspace):
         assert not out.exists(), setting
 
 
-def test_data_errors_exit_2(tmp_path, workspace):
+def test_data_errors_exit_2(tmp_path, workspace, fixtures_dir):
     _, _, config = workspace
     malformed = tmp_path / "broken.corpus"
     malformed.write_text("word O none\n")  # 3 columns instead of 5
@@ -100,6 +100,15 @@ def test_data_errors_exit_2(tmp_path, workspace):
     garbage = tmp_path / "garbage.npz"
     garbage.write_bytes(b"nope")
     assert cli.main(["evaluate", "--checkpoint", str(garbage), "--corpus", str(malformed)]) == 2
+    # 2 sentences: dev_ratio 0.2 leaves no dev sentence, 0.9 no train sentence
+    two = tmp_path / "two.corpus"
+    two.write_text("\n\n".join((fixtures_dir / "tiny.corpus").read_text().split("\n\n")[:2]))
+    for ratio in ("0.2", "0.9"):
+        split_conf = tmp_path / "split.conf"
+        split_conf.write_text(SMALL_CONFIG + f"dev_ratio = {ratio}\n")
+        code, out = run_train(tmp_path, str(two), str(split_conf))
+        assert code == 2, ratio
+        assert not (out / "manifest.json").exists(), ratio
 
 
 def rewrite_checkpoint(src, dst, edit):

@@ -256,6 +256,13 @@ def test_split_rejects_bad_inputs(tiny_corpus):
         split_train_dev(tiny_corpus, 1.5)
     with pytest.raises(SplitError):
         split_train_dev(tiny_corpus[:1], 0.2)
+    with pytest.raises(SplitError):
+        split_train_dev([], 0.5)
+    # a side left empty is named with both sizes
+    with pytest.raises(SplitError, match="leaves 2 train and 0 dev"):
+        split_train_dev(tiny_corpus[:2], 0.2)
+    with pytest.raises(SplitError, match="leaves 0 train and 2 dev"):
+        split_train_dev(tiny_corpus[:2], 0.9)
 
 
 def test_corpus_stats(tiny_corpus):

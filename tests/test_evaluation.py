@@ -8,11 +8,10 @@ from dregcn_absa.evaluation import (
     TermPolarityPair,
     corpus_metrics,
     decode_spans,
-    encode_spans,
     extract_pairs,
 )
 
-from oracles import brute_force_metrics, enumerate_spans, random_metric_corpus
+from oracles import brute_force_metrics, encode_spans, enumerate_spans, random_metric_corpus
 
 
 # ---------------------------------------------------------------------------

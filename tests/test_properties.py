@@ -21,12 +21,12 @@ from dregcn_absa.corpus import (
     serialize_corpus,
 )
 from dregcn_absa.encoder import MODES, EncoderConfig, normalize_adjacency, relation_counts
-from dregcn_absa.evaluation import Span, decode_spans, encode_spans
+from dregcn_absa.evaluation import Span, decode_spans
 from dregcn_absa.heads import MP_VARIANTS, MessagePassingConfig
 from dregcn_absa.model import Model, ModelConfig
 from dregcn_absa.training import batch_loss
 
-from oracles import dense_relations, per_sentence_batch_loss
+from oracles import dense_relations, encode_spans, per_sentence_batch_loss
 
 DEPRELS = ("root", "nsubj", "det", "amod", "dobj", "advmod", "cop")
 WORDS = st.text(
