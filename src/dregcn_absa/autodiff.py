@@ -122,12 +122,19 @@ def _softmax(sv: np.ndarray, mask: Optional[np.ndarray]) -> np.ndarray:
     if mask is None:
         e = np.exp(sv - sv.max(axis=-1, keepdims=True))
         return e / e.sum(axis=-1, keepdims=True)
-    shifted = np.where(mask, sv, -np.inf)
-    mx = shifted.max(axis=-1, keepdims=True)
-    mx = np.where(np.isfinite(mx), mx, 0.0)
-    e = np.exp(shifted - mx)
+    e = np.where(mask, sv, -np.inf)
+    mx = e.max(axis=-1, keepdims=True)
+    empty = mx == -np.inf  # rows with no candidate
+    any_empty = empty.any()
+    if any_empty:
+        mx[empty] = 0.0  # such a row exponentiates to all 0 ...
+    e -= mx
+    np.exp(e, out=e)
     z = e.sum(axis=-1, keepdims=True)
-    return np.divide(e, z, out=np.zeros_like(e), where=z > 0)
+    if any_empty:
+        z[empty] = 1.0  # ... and stays 0 after the division
+    e /= z
+    return e
 
 
 def _softmax_grad(p: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -370,11 +377,11 @@ def conv_branches(
         kernel[k0 : k0 + w.shape[0], :, lo:hi] = w
     kernel = kernel.reshape(span * d, -1)
     pre = _windows(xp, n, span).reshape(-1, span * d) @ kernel + np.concatenate(bvs)
-    pos = pre > 0
-    out = Tensor(np.where(pos, pre, 0.0).reshape(xv.shape[:-1] + (blocks[-1],)))
+    y = np.maximum(0.0, pre, out=pre)
+    out = Tensor(y.reshape(xv.shape[:-1] + (blocks[-1],)))
 
     def bwd(g):
-        g2 = g.reshape(-1, blocks[-1]) * pos
+        g2 = g.reshape(-1, blocks[-1]) * (y > 0)
         gk = (_windows(xp, n, span).reshape(-1, span * d).T @ g2).reshape(span, d, -1)
         gb = g2.sum(axis=0)
         for w, b, wv, lo, hi in zip(weights, biases, wvs, blocks[:-1], blocks[1:]):

@@ -46,6 +46,7 @@ from .corpus import (
     parse_corpus_file,
     random_embedding_table,
     serialize_corpus,
+    split_train_dev,
 )
 from .encoder import (
     EncoderConfig,
@@ -277,6 +278,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     if getattr(args, "test_corpus", None):
         digests["test_corpus"] = _digest(args.test_corpus)
 
+    if dev_set is None:
+        # a split that leaves either side empty exits 2 before `--out` is made
+        split_train_dev(corpus, train_cfg.dev_ratio, train_cfg.seed)
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     started = time.time()

@@ -11,8 +11,8 @@ literal `ROOT`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -99,7 +99,27 @@ class Sentence:
 
 @dataclass
 class RelationVocab:
+    """Relation type names to row ids of the relation table.
+
+    The name -> id tables behind `indices` are built with the vocabulary:
+    the forward table is `index` itself, the reverse table holds every name
+    whose reverse type (`rev:` + name) is in the vocabulary. A name missing from a
+    table reads `<unk>` (forward) or `rev:<unk>` (reverse) when present.
+    """
+
     index: Dict[str, int]
+    _tables: tuple = field(init=False, repr=False, compare=False)  # (forward, reverse)
+
+    def __post_init__(self):
+        reverse = {
+            name[len(REVERSE_PREFIX) :]: k
+            for name, k in self.index.items()
+            if name.startswith(REVERSE_PREFIX)
+        }
+        self._tables = (
+            (self.index, self.index.get(UNK_RELATION)),
+            (reverse, self.index.get(REVERSE_PREFIX + UNK_RELATION)),
+        )
 
     @classmethod
     def from_corpus(
@@ -123,42 +143,32 @@ class RelationVocab:
     def size(self) -> int:
         return len(self.index)
 
+    def indices(self, names: Sequence[str], reverse: bool = False) -> List[int]:
+        """The type id of each name, or of its reverse type."""
+        table, unknown = self._tables[reverse]
+        ids = [table.get(name, unknown) for name in names]
+        if None in ids:
+            key = names[ids.index(None)]
+            key = REVERSE_PREFIX + key if reverse else key
+            raise VocabularyError(f"unknown relation type {key!r} and no OOV bucket")
+        return ids
+
     def index_of(self, name: str, reverse: bool = False) -> int:
-        key = REVERSE_PREFIX + name if reverse else name
-        if key in self.index:
-            return self.index[key]
-        fallback = REVERSE_PREFIX + UNK_RELATION if reverse else UNK_RELATION
-        if fallback in self.index:
-            return self.index[fallback]
-        if not reverse and UNK_RELATION in self.index:
-            return self.index[UNK_RELATION]
-        raise VocabularyError(f"unknown relation type {key!r} and no OOV bucket")
+        return self.indices([name], reverse)[0]
 
 
 @dataclass
 class DepGraph:
-    adjacency: np.ndarray  # (n, n) binary, symmetric, unit diagonal
-    relation_indicator: np.ndarray  # (3n - 2, 3) intp, one (i, j, k) row per Q_ijk = 1
+    adjacency: np.ndarray  # (n, n), or (B, n, n) for a bucket: binary, symmetric, unit diagonal
+    relation_indicator: np.ndarray  # intp, one (i, j, k) row per Q_ijk = 1, or (b, i, j, k)
 
     @property
     def n(self) -> int:
         return self.adjacency.shape[-1]
 
 
-def stack_graphs(graphs: Sequence[DepGraph], n: int) -> DepGraph:
-    """The graphs of a length bucket as one DepGraph: adjacency (B, n, n),
-    zero on every padded row and column, and graph b's arcs as rows
-    (b, i, j, k)."""
-    a = np.zeros((len(graphs), n, n))
-    for b, g in enumerate(graphs):
-        a[b, : g.n, : g.n] = g.adjacency
-    arcs = [g.relation_indicator for g in graphs]
-    owner = np.repeat(np.arange(len(arcs)), [len(r) for r in arcs])
-    return DepGraph(a, np.concatenate((owner[:, None], np.concatenate(arcs)), axis=1))
-
-
 def build_dependency_graph(
-    s: Sentence,
+    batch: Union[Sentence, Sequence[Sentence]],
     rv: RelationVocab,
     distinct_reverse_types: bool = False,
 ) -> DepGraph:
@@ -169,19 +179,32 @@ def build_dependency_graph(
     directions (head -> dependent typed by its deprel, the mirror by the same
     type or its reverse). A validated sentence is a tree, so every adjacency
     edge carries exactly one type per direction.
+
+    A length bucket gives one graph for all of its sentences, built in one
+    pass: adjacency (B, n, n) padded to the longest sentence, zero on every
+    padded row and column, and sentence b's arcs as rows (b, i, j, k). A
+    lone sentence gives (n, n) and rows (i, j, k).
     """
-    n = s.n
-    self_k = rv.index[SELF_RELATION]
-    rows = [(i, i, self_k) for i in range(n)]
-    for i, (h, rel) in enumerate(zip(s.heads, s.deprels)):
-        if h is None:
-            continue
-        k_fwd = rv.index_of(rel)
-        k_rev = rv.index_of(rel, reverse=True) if distinct_reverse_types else k_fwd
-        rows += [(h, i, k_fwd), (i, h, k_rev)]
-    arcs = np.array(rows, dtype=np.intp)
-    a = np.zeros((n, n))
-    a[arcs[:, 0], arcs[:, 1]] = 1.0
+    bucket = [batch] if isinstance(batch, Sentence) else list(batch)
+    lengths = np.array([s.n for s in bucket])
+    real = np.arange(lengths.max()) < lengths[:, None]
+    b, i = np.nonzero(real)  # every token, in bucket then token order
+    loops = np.array((b, i, i, np.full_like(i, rv.index[SELF_RELATION]))).T
+    heads = np.array([-1 if head is None else head for s in bucket for head in s.heads])
+    dependent = heads >= 0
+    b, i, h = b[dependent], i[dependent], heads[dependent]
+    rels = [r for s in bucket for head, r in zip(s.heads, s.deprels) if head is not None]
+    k_fwd = k_rev = rv.indices(rels)
+    if distinct_reverse_types:
+        k_rev = rv.indices(rels, reverse=True)
+    pairs = np.array((b, h, i, k_fwd, b, i, h, k_rev), dtype=np.intp).T.reshape(-1, 4)
+    # every loop, then both directions of every arc: the arcs of each
+    # (b, i, k) cell keep the order of the sentence's own graph
+    arcs = np.concatenate((loops, pairs))
+    a = np.zeros(real.shape + real.shape[-1:])
+    a[arcs[:, 0], arcs[:, 1], arcs[:, 2]] = 1.0
+    if isinstance(batch, Sentence):
+        return DepGraph(a[0], arcs[:, 1:])
     return DepGraph(a, arcs)
 
 

@@ -146,14 +146,26 @@ class AttentionConstants(NamedTuple):
     mask: np.ndarray  # broadcastable to (..., n, n): True where j is a candidate for i
 
 
+# The distance factors and the off-diagonal mask of the longest n asked for
+# so far, read-only; a shorter n reads their top-left corner.
+_LENGTH_TABLES = (distance_factors(0), np.ones((0, 0), dtype=bool))
+
+
 def attention_constants(n: int, pad_mask: Optional[np.ndarray] = None) -> AttentionConstants:
     """The distance factors over n tokens and the candidate mask, which
-    excludes the diagonal and, given `pad_mask` (B, n), padded positions."""
-    mask = ~np.eye(n, dtype=bool)
+    excludes the diagonal and, given `pad_mask` (B, n), padded positions.
+    Both are views of the tables every forward shares; `distance_factors`
+    runs only when n is longer than any before it."""
+    global _LENGTH_TABLES
+    if _LENGTH_TABLES[0].shape[0] < n:
+        _LENGTH_TABLES = (distance_factors(n), ~np.eye(n, dtype=bool))
+        for table in _LENGTH_TABLES:
+            table.flags.writeable = False
+    factors, mask = (table[:n, :n] for table in _LENGTH_TABLES)
     if pad_mask is not None:
         real = np.asarray(pad_mask, dtype=bool)
         mask = mask & real[..., None, :] & real[..., :, None]
-    return AttentionConstants(distance_factors(n), mask)
+    return AttentionConstants(factors, mask)
 
 
 def opinion_attention(

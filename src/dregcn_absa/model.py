@@ -19,7 +19,6 @@ from .corpus import (
     Sentence,
     build_dependency_graph,
     embed_tokens,
-    stack_graphs,
 )
 from .encoder import EncoderConfig, EncoderParams, encode_shared, init_encoder_params
 from .heads import (
@@ -205,12 +204,8 @@ class Model:
             emb = mul(emb, keep)
         graph = None
         if self.cfg.encoder.uses_graph:
-            graph = stack_graphs(
-                [
-                    build_dependency_graph(s, self.relation_vocab, self.cfg.distinct_reverse_types)
-                    for s in bucket
-                ],
-                n,
+            graph = build_dependency_graph(
+                bucket, self.relation_vocab, self.cfg.distinct_reverse_types
             )
         hs0 = encode_shared(emb, graph, self.cfg.encoder, self.encoder_params, pad_mask)
         return forward_rounds(

@@ -4,7 +4,9 @@ reduces to), its fused ops and its bucketed forward. Spans are found by
 enumerating every interval and testing it for maximality, not by scanning
 runs; the relation indicator is a dense (n, n, |N|) tensor filled by a plain
 double loop over the heads, not the package's typed arcs. So the two
-implementations share no logic.
+implementations share no logic. Graphs are built one sentence at a time by
+a loop over the tokens, and stacked into a bucket's graph afterwards;
+relation types are looked up by walking the fallback chain per name.
 
 The model is re-composed one sentence at a time from small taped ops (a
 per-offset `conv1d`, `transpose`, `reshape`, `slice_last`, `sum_axis`,
@@ -200,6 +202,53 @@ def dense_relations(sentence, rv, distinct_reverse_types=False):
             elif sentence.heads[i] == j:
                 q[i, j, rv.index_of(sentence.deprels[i], reverse=distinct_reverse_types)] = 1.0
     return q
+
+
+def sentence_graph(sentence, rv, distinct_reverse_types=False):
+    """One sentence's graph by a loop over its tokens: the SELF loops, then
+    each dependency arc head -> dependent and back, in token order."""
+    from dregcn_absa.corpus import DepGraph
+
+    rows = [(i, i, rv.index["<self>"]) for i in range(sentence.n)]
+    for i, (h, rel) in enumerate(zip(sentence.heads, sentence.deprels)):
+        if h is not None:
+            k_fwd = index_of_reference(rv.index, rel)
+            k_rev = index_of_reference(rv.index, rel, reverse=distinct_reverse_types)
+            rows += [(h, i, k_fwd), (i, h, k_rev)]
+    arcs = np.array(rows, dtype=np.intp)
+    a = np.zeros((sentence.n, sentence.n))
+    a[arcs[:, 0], arcs[:, 1]] = 1.0
+    return DepGraph(a, arcs)
+
+
+def stack_graphs(graphs, n):
+    """Per-sentence graphs as one bucket graph: adjacency (B, n, n), zero on
+    every padded row and column, and graph b's arcs as rows (b, i, j, k)."""
+    from dregcn_absa.corpus import DepGraph
+
+    a = np.zeros((len(graphs), n, n))
+    for b, g in enumerate(graphs):
+        a[b, : g.n, : g.n] = g.adjacency
+    arcs = [g.relation_indicator for g in graphs]
+    owner = np.repeat(np.arange(len(arcs)), [len(r) for r in arcs])
+    return DepGraph(a, np.concatenate((owner[:, None], np.concatenate(arcs)), axis=1))
+
+
+def index_of_reference(index, name, reverse=False):
+    """The type id of a relation name (or of its reverse) by the fallback
+    chain, walked per lookup: the name itself, then the OOV bucket of its
+    direction, then, looking forward, `<unk>`."""
+    from dregcn_absa.corpus import VocabularyError
+
+    key = "rev:" + name if reverse else name
+    if key in index:
+        return index[key]
+    fallback = "rev:<unk>" if reverse else "<unk>"
+    if fallback in index:
+        return index[fallback]
+    if not reverse and "<unk>" in index:
+        return index["<unk>"]
+    raise VocabularyError(f"unknown relation type {key!r} and no OOV bucket")
 
 
 def dregcn_double_sum(h, a, q, weight, bias, table):

@@ -313,3 +313,47 @@ def test_conv_branches_bucket_matches_each_sentence_alone():
         g_w = [acc + g for acc, g in zip(g_w, g_ref[1:])]
     for a, b in zip(grads[1:], g_w):
         assert np.abs(a - b).max() <= 1e-12
+
+
+def test_conv_branches_is_bit_identical_to_unfused_oracle_on_exact_input():
+    """Small integers keep every product and sum exact, so the fused op and
+    the per-sentence composition must agree bit for bit, ReLU zeros
+    included, whatever order either sums in."""
+    rng = np.random.default_rng(7)
+
+    def ints(*shape):
+        return Tensor(rng.integers(-3, 4, size=shape).astype(np.float64))
+
+    weights = [ints(w, 4, 3) for w in (3, 5)]
+    biases = [ints(3) for _ in weights]
+    lengths = [1, 2, 6, 4]
+    n = max(lengths)
+    pad = np.arange(n) < np.array(lengths)[:, None]
+    xb = ints(len(lengths), n, 4)
+    probe = rng.integers(-3, 4, size=(len(lengths), n, 6)) * pad[..., None]
+    out, grads = _value_and_grads(
+        lambda: ad.conv_branches(xb, weights, biases, pad), [xb, *weights, *biases], probe
+    )
+    assert (out == 0).any() and (out > 0).any()
+    g_w = [np.zeros_like(g) for g in grads[1:]]
+    for b, k in enumerate(lengths):
+        x = Tensor(xb.data[b, :k])
+        ref, g_ref = _value_and_grads(
+            lambda: oracles.conv_branches_unfused(x, weights, biases),
+            [x, *weights, *biases],
+            probe[b, :k],
+        )
+        np.testing.assert_array_equal(out[b, :k], ref)
+        np.testing.assert_array_equal(grads[0][b, :k], g_ref[0])
+        g_w = [acc + g for acc, g in zip(g_w, g_ref[1:])]
+    for a, b in zip(grads[1:], g_w):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_conv_branches_passes_a_nan_pre_activation_on_like_relu():
+    weights, biases = _conv_params((3, 5), 4, 3)
+    biases[0].data[0] = np.nan  # column 0 of every row is NaN before the ReLU
+    out = ad.conv_branches(t(2, 5, 4), weights, biases).data
+    assert np.isnan(out[..., 0]).all()
+    assert np.isfinite(out[..., 1:]).all()
+    assert np.isnan(ad.relu(Tensor([np.nan])).data).all()

@@ -109,6 +109,7 @@ def test_data_errors_exit_2(tmp_path, workspace, fixtures_dir):
         code, out = run_train(tmp_path, str(two), str(split_conf))
         assert code == 2, ratio
         assert not (out / "manifest.json").exists(), ratio
+        assert not out.exists(), ratio
 
 
 def rewrite_checkpoint(src, dst, edit):

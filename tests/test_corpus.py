@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,8 @@ from dregcn_absa.corpus import (
     serialize_corpus,
     split_train_dev,
 )
+
+import oracles
 
 
 def simple_sentence():
@@ -120,6 +124,49 @@ def test_relation_vocab_oov_and_reverse():
     rv3 = RelationVocab.from_corpus([simple_sentence()], include_unknown=False)
     with pytest.raises(VocabularyError):
         rv3.index_of("nomatch")
+
+
+def _vocabularies():
+    s = simple_sentence()
+    for distinct in (False, True):
+        for unknown in (False, True):
+            yield RelationVocab.from_corpus([s], distinct, include_unknown=unknown)
+    # index maps a checkpoint may hold: a reverse OOV bucket alone, a
+    # doubly prefixed name, a forward OOV bucket without reverse types
+    yield RelationVocab({SELF_RELATION: 0, "det": 1, REVERSE_PREFIX + UNK_RELATION: 2})
+    yield RelationVocab({SELF_RELATION: 0, "rev:rev:det": 1, "rev:det": 2, UNK_RELATION: 3})
+    yield RelationVocab({SELF_RELATION: 0, UNK_RELATION: 1, "det": 2})
+
+
+@pytest.mark.parametrize("rv", list(_vocabularies()), ids=lambda rv: ",".join(rv.index))
+def test_relation_tables_answer_as_the_fallback_chain(rv):
+    names = set(rv.index) | {k[len(REVERSE_PREFIX):] for k in rv.index if k.startswith(REVERSE_PREFIX)}
+    names |= {"nomatch", REVERSE_PREFIX + "nomatch", "", UNK_RELATION, REVERSE_PREFIX + UNK_RELATION}
+    for reverse in (False, True):
+        for name in sorted(names):
+            try:
+                expected = oracles.index_of_reference(rv.index, name, reverse)
+            except VocabularyError as exc:
+                with pytest.raises(VocabularyError, match=re.escape(str(exc))):
+                    rv.index_of(name, reverse)
+                continue
+            assert rv.index_of(name, reverse) == expected, (name, reverse)
+            assert rv.indices([name, name], reverse) == [expected, expected]
+
+
+def test_vocabulary_without_unknown_rejects_an_unknown_deprel():
+    s = simple_sentence()
+    rv = RelationVocab.from_corpus([s], include_unknown=False)
+    odd = Sentence(s.tokens, s.ae_tags, s.as_tags, s.heads, ("det", "nomatch", "cop", "root"))
+    with pytest.raises(VocabularyError, match="'nomatch'"):
+        rv.indices(odd.deprels)
+    with pytest.raises(VocabularyError, match="'nomatch'"):
+        build_dependency_graph(odd, rv)
+    with pytest.raises(VocabularyError, match="'nomatch'"):
+        build_dependency_graph([s, odd], rv)
+    # the root's deprel labels no arc, so it is never looked up
+    rootless = Sentence(s.tokens, s.ae_tags, s.as_tags, s.heads, ("det", "nsubj", "cop", "nomatch"))
+    assert len(build_dependency_graph(rootless, rv).relation_indicator) == 3 * 4 - 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dregcn_absa import heads
 from dregcn_absa.autodiff import Tape, Tensor, backward, mul, sum_all
 from dregcn_absa.heads import (
     MessagePassingConfig,
@@ -43,6 +44,22 @@ def test_distance_factors_values():
     assert fac[5, 2] == fac[2, 5]
     assert (np.diag(fac) == 0).all()
     assert fac[0, 1] == 1.0
+
+
+def test_attention_tables_are_read_only_views_of_one_table(monkeypatch):
+    longest = heads._LENGTH_TABLES[0].shape[0]
+    calls = []
+    monkeypatch.setattr(heads, "distance_factors", lambda n: calls.append(n) or distance_factors(n))
+    grown = attention_constants(longest + 3)  # grows the table once, to the new longest n
+    for n in (1, longest + 3, 2, longest + 1):
+        constants = attention_constants(n)
+        np.testing.assert_array_equal(constants.factors, distance_factors(n))
+        np.testing.assert_array_equal(constants.mask, ~np.eye(n, dtype=bool))
+        assert not constants.factors.flags.writeable and not constants.mask.flags.writeable
+        assert np.shares_memory(constants.factors, grown.factors)
+    assert calls == [longest + 3]
+    padded = attention_constants(4, np.array([[True, True, False, False]]))
+    assert padded.mask.shape == (1, 4, 4) and padded.mask[0, :2, :2].sum() == 2
 
 
 def test_ae_head_distribution():

@@ -26,7 +26,13 @@ from dregcn_absa.heads import MP_VARIANTS, MessagePassingConfig
 from dregcn_absa.model import Model, ModelConfig
 from dregcn_absa.training import batch_loss
 
-from oracles import dense_relations, encode_spans, per_sentence_batch_loss
+from oracles import (
+    dense_relations,
+    encode_spans,
+    per_sentence_batch_loss,
+    sentence_graph,
+    stack_graphs,
+)
 
 DEPRELS = ("root", "nsubj", "det", "amod", "dobj", "advmod", "cop")
 WORDS = st.text(
@@ -92,6 +98,43 @@ def test_relation_counts_equal_dense_contraction(s, distinct, normalize):
         np.testing.assert_allclose(counts, np.einsum("ij,ijk->ik", a, q), rtol=1e-13, atol=0)
     else:
         np.testing.assert_array_equal(counts, np.einsum("ij,ijk->ik", a, q))
+
+
+@given(
+    st.lists(sentences(small_lengths=True), min_size=1, max_size=6),
+    st.integers(0, 6),
+    st.booleans(),
+    st.booleans(),
+)
+def test_bucket_graph_equals_stacked_sentence_graphs(bucket, known, distinct, normalize):
+    """A lone sentence's graph equals the one a per-token loop builds, arc
+    for arc; a bucket's graph holds the same arcs as those graphs stacked,
+    in the same order within each relation-count cell, so the counts are
+    bit-identical. The vocabulary knows the deprels of the first `known`
+    sentences only, so the others read the OOV buckets."""
+    rv = RelationVocab.from_corpus(bucket[:known], distinct_reverse_types=distinct)
+    n = max(s.n for s in bucket)
+    alone = [sentence_graph(s, rv, distinct) for s in bucket]
+    for s, one in zip(bucket, alone):
+        lone = build_dependency_graph(s, rv, distinct)
+        np.testing.assert_array_equal(lone.adjacency, one.adjacency)
+        np.testing.assert_array_equal(lone.relation_indicator, one.relation_indicator)
+    g = build_dependency_graph(bucket, rv, distinct)
+    ref = stack_graphs(alone, n)
+    np.testing.assert_array_equal(g.adjacency, ref.adjacency)
+    # the same arcs, and the same order within each (b, i, k) cell: a
+    # stable sort by cell gives the same rows
+    arcs, ref_arcs = g.relation_indicator, ref.relation_indicator
+    np.testing.assert_array_equal(
+        arcs[np.lexsort(arcs[:, [3, 1, 0]].T)], ref_arcs[np.lexsort(ref_arcs[:, [3, 1, 0]].T)]
+    )
+    assert g.relation_indicator.dtype == np.intp
+    norm = normalize_adjacency if normalize else (lambda a: a)
+    counts = relation_counts(norm(g.adjacency), g.relation_indicator, rv.size)
+    expected = np.zeros_like(counts)
+    for b, (s, one) in enumerate(zip(bucket, alone)):
+        expected[b, : s.n] = relation_counts(norm(one.adjacency), one.relation_indicator, rv.size)
+    np.testing.assert_array_equal(counts, expected)
 
 
 @given(st.lists(sentences(max_n=8, words=WORDS), min_size=1, max_size=4))
