@@ -14,8 +14,9 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
@@ -79,32 +80,6 @@ class UsageError(ValueError):
 
 class VerificationFailure(RuntimeError):
     pass
-
-
-CONFIG_DEFAULTS: Dict[str, object] = {
-    "mode": "dregcn_plus_cnn",
-    "mp_variant": "representations",
-    "rounds": 2,
-    "d": 32,
-    "m": 16,
-    "d_t": 16,
-    "gcn_layers": 2,
-    "cnn_layers": 2,
-    "learning_rate": 0.0005,
-    "batch_size": 50,
-    "epochs": 100,
-    "seed": 0,
-    "runs": 5,
-    "dev_ratio": 0.2,
-    "dropout": 0.5,
-    "opinion_passing": True,
-    "normalize_adjacency": False,
-    "distinct_reverse_types": False,
-    "freeze_embeddings": False,
-    "pass_pre_attention_as": False,
-    "general_dim": 16,
-    "domain_dim": 8,
-}
 
 
 def _parse_value(raw: str) -> object:
@@ -179,36 +154,50 @@ def _boolean(cfg: Dict[str, object], key: str) -> bool:
     return value
 
 
+# Each config key is a scalar field of one of these dataclasses, with that
+# field's default and type; `MessagePassingConfig.variant` is `mp_variant`.
+# Tuple fields such as `kernel_widths` are not keys.
+_CONFIG_CLASSES = (TrainConfig, EncoderConfig, MessagePassingConfig, ModelConfig)
+_RENAMED = {"variant": "mp_variant"}
+_READ: Dict[type, Callable[[Dict[str, object], str], object]] = {
+    int: _integer,
+    bool: _boolean,
+    float: lambda cfg, key: float(cfg[key]),
+    str: lambda cfg, key: str(cfg[key]),
+}
+
+
+def _keys(cls: type) -> Dict[str, Tuple[str, type, object]]:
+    """Config key -> (field name, type, default) of each scalar field of cls."""
+    types = get_type_hints(cls)
+    return {
+        _RENAMED.get(f.name, f.name): (f.name, types[f.name], f.default)
+        for f in fields(cls)
+        if types[f.name] in _READ
+    }
+
+
+# the widths of the two embedding tables, which no config dataclass holds
+EMBEDDING_DIMS = {"general_dim": 16, "domain_dim": 8}
+CONFIG_DEFAULTS: Dict[str, object] = {
+    **{key: default for cls in _CONFIG_CLASSES for key, (_, _, default) in _keys(cls).items()},
+    **EMBEDDING_DIMS,
+}
+
+
+def _build(cls: type, cfg: Dict[str, object], **nested):
+    """cls from the config keys of its scalar fields, plus its nested configs."""
+    return cls(**nested, **{name: _READ[t](cfg, key) for key, (name, t, _) in _keys(cls).items()})
+
+
 def build_configs(cfg: Dict[str, object]) -> Tuple[TrainConfig, ModelConfig]:
     try:
-        widths = [_integer(cfg, key) for key in ("general_dim", "domain_dim")]
+        widths = [_integer(cfg, key) for key in EMBEDDING_DIMS]
         if min(widths) < 0 or sum(widths) == 0:
             raise ValueError("general_dim and domain_dim must be >= 0, and not both 0")
-        train_cfg = TrainConfig(
-            learning_rate=float(cfg["learning_rate"]),
-            batch_size=_integer(cfg, "batch_size"),
-            epochs=_integer(cfg, "epochs"),
-            seed=_integer(cfg, "seed"),
-            runs=_integer(cfg, "runs"),
-            dev_ratio=float(cfg["dev_ratio"]),
-        )
-        model_cfg = ModelConfig(
-            encoder=EncoderConfig(
-                mode=str(cfg["mode"]),
-                gcn_layers=_integer(cfg, "gcn_layers"),
-                cnn_layers=_integer(cfg, "cnn_layers"),
-                d=_integer(cfg, "d"),
-                m=_integer(cfg, "m"),
-                normalize_adjacency=_boolean(cfg, "normalize_adjacency"),
-            ),
-            mp=MessagePassingConfig(str(cfg["mp_variant"]), _integer(cfg, "rounds")),
-            d_t=_integer(cfg, "d_t"),
-            opinion_passing=_boolean(cfg, "opinion_passing"),
-            dropout=float(cfg["dropout"]),
-            freeze_embeddings=_boolean(cfg, "freeze_embeddings"),
-            pass_pre_attention_as=_boolean(cfg, "pass_pre_attention_as"),
-            distinct_reverse_types=_boolean(cfg, "distinct_reverse_types"),
-        )
+        train_cfg = _build(TrainConfig, cfg)
+        encoder, mp = _build(EncoderConfig, cfg), _build(MessagePassingConfig, cfg)
+        model_cfg = _build(ModelConfig, cfg, encoder=encoder, mp=mp)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     return train_cfg, model_cfg
@@ -301,20 +290,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         "seeds": report.seeds,
         "digests": digests,
         "checkpoints": checkpoints,
-        "per_run": [
-            {
-                "f1_a": r.f1_a, "f1_o": r.f1_o, "acc_s": r.acc_s,
-                "f1_s": r.f1_s, "f1_i": r.f1_i,
-            }
-            for r in report.per_run
-        ],
-        "averaged": {
-            "f1_a": report.averaged.f1_a,
-            "f1_o": report.averaged.f1_o,
-            "acc_s": report.averaged.acc_s,
-            "f1_s": report.averaged.f1_s,
-            "f1_i": report.averaged.f1_i,
-        },
+        "per_run": [r.scores() for r in report.per_run],
+        "averaged": report.averaged.scores(),
         "history_final_epoch": [r.history[-1] if r.history else None for r in report.results],
         "wall_clock_seconds": wall_clock,
     }
@@ -447,9 +424,9 @@ def gradcheck_suite(seed: int = 0) -> List[Tuple[str, float]]:
         (None, 0, 1, 2), ("r1", "r1", "r2", "r3"),
     )
     rv = RelationVocab.from_corpus([chain], include_unknown=False)  # <self>, r1, r2, r3
-    graph = build_dependency_graph(chain, rv)
-    adj = graph.adjacency
-    counts = relation_counts(adj, graph.relation_indicator, rv.size)
+    graph = build_dependency_graph([chain], rv)
+    adj = graph.adjacency[0]
+    counts = relation_counts(graph.adjacency, graph.relation_indicator, rv.size)[0]
     gcn = init_dregcn_layer(rng, d, 0)
     probe_g = np.random.default_rng(seed + 3).normal(size=(n, d))
 
@@ -564,8 +541,8 @@ def gradcheck_suite(seed: int = 0) -> List[Tuple[str, float]]:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    cfg = merged_config(args)
-    checks = gradcheck_suite(int(cfg["seed"]))
+    train_cfg, _ = build_configs(merged_config(args))
+    checks = gradcheck_suite(train_cfg.seed)
     failed = [(name, err) for name, err in checks if err >= GRADCHECK_THRESHOLD]
     for name, err in checks:
         status = "FAIL" if err >= GRADCHECK_THRESHOLD else "ok"

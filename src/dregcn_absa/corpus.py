@@ -12,7 +12,7 @@ literal `ROOT`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,6 +59,9 @@ class Sentence:
         for i, tag in enumerate(self.ae_tags):
             if tag not in AE_INDEX:
                 raise ValueError(f"token {i}: unknown AE tag {tag!r}")
+        for i, rel in enumerate(self.deprels):
+            if rel in (SELF_RELATION, UNK_RELATION) or rel.startswith(REVERSE_PREFIX):
+                raise ValueError(f"token {i}: deprel {rel!r} is a reserved relation name")
         for i, (ae, asx) in enumerate(zip(self.ae_tags, self.as_tags)):
             if ae in ("BA", "IA"):
                 if asx not in AS_INDEX:
@@ -99,7 +102,8 @@ class Sentence:
 
 @dataclass
 class RelationVocab:
-    """Relation type names to row ids of the relation table.
+    """Relation type names to row ids of the relation table: the ids are
+    exactly 0 .. size - 1, one name each.
 
     The name -> id tables behind `indices` are built with the vocabulary:
     the forward table is `index` itself, the reverse table holds every name
@@ -111,6 +115,13 @@ class RelationVocab:
     _tables: tuple = field(init=False, repr=False, compare=False)  # (forward, reverse)
 
     def __post_init__(self):
+        owner: Dict[int, str] = {}
+        for name, k in self.index.items():
+            if not 0 <= k < self.size:
+                raise ValueError(f"relation_vocab maps {name!r} outside its table's {self.size} rows")
+            if k in owner:
+                raise ValueError(f"relation_vocab maps {owner[k]!r} and {name!r} to one id, {k}")
+            owner[k] = name
         reverse = {
             name[len(REVERSE_PREFIX) :]: k
             for name, k in self.index.items()
@@ -153,39 +164,29 @@ class RelationVocab:
             raise VocabularyError(f"unknown relation type {key!r} and no OOV bucket")
         return ids
 
-    def index_of(self, name: str, reverse: bool = False) -> int:
-        return self.indices([name], reverse)[0]
-
 
 @dataclass
 class DepGraph:
-    adjacency: np.ndarray  # (n, n), or (B, n, n) for a bucket: binary, symmetric, unit diagonal
-    relation_indicator: np.ndarray  # intp, one (i, j, k) row per Q_ijk = 1, or (b, i, j, k)
+    """The graph of a bucket of B sentences padded to the longest, n."""
 
-    @property
-    def n(self) -> int:
-        return self.adjacency.shape[-1]
+    adjacency: np.ndarray  # (B, n, n): binary, symmetric, unit diagonal, zero when padded
+    relation_indicator: np.ndarray  # intp, one (b, i, j, k) row per Q_bijk = 1
 
 
 def build_dependency_graph(
-    batch: Union[Sentence, Sequence[Sentence]],
-    rv: RelationVocab,
-    distinct_reverse_types: bool = False,
+    bucket: Sequence[Sentence], rv: RelationVocab, distinct_reverse_types: bool = False
 ) -> DepGraph:
-    """Symmetric self-looped adjacency plus the typed arcs behind it.
+    """Symmetric self-looped adjacency plus the typed arcs behind it, for a
+    length bucket in one pass; a lone sentence is the bucket [s].
 
-    The arcs are the nonzeros of the relation indicator Q, one (i, j, k) row
-    per Q_ijk = 1: a SELF loop per token, then every dependency arc in both
-    directions (head -> dependent typed by its deprel, the mirror by the same
-    type or its reverse). A validated sentence is a tree, so every adjacency
-    edge carries exactly one type per direction.
-
-    A length bucket gives one graph for all of its sentences, built in one
-    pass: adjacency (B, n, n) padded to the longest sentence, zero on every
-    padded row and column, and sentence b's arcs as rows (b, i, j, k). A
-    lone sentence gives (n, n) and rows (i, j, k).
+    The arcs are the nonzeros of the relation indicator Q, one (b, i, j, k)
+    row per Q_bijk = 1: a SELF loop per token, then every dependency arc in
+    both directions (head -> dependent typed by its deprel, the mirror by
+    the same type or its reverse). A validated sentence is a tree, so every
+    adjacency edge carries exactly one type per direction. Adjacency is
+    (B, n, n), padded to the longest sentence and zero on every padded row
+    and column.
     """
-    bucket = [batch] if isinstance(batch, Sentence) else list(batch)
     lengths = np.array([s.n for s in bucket])
     real = np.arange(lengths.max()) < lengths[:, None]
     b, i = np.nonzero(real)  # every token, in bucket then token order
@@ -203,8 +204,6 @@ def build_dependency_graph(
     arcs = np.concatenate((loops, pairs))
     a = np.zeros(real.shape + real.shape[-1:])
     a[arcs[:, 0], arcs[:, 1], arcs[:, 2]] = 1.0
-    if isinstance(batch, Sentence):
-        return DepGraph(a[0], arcs[:, 1:])
     return DepGraph(a, arcs)
 
 
@@ -335,15 +334,15 @@ def embed_tokens(
     sentences: Sequence[Sentence],
     general: EmbeddingMatrix,
     domain: EmbeddingMatrix,
-    general_param: Optional[Tensor] = None,
-    domain_param: Optional[Tensor] = None,
+    general_param: Tensor,
+    domain_param: Tensor,
 ) -> Tensor:
     """(B, n, d_g + d_d) for a bucket of B sentences padded to the longest,
     n: row (b, i) = [general(w); domain(w)] for token i of sentence b.
     Unseen words and padded rows read the OOV rows.
 
-    When trainable parameter tensors backing the two tables are supplied the
-    lookup stays on the tape, so the embeddings fine-tune during training.
+    The rows are read from the parameter tensors that back the two tables,
+    so the lookup stays on the tape and the embeddings fine-tune.
     """
     n = max(s.n for s in sentences)
 
@@ -353,9 +352,7 @@ def embed_tokens(
             idx[b, : s.n] = table.indices(s.tokens)
         return idx
 
-    gp = general_param if general_param is not None else Tensor(general.matrix)
-    dp = domain_param if domain_param is not None else Tensor(domain.matrix)
-    return concat(rows(gp, indices(general)), rows(dp, indices(domain)))
+    return concat(rows(general_param, indices(general)), rows(domain_param, indices(domain)))
 
 
 # ---------------------------------------------------------------------------

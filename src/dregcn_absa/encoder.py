@@ -108,13 +108,12 @@ def normalize_adjacency(a: np.ndarray) -> np.ndarray:
 
 
 def relation_counts(a: np.ndarray, arcs: np.ndarray, n_types: int) -> np.ndarray:
-    """C[..., i, k] = sum_j A_ij Q_ijk, summed over the typed arcs that mark
-    the nonzeros of Q: rows (i, j, k) for one (n, n) graph, or (b, i, j, k)
-    for a bucket's (B, n, n) adjacency."""
-    *lead, i, j, k = arcs.T
+    """C[b, i, k] = sum_j A_bij Q_bijk (B, n, |N|), summed over the typed arcs
+    (b, i, j, k) that mark the nonzeros of Q in a bucket's (B, n, n) graph."""
+    b, i, j, k = arcs.T
     shape = a.shape[:-1] + (n_types,)
-    cell = np.ravel_multi_index((*lead, i, k), shape)
-    counts = np.bincount(cell, weights=a[(*lead, i, j)], minlength=int(np.prod(shape)))
+    cell = np.ravel_multi_index((b, i, k), shape)
+    counts = np.bincount(cell, weights=a[b, i, j], minlength=int(np.prod(shape)))
     return counts.reshape(shape)
 
 
@@ -211,9 +210,9 @@ def encode_shared(
     """Project the token embeddings to width d and run the mode's stack(s).
 
     Output width is d (= d_s) in every mode; the dregcn_plus_cnn mode
-    concatenates both stacks and projects back down. For a padded bucket,
-    `graph` is the bucket's stacked graph and `pad_mask` (B, n) marks the
-    real tokens.
+    concatenates both stacks and projects back down. `graph` is the
+    bucket's graph; for a padded bucket, `pad_mask` (B, n) marks the real
+    tokens.
     """
     x0 = linear(emb, params.input_proj_weight, params.input_proj_bias)
     if cfg.mode == "cnn_only":

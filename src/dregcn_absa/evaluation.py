@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .corpus import AS_TAGS, Sentence
@@ -40,18 +40,19 @@ class MetricReport:
     counts: Dict[str, int] = field(default_factory=dict)
     notes: List[str] = field(default_factory=list)
 
+    def scores(self) -> Dict[str, float]:
+        """The five scores by name, in METRICS order."""
+        return {name: getattr(self, name) for name in METRICS}
+
     def format_flat(self) -> str:
         """Flat key-value text, percentages with 2 decimals plus raw counts."""
-        lines = [
-            f"f1_a = {100 * self.f1_a:.2f}",
-            f"f1_o = {100 * self.f1_o:.2f}",
-            f"acc_s = {100 * self.acc_s:.2f}",
-            f"f1_s = {100 * self.f1_s:.2f}",
-            f"f1_i = {100 * self.f1_i:.2f}",
-        ]
+        lines = [f"{name} = {100 * score:.2f}" for name, score in self.scores().items()]
         lines.extend(f"{k} = {v}" for k, v in sorted(self.counts.items()))
         lines.extend(f"note = {n}" for n in self.notes)
         return "\n".join(lines) + "\n"
+
+
+METRICS = tuple(f.name for f in fields(MetricReport) if f.type == "float")  # the five scores
 
 
 def decode_spans(tags: Sequence[str]) -> List[Span]:
@@ -158,9 +159,10 @@ def corpus_metrics(
                 per_class[p.polarity][1] += 1
             per_class[gold][2] += 1
 
-    f1_a = _f1(counts["aspect_tp"], counts["aspect_fp"], counts["aspect_fn"])
-    f1_o = _f1(counts["opinion_tp"], counts["opinion_fp"], counts["opinion_fn"])
-    f1_i = _f1(counts["pair_tp"], counts["pair_fp"], counts["pair_fn"])
+    f1 = {
+        key: _f1(counts[f"{key}_tp"], counts[f"{key}_fp"], counts[f"{key}_fn"])
+        for key in ("aspect", "opinion", "pair")
+    }
 
     notes = []
     if counts["matched_spans"]:
@@ -173,4 +175,4 @@ def corpus_metrics(
         acc_s = f1_s = 0.0
         notes.append("no predicted aspect span matched a gold span")
 
-    return MetricReport(f1_a, f1_o, acc_s, f1_s, f1_i, counts, notes)
+    return MetricReport(f1["aspect"], f1["opinion"], acc_s, f1_s, f1["pair"], counts, notes)

@@ -7,7 +7,7 @@ optimizer and gradient checks, and bit-exact checkpoint serialization.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -57,25 +57,12 @@ class ModelConfig:
         if not 0 <= self.dropout < 1:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["encoder"]["kernel_widths"] = list(self.encoder.kernel_widths)
-        return d
-
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        enc = dict(d["encoder"])
-        enc["kernel_widths"] = tuple(enc["kernel_widths"])
-        return cls(
-            encoder=EncoderConfig(**enc),
-            mp=MessagePassingConfig(**d["mp"]),
-            d_t=d["d_t"],
-            opinion_passing=d["opinion_passing"],
-            dropout=d["dropout"],
-            freeze_embeddings=d["freeze_embeddings"],
-            pass_pre_attention_as=d["pass_pre_attention_as"],
-            distinct_reverse_types=d["distinct_reverse_types"],
-        )
+        """The inverse of `asdict`; every field must be present."""
+        enc = dict(d["encoder"], kernel_widths=tuple(d["encoder"]["kernel_widths"]))
+        nested = {"encoder": EncoderConfig(**enc), "mp": MessagePassingConfig(**d["mp"])}
+        return cls(**{f.name: nested.get(f.name, d[f.name]) for f in fields(cls)})
 
 
 class Model:
@@ -227,7 +214,7 @@ class Model:
 def save_checkpoint(model: Model, path: str) -> None:
     meta = {
         "version": CHECKPOINT_VERSION,
-        "config": model.cfg.to_dict(),
+        "config": asdict(model.cfg),
         "relation_vocab": model.relation_vocab.index,
         "general_vocab": model.general_emb.vocab,
         "general_dim": model.general_emb.dim,
@@ -240,8 +227,8 @@ def save_checkpoint(model: Model, path: str) -> None:
 
 
 def _vocab(meta: dict, key: str, rows: int) -> Dict[str, int]:
-    """A word or relation index from checkpoint metadata, checked to stay
-    inside the table of `rows` rows that it indexes."""
+    """A word index from checkpoint metadata, checked to stay inside the
+    table of `rows` rows that it indexes."""
     index = {str(k): int(v) for k, v in meta[key].items()}
     outside = [k for k, v in index.items() if not 0 <= v < rows]
     if outside:
@@ -270,7 +257,7 @@ def load_checkpoint(path: str) -> Model:
             arrays["emb/domain"].copy(),
             meta["domain_dim"],
         )
-        rv = RelationVocab(_vocab(meta, "relation_vocab", len(meta["relation_vocab"])))
+        rv = RelationVocab({str(k): int(v) for k, v in meta["relation_vocab"].items()})
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint {path!r}: {type(exc).__name__}: {exc}") from exc
     model = Model(cfg, general, domain, rv, np.random.default_rng(0))

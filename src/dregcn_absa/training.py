@@ -29,7 +29,7 @@ from .corpus import (
     Sentence,
     split_train_dev,
 )
-from .evaluation import MetricReport, corpus_metrics, decode_spans
+from .evaluation import METRICS, MetricReport, corpus_metrics, decode_spans
 from .heads import IterationOutput
 from .model import Model, ModelConfig
 
@@ -243,11 +243,7 @@ def train(
             {
                 "epoch": epoch,
                 "train_loss": epoch_loss / max(n_batches, 1),
-                "dev_f1_a": dev_report.f1_a,
-                "dev_f1_o": dev_report.f1_o,
-                "dev_acc_s": dev_report.acc_s,
-                "dev_f1_s": dev_report.f1_s,
-                "dev_f1_i": dev_report.f1_i,
+                **{f"dev_{name}": score for name, score in dev_report.scores().items()},
             }
         )
         if dev_report.f1_i > best_f1:
@@ -298,11 +294,7 @@ def multi_run(
         results.append(result)
 
     avg = MetricReport(
-        f1_a=float(np.mean([r.f1_a for r in reports])),
-        f1_o=float(np.mean([r.f1_o for r in reports])),
-        acc_s=float(np.mean([r.acc_s for r in reports])),
-        f1_s=float(np.mean([r.f1_s for r in reports])),
-        f1_i=float(np.mean([r.f1_i for r in reports])),
+        **{name: float(np.mean([getattr(r, name) for r in reports])) for name in METRICS},
         counts={"runs": len(reports)},
     )
     return MultiRunReport(avg, reports, seeds, results)

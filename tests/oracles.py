@@ -198,40 +198,43 @@ def dense_relations(sentence, rv, distinct_reverse_types=False):
             if i == j:
                 q[i, j, rv.index["<self>"]] = 1.0
             elif sentence.heads[j] == i:
-                q[i, j, rv.index_of(sentence.deprels[j])] = 1.0
+                q[i, j, index_of_reference(rv.index, sentence.deprels[j])] = 1.0
             elif sentence.heads[i] == j:
-                q[i, j, rv.index_of(sentence.deprels[i], reverse=distinct_reverse_types)] = 1.0
+                rel = sentence.deprels[i]
+                q[i, j, index_of_reference(rv.index, rel, reverse=distinct_reverse_types)] = 1.0
     return q
 
 
 def sentence_graph(sentence, rv, distinct_reverse_types=False):
-    """One sentence's graph by a loop over its tokens: the SELF loops, then
-    each dependency arc head -> dependent and back, in token order."""
+    """One sentence's graph by a loop over its tokens, as the bucket [s]: the
+    SELF loops, then each dependency arc head -> dependent and back, in token
+    order, as rows (0, i, j, k)."""
     from dregcn_absa.corpus import DepGraph
 
-    rows = [(i, i, rv.index["<self>"]) for i in range(sentence.n)]
+    rows = [(0, i, i, rv.index["<self>"]) for i in range(sentence.n)]
     for i, (h, rel) in enumerate(zip(sentence.heads, sentence.deprels)):
         if h is not None:
             k_fwd = index_of_reference(rv.index, rel)
             k_rev = index_of_reference(rv.index, rel, reverse=distinct_reverse_types)
-            rows += [(h, i, k_fwd), (i, h, k_rev)]
+            rows += [(0, h, i, k_fwd), (0, i, h, k_rev)]
     arcs = np.array(rows, dtype=np.intp)
-    a = np.zeros((sentence.n, sentence.n))
-    a[arcs[:, 0], arcs[:, 1]] = 1.0
+    a = np.zeros((1, sentence.n, sentence.n))
+    a[0, arcs[:, 1], arcs[:, 2]] = 1.0
     return DepGraph(a, arcs)
 
 
 def stack_graphs(graphs, n):
-    """Per-sentence graphs as one bucket graph: adjacency (B, n, n), zero on
+    """One-sentence graphs as one bucket graph: adjacency (B, n, n), zero on
     every padded row and column, and graph b's arcs as rows (b, i, j, k)."""
     from dregcn_absa.corpus import DepGraph
 
     a = np.zeros((len(graphs), n, n))
+    arcs = []
     for b, g in enumerate(graphs):
-        a[b, : g.n, : g.n] = g.adjacency
-    arcs = [g.relation_indicator for g in graphs]
-    owner = np.repeat(np.arange(len(arcs)), [len(r) for r in arcs])
-    return DepGraph(a, np.concatenate((owner[:, None], np.concatenate(arcs)), axis=1))
+        size = g.adjacency.shape[-1]
+        a[b, :size, :size] = g.adjacency[0]
+        arcs.append(g.relation_indicator + np.array([b, 0, 0, 0]))
+    return DepGraph(a, np.concatenate(arcs))
 
 
 def index_of_reference(index, name, reverse=False):

@@ -9,6 +9,8 @@ import pytest
 from dregcn_absa import autodiff as ad
 from dregcn_absa import cli
 from dregcn_absa.corpus import parse_corpus_file
+from dregcn_absa.model import ModelConfig
+from dregcn_absa.training import TrainConfig
 
 SMALL_CONFIG = """\
 # small settings for fast command tests
@@ -48,7 +50,7 @@ def run_train(tmp_path, corpus, config, extra=()):
 # exit codes
 
 
-def test_usage_errors_exit_1(tmp_path, workspace):
+def test_usage_errors_exit_1(tmp_path, workspace, capsys):
     _, corpus, _ = workspace
     assert cli.main(["no-such-command"]) == 1
     assert cli.main(["train"]) == 1  # --corpus is required
@@ -81,16 +83,43 @@ def test_usage_errors_exit_1(tmp_path, workspace):
         "freeze_embeddings = no",
         "pass_pre_attention_as = 1",
         "distinct_reverse_types = no",
+        "rounds = 1.5",
+        "batch_size = 0",
+        "runs = 0",
+        "cnn_layers = 2.5",
+        "domain_dim = 1.5",
+        "learning_rate = abc",
+        "mode = bogus",
+        "mp_variant = bogus",
     ):
         bad_value = tmp_path / "bad_value.conf"
         bad_value.write_text(SMALL_CONFIG + setting + "\n")
         code, out = run_train(tmp_path, corpus, str(bad_value))
         assert code == 1, setting
         assert not out.exists(), setting
+    # gradcheck reads its seed through the same validation
+    for setting in ("seed = abc", "seed = 2.5"):
+        bad_value.write_text(setting + "\n")
+        capsys.readouterr()
+        assert cli.main(["gradcheck", "--config", str(bad_value)]) == 1, setting
+        assert capsys.readouterr().err.startswith("usage error: seed must be"), setting
+    capsys.readouterr()
+    assert cli.main(["gradcheck", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err.startswith("usage error: ")
+
+
+def test_config_keys_are_the_config_dataclass_fields():
+    assert set(cli.CONFIG_DEFAULTS) == {
+        "mode", "mp_variant", "rounds", "d", "m", "d_t", "gcn_layers", "cnn_layers",
+        "learning_rate", "batch_size", "epochs", "seed", "runs", "dev_ratio", "dropout",
+        "opinion_passing", "normalize_adjacency", "distinct_reverse_types",
+        "freeze_embeddings", "pass_pre_attention_as", "general_dim", "domain_dim",
+    }
+    assert cli.build_configs(cli.CONFIG_DEFAULTS) == (TrainConfig(), ModelConfig())
 
 
 def test_data_errors_exit_2(tmp_path, workspace, fixtures_dir):
-    _, _, config = workspace
+    _, corpus, config = workspace
     malformed = tmp_path / "broken.corpus"
     malformed.write_text("word O none\n")  # 3 columns instead of 5
     assert cli.main(["train", "--corpus", str(malformed), "--config", config]) == 2
@@ -110,6 +139,14 @@ def test_data_errors_exit_2(tmp_path, workspace, fixtures_dir):
         assert code == 2, ratio
         assert not (out / "manifest.json").exists(), ratio
         assert not out.exists(), ratio
+    # a deprel named like a reverse relation type would share its row
+    reserved = tmp_path / "reserved.corpus"
+    reserved.write_text(pathlib.Path(corpus).read_text().replace(" det\n", " rev:nsubj\n", 1))
+    reverse_conf = tmp_path / "reverse.conf"
+    reverse_conf.write_text(SMALL_CONFIG + "distinct_reverse_types = true\n")
+    code, out = run_train(tmp_path, str(reserved), str(reverse_conf))
+    assert code == 2
+    assert not out.exists()
 
 
 def rewrite_checkpoint(src, dst, edit):
@@ -153,9 +190,10 @@ def _set_first_word(key, row):
         (_set_first_word("general_vocab", 10_000), "outside its table's"),
         (_set_first_word("domain_vocab", -1), "outside its table's"),
         (_set_first_word("relation_vocab", 99), "outside its table's"),
+        (lambda meta, arrays: meta["relation_vocab"].update({"<unk>": 0}), "to one id, 0"),
     ],
     ids=["unknown_mode", "missing_config_key", "missing_vocab", "word_past_table",
-         "negative_word", "relation_past_table"],
+         "negative_word", "relation_past_table", "duplicate_relation_id"],
 )
 def test_malformed_checkpoint_metadata_exits_2(workspace, capsys, edit, message):
     tmp_path, corpus, config = workspace

@@ -102,6 +102,10 @@ def test_parse_errors_carry_line_numbers():
         parse_corpus_file("a O none xyz root\n")
     with pytest.raises(ParseError, match="line 1"):
         parse_corpus_file("a ZZ none ROOT root\n")
+    # the relation vocabulary's own names may not be deprels
+    for reserved in (SELF_RELATION, UNK_RELATION, REVERSE_PREFIX + "nsubj"):
+        with pytest.raises(ParseError, match=re.escape(f"line 3: token 1: deprel {reserved!r}")):
+            parse_corpus_file(f"a O none ROOT root\n\nb O none ROOT root\nc O none 0 {reserved}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -118,12 +122,12 @@ def test_relation_vocab_ordering():
 
 def test_relation_vocab_oov_and_reverse():
     rv = RelationVocab.from_corpus([simple_sentence()])
-    assert rv.index_of("nomatch") == rv.index[UNK_RELATION]
+    assert rv.indices(["nomatch"]) == [rv.index[UNK_RELATION]]
     rv2 = RelationVocab.from_corpus([simple_sentence()], distinct_reverse_types=True)
-    assert rv2.index_of("det", reverse=True) == rv2.index[REVERSE_PREFIX + "det"]
+    assert rv2.indices(["det"], reverse=True) == [rv2.index[REVERSE_PREFIX + "det"]]
     rv3 = RelationVocab.from_corpus([simple_sentence()], include_unknown=False)
     with pytest.raises(VocabularyError):
-        rv3.index_of("nomatch")
+        rv3.indices(["nomatch"])
 
 
 def _vocabularies():
@@ -148,10 +152,9 @@ def test_relation_tables_answer_as_the_fallback_chain(rv):
                 expected = oracles.index_of_reference(rv.index, name, reverse)
             except VocabularyError as exc:
                 with pytest.raises(VocabularyError, match=re.escape(str(exc))):
-                    rv.index_of(name, reverse)
+                    rv.indices([name], reverse)
                 continue
-            assert rv.index_of(name, reverse) == expected, (name, reverse)
-            assert rv.indices([name, name], reverse) == [expected, expected]
+            assert rv.indices([name, name], reverse) == [expected, expected], (name, reverse)
 
 
 def test_vocabulary_without_unknown_rejects_an_unknown_deprel():
@@ -161,12 +164,12 @@ def test_vocabulary_without_unknown_rejects_an_unknown_deprel():
     with pytest.raises(VocabularyError, match="'nomatch'"):
         rv.indices(odd.deprels)
     with pytest.raises(VocabularyError, match="'nomatch'"):
-        build_dependency_graph(odd, rv)
+        build_dependency_graph([odd], rv)
     with pytest.raises(VocabularyError, match="'nomatch'"):
         build_dependency_graph([s, odd], rv)
     # the root's deprel labels no arc, so it is never looked up
     rootless = Sentence(s.tokens, s.ae_tags, s.as_tags, s.heads, ("det", "nsubj", "cop", "nomatch"))
-    assert len(build_dependency_graph(rootless, rv).relation_indicator) == 3 * 4 - 2
+    assert len(build_dependency_graph([rootless], rv).relation_indicator) == 3 * 4 - 2
 
 
 # ---------------------------------------------------------------------------
@@ -174,22 +177,25 @@ def test_vocabulary_without_unknown_rejects_an_unknown_deprel():
 
 
 def arc_rows(g):
-    return [tuple(int(x) for x in row) for row in g.relation_indicator]
+    """The (i, j, k) arcs of a one-sentence bucket graph."""
+    assert (g.relation_indicator[:, 0] == 0).all()
+    return [tuple(int(x) for x in row[1:]) for row in g.relation_indicator]
 
 
 def test_graph_shape_and_symmetry():
     s = simple_sentence()
     rv = RelationVocab.from_corpus([s])
-    g = build_dependency_graph(s, rv)
-    assert g.adjacency.shape == (4, 4)
-    np.testing.assert_array_equal(g.adjacency, g.adjacency.T)
-    np.testing.assert_array_equal(np.diag(g.adjacency), 1.0)
-    assert g.relation_indicator.shape == (3 * 4 - 2, 3)
+    g = build_dependency_graph([s], rv)
+    assert g.adjacency.shape == (1, 4, 4)
+    a = g.adjacency[0]
+    np.testing.assert_array_equal(a, a.T)
+    np.testing.assert_array_equal(np.diag(a), 1.0)
+    assert g.relation_indicator.shape == (3 * 4 - 2, 4)
     assert g.relation_indicator.dtype == np.intp
     # every edge carries exactly one relation type in each direction
     pairs = [(i, j) for i, j, _ in arc_rows(g)]
     assert len(set(pairs)) == len(pairs)
-    assert set(pairs) == {(int(i), int(j)) for i, j in np.argwhere(g.adjacency)}
+    assert set(pairs) == {(int(i), int(j)) for i, j in np.argwhere(a)}
     self_k = rv.index[SELF_RELATION]
     assert all((i, i, self_k) in arc_rows(g) for i in range(4))
 
@@ -197,12 +203,12 @@ def test_graph_shape_and_symmetry():
 def test_graph_reverse_arcs_share_or_split_types():
     s = simple_sentence()
     rv = RelationVocab.from_corpus([s])
-    g = build_dependency_graph(s, rv)
+    g = build_dependency_graph([s], rv)
     k = rv.index["det"]
     assert (1, 0, k) in arc_rows(g)  # head -> dependent
     assert (0, 1, k) in arc_rows(g)  # mirrored arc reuses the type
     rv2 = RelationVocab.from_corpus([s], distinct_reverse_types=True)
-    g2 = build_dependency_graph(s, rv2, distinct_reverse_types=True)
+    g2 = build_dependency_graph([s], rv2, distinct_reverse_types=True)
     assert (1, 0, rv2.index["det"]) in arc_rows(g2)
     assert (0, 1, rv2.index[REVERSE_PREFIX + "det"]) in arc_rows(g2)
 
@@ -216,8 +222,8 @@ def test_graph_memory_is_linear_in_relation_types():
     )
     rv = RelationVocab.from_corpus([s], distinct_reverse_types=True)
     assert rv.size == 83
-    g = build_dependency_graph(s, rv, distinct_reverse_types=True)
-    assert g.adjacency.nbytes + g.relation_indicator.nbytes <= 8 * n * n + 24 * (3 * n - 2)
+    g = build_dependency_graph([s], rv, distinct_reverse_types=True)
+    assert g.adjacency.nbytes + g.relation_indicator.nbytes <= 8 * n * n + 32 * (3 * n - 2)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +271,7 @@ def test_embed_tokens_concatenates_both_tables():
     rng = np.random.default_rng(2)
     general = random_embedding_table(s.tokens, 3, rng)
     domain = random_embedding_table(["screen"], 2, rng)  # others hit OOV
-    emb = embed_tokens([s], general, domain)
+    emb = embed_tokens([s], general, domain, ad.Tensor(general.matrix), ad.Tensor(domain.matrix))
     assert emb.shape == (1, 4, 5)
     np.testing.assert_allclose(emb.data[0, 1, :3], general.matrix[general.vocab["screen"]])
     np.testing.assert_allclose(emb.data[0, 0, 3:], domain.matrix[domain.oov_index])

@@ -30,8 +30,8 @@ def random_graph(rng, n, n_types):
     rels = tuple(f"r{rng.integers(1, n_types)}" for _ in range(n))
     s = Sentence(("w",) * n, ("O",) * n, ("none",) * n, tuple(heads), rels)
     rv = RelationVocab({SELF_RELATION: 0, **{f"r{k}": k for k in range(1, n_types)}})
-    g = build_dependency_graph(s, rv)
-    return g.adjacency, relation_counts(g.adjacency, g.relation_indicator, rv.size)
+    g = build_dependency_graph([s], rv)
+    return g.adjacency[0], relation_counts(g.adjacency, g.relation_indicator, rv.size)[0]
 
 
 def test_encoder_config_validation():
@@ -69,10 +69,10 @@ def test_dregcn_layer_matches_double_sum_oracle():
         (1, 4, 4, 4, None),
         ("det", "nsubj", "cop", "advmod", "root"),
     )
-    h = Tensor(RNG.normal(size=(s.n, d)))
+    h = Tensor(RNG.normal(size=(1, s.n, d)))
     for distinct in (False, True):
         rv = RelationVocab.from_corpus([s], distinct_reverse_types=distinct)
-        g = build_dependency_graph(s, rv, distinct_reverse_types=distinct)
+        g = build_dependency_graph([s], rv, distinct_reverse_types=distinct)
         layer = init_dregcn_layer(rng, d, m)
         table = init_relation_table(rng, rv.size, m)
         q = dense_relations(s, rv, distinct)
@@ -80,8 +80,8 @@ def test_dregcn_layer_matches_double_sum_oracle():
             counts = relation_counts(a, g.relation_indicator, rv.size)
             out = dregcn_layer_forward(h, a, relation_messages(counts, table), layer)
             expect = dregcn_double_sum(
-                h.data, a, q, layer.weight.data, layer.bias.data, table.data
-            )
+                h.data[0], a[0], q, layer.weight.data, layer.bias.data, table.data
+            )[None]
             np.testing.assert_allclose(out.data, expect, atol=1e-10)
 
 
@@ -126,13 +126,13 @@ def test_dregcn_rejects_inconsistent_indicator():
 def test_encode_shared_output_width_per_mode():
     s = simple_sentence()
     rv = RelationVocab.from_corpus([s])
-    graph = build_dependency_graph(s, rv)
-    emb = Tensor(RNG.normal(size=(s.n, 7)))
+    graph = build_dependency_graph([s], rv)
+    emb = Tensor(RNG.normal(size=(1, s.n, 7)))
     for mode in ("cnn_only", "vanilla_gcn", "dregcn", "dregcn_plus_cnn"):
         cfg = EncoderConfig(mode=mode, gcn_layers=2, cnn_layers=1, d=10, m=4)
         params = init_encoder_params(np.random.default_rng(6), cfg, 7, rv.size)
         out = encode_shared(emb, graph if cfg.uses_graph else None, cfg, params)
-        assert out.shape == (s.n, 10), mode
+        assert out.shape == (1, s.n, 10), mode
 
 
 def test_encode_shared_requires_graph_for_gcn_modes():
@@ -146,8 +146,8 @@ def test_encode_shared_requires_graph_for_gcn_modes():
 def test_normalized_adjacency_option_changes_output():
     s = simple_sentence()
     rv = RelationVocab.from_corpus([s])
-    graph = build_dependency_graph(s, rv)
-    emb = Tensor(RNG.normal(size=(s.n, 7)))
+    graph = build_dependency_graph([s], rv)
+    emb = Tensor(RNG.normal(size=(1, s.n, 7)))
     outs = []
     for norm in (False, True):
         cfg = EncoderConfig(mode="vanilla_gcn", d=8, normalize_adjacency=norm)

@@ -66,23 +66,24 @@ def sentences(draw, max_n=30, words=st.just("w"), small_lengths=False):
 
 def graph_of(s, distinct):
     rv = RelationVocab.from_corpus([s], distinct_reverse_types=distinct)
-    return rv, build_dependency_graph(s, rv, distinct_reverse_types=distinct)
+    return rv, build_dependency_graph([s], rv, distinct_reverse_types=distinct)
 
 
 @given(sentences(), st.booleans())
 def test_arcs_cover_adjacency_once_per_direction(s, distinct):
     _, g = graph_of(s, distinct)
     arcs = g.relation_indicator
-    assert arcs.shape == (3 * s.n - 2, 3) and arcs.dtype == np.intp
-    hits = np.zeros((s.n, s.n), dtype=int)
-    np.add.at(hits, (arcs[:, 0], arcs[:, 1]), 1)
+    assert arcs.shape == (3 * s.n - 2, 4) and arcs.dtype == np.intp
+    hits = np.zeros((1, s.n, s.n), dtype=int)
+    np.add.at(hits, (arcs[:, 0], arcs[:, 1], arcs[:, 2]), 1)
     np.testing.assert_array_equal(hits, g.adjacency)
 
 
 @given(sentences(), st.booleans())
 def test_self_loops_carry_self_relation(s, distinct):
     rv, g = graph_of(s, distinct)
-    i, j, k = g.relation_indicator.T
+    b, i, j, k = g.relation_indicator.T
+    assert (b == 0).all()
     assert set(np.flatnonzero(k == rv.index[SELF_RELATION])) == set(np.flatnonzero(i == j))
     assert sorted(i[i == j]) == list(range(s.n))
 
@@ -92,12 +93,12 @@ def test_relation_counts_equal_dense_contraction(s, distinct, normalize):
     rv, g = graph_of(s, distinct)
     a = normalize_adjacency(g.adjacency) if normalize else g.adjacency
     counts = relation_counts(a, g.relation_indicator, rv.size)
-    q = dense_relations(s, rv, distinct)
+    q = dense_relations(s, rv, distinct)[None]
     if normalize:
         # positive terms summed in another order: equal up to rounding
-        np.testing.assert_allclose(counts, np.einsum("ij,ijk->ik", a, q), rtol=1e-13, atol=0)
+        np.testing.assert_allclose(counts, np.einsum("bij,bijk->bik", a, q), rtol=1e-13, atol=0)
     else:
-        np.testing.assert_array_equal(counts, np.einsum("ij,ijk->ik", a, q))
+        np.testing.assert_array_equal(counts, np.einsum("bij,bijk->bik", a, q))
 
 
 @given(
@@ -107,8 +108,8 @@ def test_relation_counts_equal_dense_contraction(s, distinct, normalize):
     st.booleans(),
 )
 def test_bucket_graph_equals_stacked_sentence_graphs(bucket, known, distinct, normalize):
-    """A lone sentence's graph equals the one a per-token loop builds, arc
-    for arc; a bucket's graph holds the same arcs as those graphs stacked,
+    """A lone sentence's graph, the bucket [s], equals the one a per-token
+    loop builds, arc for arc; a bucket's graph holds the same arcs as those graphs stacked,
     in the same order within each relation-count cell, so the counts are
     bit-identical. The vocabulary knows the deprels of the first `known`
     sentences only, so the others read the OOV buckets."""
@@ -116,7 +117,7 @@ def test_bucket_graph_equals_stacked_sentence_graphs(bucket, known, distinct, no
     n = max(s.n for s in bucket)
     alone = [sentence_graph(s, rv, distinct) for s in bucket]
     for s, one in zip(bucket, alone):
-        lone = build_dependency_graph(s, rv, distinct)
+        lone = build_dependency_graph([s], rv, distinct)
         np.testing.assert_array_equal(lone.adjacency, one.adjacency)
         np.testing.assert_array_equal(lone.relation_indicator, one.relation_indicator)
     g = build_dependency_graph(bucket, rv, distinct)
@@ -133,7 +134,7 @@ def test_bucket_graph_equals_stacked_sentence_graphs(bucket, known, distinct, no
     counts = relation_counts(norm(g.adjacency), g.relation_indicator, rv.size)
     expected = np.zeros_like(counts)
     for b, (s, one) in enumerate(zip(bucket, alone)):
-        expected[b, : s.n] = relation_counts(norm(one.adjacency), one.relation_indicator, rv.size)
+        expected[b, : s.n] = relation_counts(norm(one.adjacency), one.relation_indicator, rv.size)[0]
     np.testing.assert_array_equal(counts, expected)
 
 

@@ -323,7 +323,7 @@ def test_checkpoint_round_trip_is_bit_exact(tiny_corpus, tmp_path):
     path = str(tmp_path / "model.npz")
     save_checkpoint(model, path)
     loaded = load_checkpoint(path)
-    assert loaded.cfg.to_dict() == model.cfg.to_dict()
+    assert loaded.cfg == model.cfg
     assert loaded.relation_vocab.index == model.relation_vocab.index
     a, b = model.parameters(), loaded.parameters()
     assert set(a) == set(b)
