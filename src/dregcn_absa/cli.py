@@ -146,6 +146,14 @@ def _integer(cfg: Dict[str, object], key: str) -> int:
     return int(value)
 
 
+def _real(cfg: Dict[str, object], key: str) -> float:
+    """The value of a float key; a boolean is an error, not 1.0 or 0.0."""
+    value = cfg[key]
+    if isinstance(value, bool):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _boolean(cfg: Dict[str, object], key: str) -> bool:
     """The value of a boolean key: only a parsed true/false is accepted."""
     value = cfg[key]
@@ -162,7 +170,7 @@ _RENAMED = {"variant": "mp_variant"}
 _READ: Dict[type, Callable[[Dict[str, object], str], object]] = {
     int: _integer,
     bool: _boolean,
-    float: lambda cfg, key: float(cfg[key]),
+    float: _real,
     str: lambda cfg, key: str(cfg[key]),
 }
 

@@ -11,7 +11,9 @@ literal `ROOT`.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,6 +29,11 @@ ROOT_MARKER = "ROOT"
 SELF_RELATION = "<self>"
 UNK_RELATION = "<unk>"
 REVERSE_PREFIX = "rev:"
+_RESERVED = frozenset((SELF_RELATION, UNK_RELATION))  # as is every name with REVERSE_PREFIX
+# the (AE tag, AS tag) pairs a token may carry
+_TAG_PAIRS = frozenset(
+    (ae, asx) for ae in AE_TAGS for asx in (AS_TAGS if ae in ("BA", "IA") else (AS_NONE,))
+)
 
 
 class ParseError(ValueError):
@@ -53,35 +60,39 @@ class Sentence:
         n = len(self.tokens)
         if n < 1:
             raise ValueError("sentence must have at least one token")
-        for name in ("ae_tags", "as_tags", "heads", "deprels"):
-            if len(getattr(self, name)) != n:
-                raise ValueError(f"{name} has length {len(getattr(self, name))}, expected {n}")
-        for i, tag in enumerate(self.ae_tags):
-            if tag not in AE_INDEX:
-                raise ValueError(f"token {i}: unknown AE tag {tag!r}")
-        for i, rel in enumerate(self.deprels):
-            if rel in (SELF_RELATION, UNK_RELATION) or rel.startswith(REVERSE_PREFIX):
-                raise ValueError(f"token {i}: deprel {rel!r} is a reserved relation name")
-        for i, (ae, asx) in enumerate(zip(self.ae_tags, self.as_tags)):
-            if ae in ("BA", "IA"):
-                if asx not in AS_INDEX:
-                    raise ValueError(
-                        f"token {i}: aspect token must carry pos/neg/neu, got {asx!r}"
-                    )
-            elif asx != AS_NONE:
-                raise ValueError(
-                    f"token {i}: non-aspect token must carry {AS_NONE!r}, got {asx!r}"
-                )
-        roots = [i for i, h in enumerate(self.heads) if h is None]
-        if len(roots) != 1:
-            raise ValueError(f"expected exactly one ROOT head, found {len(roots)}")
-        for i, h in enumerate(self.heads):
-            if h is None:
-                continue
-            if not (0 <= h < n):
-                raise ValueError(f"token {i}: head index {h} out of range for n={n}")
-            if h == i:
-                raise ValueError(f"token {i}: head points at itself")
+        if not len(self.ae_tags) == len(self.as_tags) == len(self.heads) == len(self.deprels) == n:
+            for name in ("ae_tags", "as_tags", "heads", "deprels"):
+                if len(getattr(self, name)) != n:
+                    raise ValueError(f"{name} has length {len(getattr(self, name))}, expected {n}")
+        # Each check tests the sentence's columns whole; only once one has
+        # failed does a loop over the tokens name the first fault, so the
+        # message is the one the checks give token by token, in this order.
+        bad_tags = not _TAG_PAIRS.issuperset(zip(self.ae_tags, self.as_tags))
+        if bad_tags:
+            for i, tag in enumerate(self.ae_tags):
+                if tag not in AE_INDEX:
+                    raise ValueError(f"token {i}: unknown AE tag {tag!r}")
+        names = set(self.deprels)
+        if not names.isdisjoint(_RESERVED) or any(
+            map(str.startswith, names, repeat(REVERSE_PREFIX))
+        ):
+            for i, rel in enumerate(self.deprels):
+                if rel in _RESERVED or rel.startswith(REVERSE_PREFIX):
+                    raise ValueError(f"token {i}: deprel {rel!r} is a reserved relation name")
+        if bad_tags:  # every AE tag is known: an AS tag does not fit its token
+            pairs = enumerate(zip(self.ae_tags, self.as_tags))
+            i, (ae, asx) = next((i, tags) for i, tags in pairs if tags not in _TAG_PAIRS)
+            aspect = ae in ("BA", "IA")
+            kind, want = ("aspect", "pos/neg/neu") if aspect else ("non-aspect", repr(AS_NONE))
+            raise ValueError(f"token {i}: {kind} token must carry {want}, got {asx!r}")
+        heads = self.heads
+        roots = heads.count(None)
+        if roots != 1:
+            raise ValueError(f"expected exactly one ROOT head, found {roots}")
+        r = heads.index(None)
+        deps = heads[:r] + heads[r + 1 :]
+        if deps and (min(deps) < 0 or max(deps) >= n):
+            self._name_head_fault()
         # Follow heads from every token, stamping each node with the walk
         # that reached it first: a walk that meets its own stamp has looped,
         # one that meets an older stamp joins a path already known to end
@@ -91,9 +102,21 @@ class Sentence:
             j = i
             while j is not None and stamp[j] < 0:
                 stamp[j] = i
-                j = self.heads[j]
+                j = heads[j]
             if j is not None and stamp[j] == i:
+                self._name_head_fault()  # a head on itself is a loop named as such
                 raise ValueError(f"token {j}: heads form a cycle, not a tree")
+
+    def _name_head_fault(self):
+        """Raise at the first token whose head is out of range or on itself."""
+        n = len(self.heads)
+        for i, h in enumerate(self.heads):
+            if h is None:
+                continue
+            if not (0 <= h < n):
+                raise ValueError(f"token {i}: head index {h} out of range for n={n}")
+            if h == i:
+                raise ValueError(f"token {i}: head points at itself")
 
     @property
     def n(self) -> int:
@@ -211,45 +234,50 @@ def build_dependency_graph(
 # parsing / serialization
 
 
-def parse_corpus_file(text: str) -> List[Sentence]:
-    sentences: List[Sentence] = []
-    block: List[Tuple[int, List[str]]] = []
+# a head column's text -> the head; other texts are read by int()
+_HEAD_INDEX: Dict[str, Optional[int]] = {ROOT_MARKER: None, **{str(i): i for i in range(1024)}}
 
-    def flush():
-        if not block:
-            return
-        first_line = block[0][0]
-        tokens, ae, asx, heads, deprels = [], [], [], [], []
-        for lineno, cols in block:
-            if len(cols) != 5:
-                raise ParseError(f"line {lineno}: expected 5 columns, got {len(cols)}")
-            surface, ae_tag, as_tag, head, deprel = cols
-            tokens.append(surface)
-            ae.append(ae_tag)
-            asx.append(as_tag)
-            if head == ROOT_MARKER:
-                heads.append(None)
-            else:
-                try:
-                    heads.append(int(head))
-                except ValueError:
-                    raise ParseError(f"line {lineno}: head must be an index or ROOT, got {head!r}")
-            deprels.append(deprel)
+
+def _read_heads(block: Sequence[List[str]], first: int) -> Tuple[Optional[int], ...]:
+    """The heads of a sentence's lines, read by int(), or a ParseError at
+    the first line, in line order, whose column count or head is wrong."""
+    heads: List[Optional[int]] = []
+    for lineno, cols in enumerate(block, first):
+        if len(cols) != 5:
+            raise ParseError(f"line {lineno}: expected 5 columns, got {len(cols)}")
         try:
-            sentences.append(
-                Sentence(tuple(tokens), tuple(ae), tuple(asx), tuple(heads), tuple(deprels))
-            )
-        except ValueError as exc:
-            raise ParseError(f"sentence starting at line {first_line}: {exc}") from exc
-        block.clear()
+            heads.append(None if cols[3] == ROOT_MARKER else int(cols[3]))
+        except ValueError:
+            raise ParseError(f"line {lineno}: head must be an index or ROOT, got {cols[3]!r}")
+    return tuple(heads)
 
-    for lineno, line in enumerate(text.splitlines(), 1):
-        stripped = line.strip()
-        if not stripped:
-            flush()
-            continue
-        block.append((lineno, stripped.split()))
-    flush()
+
+def _block_sentence(block: List[List[str]], first: int) -> Sentence:
+    """The sentence of the whitespace-split lines first, first + 1, ..."""
+    try:
+        tokens, ae, asx, heads, deprels = zip(*block, strict=True)
+        heads = tuple(map(_HEAD_INDEX.__getitem__, heads))
+    except (ValueError, KeyError):  # a line without 5 columns, a head past the table or no index
+        heads = _read_heads(block, first)  # raises at the first faulty line, if any
+    try:
+        return Sentence(tokens, ae, asx, heads, deprels)
+    except ValueError as exc:
+        raise ParseError(f"sentence starting at line {first}: {exc}") from exc
+
+
+def parse_corpus_file(text: str) -> List[Sentence]:
+    """The sentences of a corpus file: 5 whitespace-separated columns per
+    token line, blank or whitespace-only lines between sentences. A
+    ParseError names the first faulty line of the first faulty sentence."""
+    sentences: List[Sentence] = []
+    block: List[List[str]] = []
+    # a final empty line ends the last sentence
+    for lineno, cols in enumerate(chain(map(str.split, text.splitlines()), ([],)), 1):
+        if cols:
+            block.append(cols)
+        elif block:
+            sentences.append(_block_sentence(block, lineno - len(block)))
+            block = []
     return sentences
 
 
@@ -289,35 +317,33 @@ class EmbeddingMatrix:
 def load_embedding_table(
     text: str, expected_dim: int, rng: np.random.Generator
 ) -> EmbeddingMatrix:
-    """Parse `word v1 ... v_d` lines; duplicates keep the first occurrence."""
+    """Parse `word v1 ... v_d` lines; duplicates keep the first occurrence.
+    Each line's values go straight into one float64 buffer, with no array
+    per line; a ParseError names the first faulty line."""
     vocab: Dict[str, int] = {}
-    vectors: List[np.ndarray] = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
+    values = array("d")
+    lines: List[int] = []  # the line each row was read on
+    for lineno, parts in enumerate(map(str.split, text.splitlines()), 1):
+        if not parts:
             continue
-        parts = line.split()
         if len(parts) != expected_dim + 1:
             raise ParseError(
                 f"line {lineno}: expected {expected_dim} values after the word, "
                 f"got {len(parts) - 1}"
             )
-        word = parts[0]
-        if word in vocab:
+        if parts[0] in vocab:
             continue
         try:
-            vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
+            values.extend(map(float, parts[1:]))
         except ValueError:
             raise ParseError(f"line {lineno}: non-numeric embedding value")
-        vocab[word] = len(vectors)
-        vectors.append(vec)
+        vocab[parts[0]] = len(lines)
+        lines.append(lineno)
     oov = rng.uniform(-0.05, 0.05, size=expected_dim)
-    matrix = np.vstack(vectors + [oov])
+    matrix = np.concatenate((np.frombuffer(values), oov)).reshape(len(lines) + 1, expected_dim)
     if not np.isfinite(matrix).all():
-        word = list(vocab)[int(np.argmin(np.isfinite(matrix).all(axis=1)))]
-        lineno = next(
-            k for k, line in enumerate(text.splitlines(), 1) if line.split()[:1] == [word]
-        )
-        raise ParseError(f"line {lineno}: non-finite embedding value")
+        row = int(np.argmin(np.isfinite(matrix).all(axis=1)))
+        raise ParseError(f"line {lines[row]}: non-finite embedding value")
     return EmbeddingMatrix(vocab, matrix, expected_dim)
 
 

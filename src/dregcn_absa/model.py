@@ -226,13 +226,23 @@ def save_checkpoint(model: Model, path: str) -> None:
         np.savez(fh, meta=np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8), **arrays)
 
 
+def _ids(meta: dict, key: str) -> Dict[str, int]:
+    """A name -> id map from checkpoint metadata, checked to hold only
+    integer ids (a bool is not one). JSON object keys are strings."""
+    index = meta[key]
+    if not {int}.issuperset(map(type, index.values())):
+        name = next(k for k, v in index.items() if type(v) is not int)
+        raise ValueError(f"{key} maps {name!r} to {index[name]!r}, not an integer id")
+    return index
+
+
 def _vocab(meta: dict, key: str, rows: int) -> Dict[str, int]:
     """A word index from checkpoint metadata, checked to stay inside the
     table of `rows` rows that it indexes."""
-    index = {str(k): int(v) for k, v in meta[key].items()}
-    outside = [k for k, v in index.items() if not 0 <= v < rows]
-    if outside:
-        raise ValueError(f"{key} maps {outside[0]!r} outside its table's {rows} rows")
+    index = _ids(meta, key)
+    if index and not (0 <= min(index.values()) and max(index.values()) < rows):
+        outside = next(k for k, v in index.items() if not 0 <= v < rows)
+        raise ValueError(f"{key} maps {outside!r} outside its table's {rows} rows")
     return index
 
 
@@ -257,7 +267,7 @@ def load_checkpoint(path: str) -> Model:
             arrays["emb/domain"].copy(),
             meta["domain_dim"],
         )
-        rv = RelationVocab({str(k): int(v) for k, v in meta["relation_vocab"].items()})
+        rv = RelationVocab(_ids(meta, "relation_vocab"))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint {path!r}: {type(exc).__name__}: {exc}") from exc
     model = Model(cfg, general, domain, rv, np.random.default_rng(0))

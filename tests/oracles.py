@@ -7,6 +7,8 @@ double loop over the heads, not the package's typed arcs. So the two
 implementations share no logic. Graphs are built one sentence at a time by
 a loop over the tokens, and stacked into a bucket's graph afterwards;
 relation types are looked up by walking the fallback chain per name.
+Corpus and embedding files are read line by line, each line checked and
+converted as it is read, each sentence checked token by token.
 
 The model is re-composed one sentence at a time from small taped ops (a
 per-offset `conv1d`, `transpose`, `reshape`, `slice_last`, `sum_axis`,
@@ -252,6 +254,149 @@ def index_of_reference(index, name, reverse=False):
     if not reverse and "<unk>" in index:
         return index["<unk>"]
     raise VocabularyError(f"unknown relation type {key!r} and no OOV bucket")
+
+
+def unchecked_sentence(tokens, ae_tags, as_tags, heads, deprels):
+    """A Sentence holding the given columns, built without running its
+    checks, so that a reference can check it and compare it."""
+    from dregcn_absa.corpus import Sentence
+
+    s = object.__new__(Sentence)
+    for name, value in zip(("tokens", "ae_tags", "as_tags", "heads", "deprels"),
+                           (tokens, ae_tags, as_tags, heads, deprels)):
+        object.__setattr__(s, name, value)
+    return s
+
+
+def sentence_checks_reference(self):
+    """The checks of a Sentence, token by token: each kind of fault in turn,
+    the first token with it named."""
+    from dregcn_absa.corpus import (
+        AE_INDEX, AS_INDEX, AS_NONE, REVERSE_PREFIX, SELF_RELATION, UNK_RELATION,
+    )
+
+    n = len(self.tokens)
+    if n < 1:
+        raise ValueError("sentence must have at least one token")
+    for name in ("ae_tags", "as_tags", "heads", "deprels"):
+        if len(getattr(self, name)) != n:
+            raise ValueError(f"{name} has length {len(getattr(self, name))}, expected {n}")
+    for i, tag in enumerate(self.ae_tags):
+        if tag not in AE_INDEX:
+            raise ValueError(f"token {i}: unknown AE tag {tag!r}")
+    for i, rel in enumerate(self.deprels):
+        if rel in (SELF_RELATION, UNK_RELATION) or rel.startswith(REVERSE_PREFIX):
+            raise ValueError(f"token {i}: deprel {rel!r} is a reserved relation name")
+    for i, (ae, asx) in enumerate(zip(self.ae_tags, self.as_tags)):
+        if ae in ("BA", "IA"):
+            if asx not in AS_INDEX:
+                raise ValueError(
+                    f"token {i}: aspect token must carry pos/neg/neu, got {asx!r}"
+                )
+        elif asx != AS_NONE:
+            raise ValueError(
+                f"token {i}: non-aspect token must carry {AS_NONE!r}, got {asx!r}"
+            )
+    roots = [i for i, h in enumerate(self.heads) if h is None]
+    if len(roots) != 1:
+        raise ValueError(f"expected exactly one ROOT head, found {len(roots)}")
+    for i, h in enumerate(self.heads):
+        if h is None:
+            continue
+        if not (0 <= h < n):
+            raise ValueError(f"token {i}: head index {h} out of range for n={n}")
+        if h == i:
+            raise ValueError(f"token {i}: head points at itself")
+    stamp = [-1] * n
+    for i in range(n):
+        j = i
+        while j is not None and stamp[j] < 0:
+            stamp[j] = i
+            j = self.heads[j]
+        if j is not None and stamp[j] == i:
+            raise ValueError(f"token {j}: heads form a cycle, not a tree")
+
+
+def parse_corpus_reference(text):
+    """A corpus file parsed line by line: each line's columns and head are
+    checked as the line is read, each sentence by the token-by-token checks."""
+    from dregcn_absa.corpus import ROOT_MARKER, ParseError
+
+    sentences = []
+    block = []
+
+    def flush():
+        if not block:
+            return
+        first_line = block[0][0]
+        tokens, ae, asx, heads, deprels = [], [], [], [], []
+        for lineno, cols in block:
+            if len(cols) != 5:
+                raise ParseError(f"line {lineno}: expected 5 columns, got {len(cols)}")
+            surface, ae_tag, as_tag, head, deprel = cols
+            tokens.append(surface)
+            ae.append(ae_tag)
+            asx.append(as_tag)
+            if head == ROOT_MARKER:
+                heads.append(None)
+            else:
+                try:
+                    heads.append(int(head))
+                except ValueError:
+                    raise ParseError(f"line {lineno}: head must be an index or ROOT, got {head!r}")
+            deprels.append(deprel)
+        s = unchecked_sentence(tuple(tokens), tuple(ae), tuple(asx), tuple(heads), tuple(deprels))
+        try:
+            sentence_checks_reference(s)
+        except ValueError as exc:
+            raise ParseError(f"sentence starting at line {first_line}: {exc}") from exc
+        sentences.append(s)
+        block.clear()
+
+    for lineno, line in enumerate(text.splitlines(), 1):
+        stripped = line.strip()
+        if not stripped:
+            flush()
+            continue
+        block.append((lineno, stripped.split()))
+    flush()
+    return sentences
+
+
+def load_embedding_reference(text, expected_dim, rng):
+    """An embedding file read line by line, each line's values converted as
+    the line is read."""
+    from dregcn_absa.corpus import EmbeddingMatrix, ParseError
+
+    vocab = {}
+    vectors = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) != expected_dim + 1:
+            raise ParseError(
+                f"line {lineno}: expected {expected_dim} values after the word, "
+                f"got {len(parts) - 1}"
+            )
+        word = parts[0]
+        if word in vocab:
+            continue
+        try:
+            vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
+        except ValueError:
+            raise ParseError(f"line {lineno}: non-numeric embedding value")
+        vocab[word] = len(vectors)
+        vectors.append(vec)
+    oov = rng.uniform(-0.05, 0.05, size=expected_dim)
+    matrix = np.vstack(vectors + [oov])
+    if not np.isfinite(matrix).all():
+        word = list(vocab)[int(np.argmin(np.isfinite(matrix).all(axis=1)))]
+        lineno = next(
+            k for k, line in enumerate(text.splitlines(), 1) if line.split()[:1] == [word]
+        )
+        raise ParseError(f"line {lineno}: non-finite embedding value")
+    return EmbeddingMatrix(vocab, matrix, expected_dim)
 
 
 def dregcn_double_sum(h, a, q, weight, bias, table):

@@ -91,12 +91,17 @@ def test_usage_errors_exit_1(tmp_path, workspace, capsys):
         "learning_rate = abc",
         "mode = bogus",
         "mp_variant = bogus",
+        "learning_rate = true",
+        "dropout = false",
     ):
         bad_value = tmp_path / "bad_value.conf"
         bad_value.write_text(SMALL_CONFIG + setting + "\n")
+        capsys.readouterr()
         code, out = run_train(tmp_path, corpus, str(bad_value))
         assert code == 1, setting
         assert not out.exists(), setting
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "Traceback" not in err, setting
     # gradcheck reads its seed through the same validation
     for setting in ("seed = abc", "seed = 2.5"):
         bad_value.write_text(setting + "\n")
@@ -191,9 +196,16 @@ def _set_first_word(key, row):
         (_set_first_word("domain_vocab", -1), "outside its table's"),
         (_set_first_word("relation_vocab", 99), "outside its table's"),
         (lambda meta, arrays: meta["relation_vocab"].update({"<unk>": 0}), "to one id, 0"),
+        (_set_first_word("general_vocab", 2.5), "to 2.5, not an integer id"),
+        (_set_first_word("general_vocab", True), "to True, not an integer id"),
+        (_set_first_word("domain_vocab", "1"), "to '1', not an integer id"),
+        (_set_first_word("relation_vocab", 2.5), "to 2.5, not an integer id"),
+        (_set_first_word("relation_vocab", False), "to False, not an integer id"),
     ],
     ids=["unknown_mode", "missing_config_key", "missing_vocab", "word_past_table",
-         "negative_word", "relation_past_table", "duplicate_relation_id"],
+         "negative_word", "relation_past_table", "duplicate_relation_id",
+         "fractional_word_id", "boolean_word_id", "string_word_id",
+         "fractional_relation_id", "boolean_relation_id"],
 )
 def test_malformed_checkpoint_metadata_exits_2(workspace, capsys, edit, message):
     tmp_path, corpus, config = workspace

@@ -12,10 +12,15 @@ from dregcn_absa.corpus import (
     AE_TAGS,
     AS_NONE,
     AS_TAGS,
+    REVERSE_PREFIX,
+    ROOT_MARKER,
     SELF_RELATION,
+    UNK_RELATION,
+    ParseError,
     RelationVocab,
     Sentence,
     build_dependency_graph,
+    load_embedding_table,
     parse_corpus_file,
     random_embedding_table,
     serialize_corpus,
@@ -29,6 +34,8 @@ from dregcn_absa.training import batch_loss
 from oracles import (
     dense_relations,
     encode_spans,
+    load_embedding_reference,
+    parse_corpus_reference,
     per_sentence_batch_loss,
     sentence_graph,
     stack_graphs,
@@ -141,6 +148,159 @@ def test_bucket_graph_equals_stacked_sentence_graphs(bucket, known, distinct, no
 @given(st.lists(sentences(max_n=8, words=WORDS), min_size=1, max_size=4))
 def test_corpus_round_trip(corpus):
     assert parse_corpus_file(serialize_corpus(corpus)) == corpus
+
+
+# Separators the parsers must treat alike: str.split whitespace inside a
+# line, str.splitlines boundaries between lines.
+GAPS = (" ", "\t", "  ", " \t", "\xa0")
+LINE_ENDS = ("\n", "\r\n", "\r", "\x0b", "\u2028")
+BLANKS = ("", " ", "\t", " \t ")
+# (column, replacement texts) of each single-token mutation
+MUTATIONS = {
+    "head": (3, ("x", "1.5", "3a")),
+    "index": (3, ("-1", "+3", "03", "1_0", ROOT_MARKER)),
+    "ae": (1, (*AE_TAGS, "ZZ")),
+    "as": (2, (*AS_TAGS, AS_NONE, "bad")),
+    "deprel": (4, (SELF_RELATION, UNK_RELATION, REVERSE_PREFIX + "nsubj", "nsubj")),
+}
+# two faults are of two kinds, so that the order of the checks shows
+FAULT_KINDS = ("columns", "head", *MUTATIONS, "cycle")
+# Strategies are built once: building one per draw costs more than the
+# parsing under test. Choices are made by `_pick`.
+_INDEX = st.integers(0, 2**16)
+_TOKEN = st.tuples(
+    st.sampled_from(("w", "Coffee", "\u00e9t\u00e9", "\u4e2d\u6587", ROOT_MARKER, "0", "x_1")),
+    st.sampled_from([(ae, asx) for ae in AE_TAGS
+                     for asx in (AS_TAGS if ae in ("BA", "IA") else (AS_NONE,))]),
+    st.sampled_from(DEPRELS),
+)
+
+
+def _pick(draw, seq):
+    return seq[draw(_INDEX) % len(seq)]
+
+
+def _random_tree(draw, n):
+    """Heads of a random tree: tokens join in a random order, each hanging
+    off one that joined before it."""
+    order = draw(st.permutations(range(n)))
+    heads = [None] * n
+    for k in range(1, n):
+        heads[order[k]] = _pick(draw, order[:k])
+    return heads
+
+
+def _descendant(heads, i):
+    """The last token other than i whose head chain runs through token i,
+    else i itself: as token i's head it closes a cycle, or points at i."""
+    def below(j):
+        while j is not None and j != i:
+            j = heads[j]
+        return j == i
+
+    return max((j for j in range(len(heads)) if j != i and below(j)), default=i)
+
+
+@st.composite
+def corpus_texts(draw):
+    """Corpus text of 1-3 valid sentences of 1-6 tokens with up to two
+    faults drawn into it: a wrong column count, a head that is no index,
+    negative, out of range, on itself or closing a cycle, a second or a
+    missing root, a bad AE or AS tag, a reserved deprel; written with varied
+    whitespace and line ends."""
+    trees, lines = [], []
+    for _ in range(1 + draw(_INDEX) % 3):
+        n = 1 + draw(_INDEX) % 6
+        trees.append(_random_tree(draw, n))
+        rows = draw(st.lists(_TOKEN, min_size=n, max_size=n))
+        lines.append([[w, ae, asx, ROOT_MARKER if h is None else str(h), rel]
+                      for (w, (ae, asx), rel), h in zip(rows, trees[-1])])
+    first, step, kinds = draw(_INDEX), 1 + draw(_INDEX) % (len(FAULT_KINDS) - 1), len(FAULT_KINDS)
+    faults = [FAULT_KINDS[first % kinds], FAULT_KINDS[(first + step) % kinds]]
+    # mostly in one sentence, where the first fault in line and check order
+    # must be named; column counts change last, so that every other fault
+    # finds 5 columns
+    b = draw(_INDEX) % len(lines)
+    for fault in sorted(faults[: _pick(draw, (0, 1, 2, 2, 2))], key=lambda f: f == "columns"):
+        b = _pick(draw, (b, b, b, len(lines) - 1 - b))
+        heads = trees[b]
+        cols = _pick(draw, lines[b])
+        if fault == "columns":
+            if draw(st.booleans()):
+                del cols[draw(_INDEX) % 5]
+            else:
+                cols.append("x")
+        elif fault == "cycle":
+            i = _pick(draw, [j for j, h in enumerate(heads) if h is not None] or [0])
+            lines[b][i][3] = str(_descendant(heads, i))
+        else:
+            k, texts = MUTATIONS[fault]
+            if fault == "index":  # also out of range, or any index
+                texts += (str(len(heads)), str(_pick(draw, range(len(heads)))))
+            cols[k] = _pick(draw, texts)
+    out = [_pick(draw, BLANKS) + "\n" for _ in range(draw(_INDEX) % 2)]
+    for b, block in enumerate(lines):
+        gap, end = _pick(draw, GAPS), _pick(draw, LINE_ENDS)
+        if b:
+            out += [_pick(draw, BLANKS) + end] * (1 + draw(_INDEX) % 2)
+        out += [gap + gap.join(cols) + end for cols in block]
+    return "".join(out)
+
+
+def _outcome(read, *args):
+    try:
+        return read(*args)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+@settings(max_examples=400)
+@given(corpus_texts())
+def test_parse_matches_line_by_line_reference(text):
+    """The same sentences as the line-by-line reader, or the same
+    ParseError: when a sentence has faults of more than one kind, the one
+    the reference meets first in line order and check order."""
+    assert _outcome(parse_corpus_file, text) == _outcome(parse_corpus_reference, text)
+
+
+VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(("1", "-0", "+.5", "1e-3", "1_0", "nan", "-inf", "x", "1.2.3")),
+)
+
+
+@st.composite
+def embedding_texts(draw):
+    """(text, dim): lines `word v1 .. v_dim`, mostly well formed, with
+    repeated words, blank lines, varied line ends, now and then a value that
+    is no number or not finite, or a line with one value too many or few."""
+    dim = draw(st.integers(0, 3))
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(BLANKS)))
+            continue
+        count = dim + draw(st.sampled_from((0, 0, 0, 0, 0, 0, -1, 1)))
+        values = [draw(VALUES) for _ in range(max(count, 0))]
+        lines.append(" ".join([draw(st.sampled_from("abcd")), *values]))
+    return "".join(line + draw(st.sampled_from(LINE_ENDS)) for line in lines), dim
+
+
+@settings(max_examples=200)
+@given(embedding_texts())
+def test_embedding_load_matches_line_by_line_reference(case):
+    """The same vocabulary and a bit-identical matrix as the line-by-line
+    reader, or the same ParseError."""
+    text, dim = case
+    got = _outcome(load_embedding_table, text, dim, np.random.default_rng(0))
+    ref = _outcome(load_embedding_reference, text, dim, np.random.default_rng(0))
+    if isinstance(ref, str):
+        assert got == ref
+    else:
+        assert not isinstance(got, str), got
+        assert list(got.vocab.items()) == list(ref.vocab.items())
+        assert got.matrix.dtype == ref.matrix.dtype and got.matrix.shape == ref.matrix.shape
+        assert got.matrix.tobytes() == ref.matrix.tobytes() and got.dim == ref.dim
 
 
 @st.composite
