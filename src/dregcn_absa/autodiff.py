@@ -5,6 +5,10 @@ module. Forward evaluation works with or without an active tape; gradients
 are produced by replaying a tape in reverse. Gradients accumulate additively,
 so a tensor used several times (e.g. head weights shared across
 message-passing rounds) collects the sum of all its contributions.
+
+After `backward`, only leaves (tensors no op produced, such as parameters and
+inputs) and the tensors passed as `params` keep a `.grad`; each intermediate
+gradient is freed once its op's backward has consumed it.
 """
 
 from __future__ import annotations
@@ -446,10 +450,14 @@ def bilinear_attention(
 
 
 def backward(tape: Tape, loss: Tensor, params: Sequence[Tensor] = ()) -> None:
-    """Populate gradients for everything on the tape by reverse traversal.
+    """Populate gradients by reverse traversal of the tape.
 
+    Afterwards only leaves (tensors that no op on the tape produced) and the
+    tensors in `params` hold a `.grad`. Every other op output's gradient is
+    dropped as soon as its op's backward has run: the tape is in execution
+    order, so by then every consumer of that output has added its share.
     Parameters listed in `params` but unreachable from the loss receive an
-    explicit zero gradient.
+    explicit zero gradient. The tape keeps its ops.
     """
     if loss.data.shape != ():
         raise ContractViolation(f"backward: loss has shape {loss.data.shape}, not scalar")
@@ -460,12 +468,15 @@ def backward(tape: Tape, loss: Tensor, params: Sequence[Tensor] = ()) -> None:
                 t.grad = None
     for p in params:
         p.grad = None
+    keep = {id(p) for p in params}
     loss.grad = np.ones((), dtype=np.float64)
     for op in reversed(tape.ops):
-        g = op.output.grad
-        if g is None:
+        out = op.output
+        if out.grad is None:
             continue
-        op.backward(g)
+        op.backward(out.grad)
+        if id(out) not in keep:
+            out.grad = None
     for p in params:
         if p.grad is None:
             p.grad = np.zeros_like(p.data)

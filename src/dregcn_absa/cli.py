@@ -12,14 +12,16 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import sys
 import time
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
+from . import __version__
 from .autodiff import (
     Tensor,
     bilinear_attention,
@@ -255,6 +257,18 @@ def _load_embeddings(
     return general, domain, digests
 
 
+def _environment() -> Dict[str, object]:
+    """The versions that trained weights can depend on: checkpoint bytes
+    follow the BLAS build, which NumPy reports offline."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "dregcn_absa": __version__,
+    }
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -300,7 +314,11 @@ def cmd_train(args: argparse.Namespace) -> int:
         "checkpoints": checkpoints,
         "per_run": [r.scores() for r in report.per_run],
         "averaged": report.averaged.scores(),
+        "history": [r.history for r in report.results],
         "history_final_epoch": [r.history[-1] if r.history else None for r in report.results],
+        "model_config": asdict(model_cfg),
+        "train_config": asdict(train_cfg),
+        "environment": _environment(),
         "wall_clock_seconds": wall_clock,
     }
     manifest_path = os.path.join(out_dir, "manifest.json")

@@ -54,6 +54,8 @@ class EncoderConfig:
             raise ValueError(f"unknown encoder mode {self.mode!r}; expected one of {MODES}")
         if self.d < 1 or self.m < 0 or self.gcn_layers < 0 or self.cnn_layers < 0:
             raise ValueError("d must be >= 1; m, gcn_layers and cnn_layers >= 0")
+        if any(w < 1 or w % 2 == 0 for w in self.kernel_widths):
+            raise ValueError(f"kernel widths must be odd and >= 1, got {self.kernel_widths}")
 
     @property
     def uses_graph(self) -> bool:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union, get_type_hints
 
 import numpy as np
 
@@ -60,9 +60,31 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         """The inverse of `asdict`; every field must be present."""
-        enc = dict(d["encoder"], kernel_widths=tuple(d["encoder"]["kernel_widths"]))
-        nested = {"encoder": EncoderConfig(**enc), "mp": MessagePassingConfig(**d["mp"])}
-        return cls(**{f.name: nested.get(f.name, d[f.name]) for f in fields(cls)})
+        encoder, mp = _typed(EncoderConfig, d["encoder"]), _typed(MessagePassingConfig, d["mp"])
+        return _typed(cls, d, encoder=encoder, mp=mp)
+
+
+# the JSON value types each config field type accepts (a bool is no number)
+_JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}
+
+
+def _typed(cls, d: dict, **nested):
+    """cls from the JSON values in `d` for each of its fields but `nested`,
+    each checked to have its field's type; a tuple field takes a list."""
+    hints = get_type_hints(cls)
+    values = dict(nested)
+    for f in fields(cls):
+        if f.name in nested:
+            continue
+        t, value = hints[f.name], d[f.name]
+        items, what = (value,), t.__name__
+        if t == Tuple[int, ...]:
+            t, value = int, tuple(value)
+            items, what = value, "a list of int"
+        if any(type(v) not in _JSON_TYPES[t] for v in items):
+            raise TypeError(f"{f.name} must be {what}, got {d[f.name]!r}")
+        values[f.name] = value
+    return cls(**values)
 
 
 class Model:
@@ -246,6 +268,15 @@ def _vocab(meta: dict, key: str, rows: int) -> Dict[str, int]:
     return index
 
 
+def _embedding(meta: dict, arrays: Dict[str, np.ndarray], kind: str) -> EmbeddingMatrix:
+    """The `kind` ("general" or "domain") embedding table, its vocabulary and
+    its width (an int, not a bool) checked against the stored matrix."""
+    matrix, dim = arrays[f"emb/{kind}"], meta[f"{kind}_dim"]
+    if type(dim) is not int or matrix.shape[1:] != (dim,):
+        raise ValueError(f"{kind}_dim is {dim!r}, not the width of its {matrix.shape} table")
+    return EmbeddingMatrix(_vocab(meta, f"{kind}_vocab", len(matrix)), matrix.copy(), dim)
+
+
 def load_checkpoint(path: str) -> Model:
     try:
         with np.load(path) as data:
@@ -257,20 +288,11 @@ def load_checkpoint(path: str) -> Model:
         raise CheckpointError(f"unsupported checkpoint version {meta.get('version')!r}")
     try:
         cfg = ModelConfig.from_dict(meta["config"])
-        general = EmbeddingMatrix(
-            _vocab(meta, "general_vocab", len(arrays["emb/general"])),
-            arrays["emb/general"].copy(),
-            meta["general_dim"],
-        )
-        domain = EmbeddingMatrix(
-            _vocab(meta, "domain_vocab", len(arrays["emb/domain"])),
-            arrays["emb/domain"].copy(),
-            meta["domain_dim"],
-        )
+        general, domain = _embedding(meta, arrays, "general"), _embedding(meta, arrays, "domain")
         rv = RelationVocab(_ids(meta, "relation_vocab"))
+        model = Model(cfg, general, domain, rv, np.random.default_rng(0))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint {path!r}: {type(exc).__name__}: {exc}") from exc
-    model = Model(cfg, general, domain, rv, np.random.default_rng(0))
     params = model.parameters()
     missing = set(params) - set(arrays)
     extra = set(arrays) - set(params)

@@ -1,6 +1,7 @@
 """Independent brute-force re-implementations used to cross-check the
 package's evaluation code, its graph layer (DreGCN, and the vanilla GCN it
-reduces to), its fused ops and its bucketed forward. Spans are found by
+reduces to), its fused ops, its bucketed forward and its backward (against
+one that keeps every gradient). Spans are found by
 enumerating every interval and testing it for maximality, not by scanning
 runs; the relation indicator is a dense (n, n, |N|) tensor filled by a plain
 double loop over the heads, not the package's typed arcs. So the two
@@ -397,6 +398,29 @@ def load_embedding_reference(text, expected_dim, rng):
         )
         raise ParseError(f"line {lineno}: non-finite embedding value")
     return EmbeddingMatrix(vocab, matrix, expected_dim)
+
+
+def backward_keep_all(tape, loss, params=()):
+    """The reference backward: the same reverse sweep as `autodiff.backward`,
+    but every gradient it computes stays on its tensor until the next pass."""
+    if loss.data.shape != ():
+        raise ad.ContractViolation(f"backward: loss has shape {loss.data.shape}, not scalar")
+    for op in tape.ops:
+        op.output.grad = None
+        for t in op.inputs:
+            if isinstance(t, Tensor):
+                t.grad = None
+    for p in params:
+        p.grad = None
+    loss.grad = np.ones((), dtype=np.float64)
+    for op in reversed(tape.ops):
+        g = op.output.grad
+        if g is None:
+            continue
+        op.backward(g)
+    for p in params:
+        if p.grad is None:
+            p.grad = np.zeros_like(p.data)
 
 
 def dregcn_double_sum(h, a, q, weight, bias, table):

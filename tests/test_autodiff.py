@@ -201,6 +201,18 @@ def test_backward_resets_and_zero_fills():
     np.testing.assert_allclose(a.grad, 2 * a.data)
 
 
+def test_backward_keeps_gradients_on_leaves_and_params_only():
+    a = t(3, 3)
+    with Tape() as tape:
+        h = ad.relu(ad.matmul(a, a))
+        loss = ad.sum_all(ad.mul(h, h))
+    backward(tape, loss, params=[h])  # an op output may be listed too
+    np.testing.assert_array_equal(h.grad, 2 * h.data)
+    assert a.grad is not None  # a leaf
+    assert [op.output.grad is None for op in tape.ops] == [True, False, True, True]
+    assert len(tape.ops) == 4
+
+
 def test_reused_tensor_accumulates_both_paths():
     a = t(3, 3)
     with Tape() as tape:

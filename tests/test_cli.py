@@ -1,11 +1,15 @@
 import gc
 import json
 import pathlib
+import platform
 import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dregcn_absa
 from dregcn_absa import autodiff as ad
 from dregcn_absa import cli
 from dregcn_absa.corpus import parse_corpus_file
@@ -186,6 +190,16 @@ def _set_first_word(key, row):
     return edit
 
 
+def _set_meta(path, value):
+    """An edit that sets the metadata leaf at key path `path` to `value`."""
+    def edit(meta, arrays):
+        node = meta
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -201,11 +215,26 @@ def _set_first_word(key, row):
         (_set_first_word("domain_vocab", "1"), "to '1', not an integer id"),
         (_set_first_word("relation_vocab", 2.5), "to 2.5, not an integer id"),
         (_set_first_word("relation_vocab", False), "to False, not an integer id"),
+        (_set_meta(("general_dim",), "abc"), "general_dim is 'abc', not the width"),
+        (_set_meta(("general_dim",), 6.0), "general_dim is 6.0, not the width"),
+        (_set_meta(("domain_dim",), 2), "domain_dim is 2, not the width"),
+        (_set_meta(("config", "encoder", "d"), 2.5), "d must be int, got 2.5"),
+        (_set_meta(("config", "encoder", "d"), True), "d must be int, got True"),
+        (_set_meta(("config", "encoder", "m"), 1.5), "m must be int, got 1.5"),
+        (_set_meta(("config", "encoder", "gcn_layers"), 2.5), "gcn_layers must be int, got 2.5"),
+        (_set_meta(("config", "mp", "rounds"), 1.5), "rounds must be int, got 1.5"),
+        (_set_meta(("config", "d_t"), 2.5), "d_t must be int, got 2.5"),
+        (_set_meta(("config", "encoder", "kernel_widths"), [3.5]),
+         "kernel_widths must be a list of int, got [3.5]"),
+        (_set_meta(("config", "encoder", "kernel_widths"), [-1]), "kernel widths must be odd"),
     ],
     ids=["unknown_mode", "missing_config_key", "missing_vocab", "word_past_table",
          "negative_word", "relation_past_table", "duplicate_relation_id",
          "fractional_word_id", "boolean_word_id", "string_word_id",
-         "fractional_relation_id", "boolean_relation_id"],
+         "fractional_relation_id", "boolean_relation_id", "string_dim", "float_dim",
+         "wrong_width_dim", "fractional_d", "boolean_d", "fractional_m",
+         "fractional_gcn_layers", "fractional_rounds", "fractional_d_t",
+         "fractional_kernel_width", "negative_kernel_width"],
 )
 def test_malformed_checkpoint_metadata_exits_2(workspace, capsys, edit, message):
     tmp_path, corpus, config = workspace
@@ -217,6 +246,52 @@ def test_malformed_checkpoint_metadata_exits_2(workspace, capsys, edit, message)
         assert cli.main([command, "--checkpoint", str(bad), "--corpus", corpus]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: malformed checkpoint") and message in err
+
+
+def _leaf_paths(node, path=()):
+    """The key path of every leaf (a value that is no dict or list)."""
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _leaf_paths(child, path + (key,))
+    else:
+        yield path
+
+
+# every kind of wrong JSON value a metadata leaf can be replaced with
+WRONG_VALUES = st.one_of(
+    st.text(max_size=3),
+    st.floats(-1e3, 1e3).filter(lambda x: not x.is_integer()),
+    st.booleans(),
+    st.none(),
+    st.integers(max_value=-1),
+    st.lists(st.integers(-2, 5), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(-2, 5), max_size=2),
+)
+
+
+def test_any_wrong_metadata_leaf_exits_0_or_2(workspace, fixtures_dir, capsys):
+    """One leaf of a train-written checkpoint's metadata, at any key path
+    (config sub-keys and vocabulary ids included), replaced by a wrong value:
+    `evaluate` returns 0 or 2 and prints no traceback."""
+    tmp_path, corpus, config = workspace
+    _, out = run_train(tmp_path, corpus, config)
+    checkpoint, edited = out / "checkpoint_seed0.npz", tmp_path / "edited.npz"
+    with np.load(checkpoint) as data:
+        meta = json.loads(bytes(data["meta"]).decode())
+    # the top-level key first, so the few scalar keys are drawn as often as a vocabulary
+    groups = {key: list(_leaf_paths(meta[key], (key,))) for key in sorted(meta)}
+
+    tiny = str(fixtures_dir / "tiny.corpus")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(groups)).flatmap(lambda key: st.sampled_from(groups[key])), WRONG_VALUES)
+    def check(path, value):
+        rewrite_checkpoint(checkpoint, edited, _set_meta(path, value))
+        capsys.readouterr()
+        assert cli.main(["evaluate", "--checkpoint", str(edited), "--corpus", tiny]) in (0, 2)
+        assert "Traceback" not in capsys.readouterr().err
+
+    check()
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
@@ -274,6 +349,26 @@ def test_train_writes_checkpoints_and_manifest(workspace, capsys):
     assert 0.0 <= manifest["averaged"]["f1_i"] <= 1.0
     assert manifest["wall_clock_seconds"] > 0
     assert "f1_i = " in capsys.readouterr().out
+
+
+def test_manifest_names_environment_configs_and_history(workspace):
+    tmp_path, corpus, config = workspace
+    code, out = run_train(tmp_path, corpus, config, extra=["--epochs", "2", "--runs", "2"])
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    env = manifest["environment"]
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__
+    assert env["dregcn_absa"] == dregcn_absa.__version__
+    assert set(env["blas"]) == {"name", "version"}
+    model_cfg = ModelConfig.from_dict(manifest["model_config"])
+    assert (model_cfg.encoder.d, model_cfg.d_t, model_cfg.dropout) == (8, 4, 0.5)
+    assert TrainConfig(**manifest["train_config"]) == TrainConfig(
+        epochs=2, runs=2, batch_size=4, learning_rate=0.01
+    )
+    assert [len(h) for h in manifest["history"]] == [2, 2]
+    for history, final in zip(manifest["history"], manifest["history_final_epoch"]):
+        assert history[-1] == final
 
 
 def test_train_with_embedding_files(workspace, fixtures_dir, monkeypatch):
