@@ -17,7 +17,7 @@ import sys
 import time
 from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, get_type_hints
+from typing import Dict, List, Optional, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
@@ -63,6 +63,7 @@ from .encoder import (
 )
 from .heads import MessagePassingConfig, as_head_forward, attention_constants, init_as_head
 from .model import CheckpointError, Model, ModelConfig, load_checkpoint, save_checkpoint
+from .model import JSON_TYPES, typed_value
 from .training import (
     NumericError,
     TrainConfig,
@@ -100,68 +101,50 @@ def _parse_value(raw: str) -> object:
     return raw
 
 
-def load_config_file(path: str) -> Dict[str, object]:
+def _read(path: str, kind: str) -> Tuple[str, str]:
+    """The text of the `kind` file at path and the sha256 of its bytes, from
+    one read. A missing file is a usage error, and a byte that is not UTF-8
+    a ParseError naming its line."""
     if not os.path.exists(path):
-        cfg_dir = os.environ.get(CONFIG_DIR_ENV)
-        if cfg_dir and os.path.exists(os.path.join(cfg_dir, path)):
-            path = os.path.join(cfg_dir, path)
-        else:
-            raise UsageError(f"config file not found: {path}")
+        raise UsageError(f"{kind} file not found: {path}")
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8"), hashlib.sha256(data).hexdigest()
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}: line {line}: byte {data[exc.start]:#04x} is not UTF-8") from exc
+
+
+def load_config_file(path: str) -> Dict[str, object]:
+    cfg_dir = os.environ.get(CONFIG_DIR_ENV)
+    if not os.path.exists(path) and cfg_dir and os.path.exists(os.path.join(cfg_dir, path)):
+        path = os.path.join(cfg_dir, path)
+    try:
+        text, _ = _read(path, "config")
+    except ParseError as exc:
+        raise UsageError(str(exc)) from exc
     out: Dict[str, object] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped or stripped.startswith("["):
-                continue
-            if "=" not in stripped:
-                raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-            key, raw = stripped.split("=", 1)
-            key = key.strip()
-            if key not in CONFIG_DEFAULTS:
-                raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-            out[key] = _parse_value(raw)
+    for lineno, line in enumerate(text.splitlines(), 1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped or stripped.startswith("["):
+            continue
+        if "=" not in stripped:
+            raise UsageError(f"{path}:{lineno}: expected 'key = value'")
+        key, raw = stripped.split("=", 1)
+        key = key.strip()
+        if key not in CONFIG_DEFAULTS:
+            raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        out[key] = _parse_value(raw)
     return out
 
 
 def merged_config(args: argparse.Namespace) -> Dict[str, object]:
+    """Defaults, then the config file's values, then the flags that are set."""
     cfg = dict(CONFIG_DEFAULTS)
-    if getattr(args, "config", None):
+    if args.config:
         cfg.update(load_config_file(args.config))
-    overrides = {
-        "seed": getattr(args, "seed", None),
-        "runs": getattr(args, "runs", None),
-        "mode": getattr(args, "mode", None),
-        "mp_variant": getattr(args, "mp_variant", None),
-        "rounds": getattr(args, "rounds", None),
-        "epochs": getattr(args, "epochs", None),
-    }
-    cfg.update({k: v for k, v in overrides.items() if v is not None})
+    cfg.update({k: v for k, v in vars(args).items() if k in CONFIG_DEFAULTS and v is not None})
     return cfg
-
-
-def _integer(cfg: Dict[str, object], key: str) -> int:
-    """The value of an integer key; a fraction is an error, not truncated."""
-    value = cfg[key]
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not (number and float(value).is_integer()):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _real(cfg: Dict[str, object], key: str) -> float:
-    """The value of a float key; a boolean is an error, not 1.0 or 0.0."""
-    value = cfg[key]
-    if isinstance(value, bool):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    return float(value)
-
-
-def _boolean(cfg: Dict[str, object], key: str) -> bool:
-    """The value of a boolean key: only a parsed true/false is accepted."""
-    value = cfg[key]
-    if not isinstance(value, bool):
-        raise ValueError(f"{key} must be true or false, got {value!r}")
-    return value
 
 
 # Each config key is a scalar field of one of these dataclasses, with that
@@ -169,12 +152,6 @@ def _boolean(cfg: Dict[str, object], key: str) -> bool:
 # Tuple fields such as `kernel_widths` are not keys.
 _CONFIG_CLASSES = (TrainConfig, EncoderConfig, MessagePassingConfig, ModelConfig)
 _RENAMED = {"variant": "mp_variant"}
-_READ: Dict[type, Callable[[Dict[str, object], str], object]] = {
-    int: _integer,
-    bool: _boolean,
-    float: _real,
-    str: lambda cfg, key: str(cfg[key]),
-}
 
 
 def _keys(cls: type) -> Dict[str, Tuple[str, type, object]]:
@@ -183,7 +160,7 @@ def _keys(cls: type) -> Dict[str, Tuple[str, type, object]]:
     return {
         _RENAMED.get(f.name, f.name): (f.name, types[f.name], f.default)
         for f in fields(cls)
-        if types[f.name] in _READ
+        if types[f.name] in JSON_TYPES
     }
 
 
@@ -196,19 +173,21 @@ CONFIG_DEFAULTS: Dict[str, object] = {
 
 
 def _build(cls: type, cfg: Dict[str, object], **nested):
-    """cls from the config keys of its scalar fields, plus its nested configs."""
-    return cls(**nested, **{name: _READ[t](cfg, key) for key, (name, t, _) in _keys(cls).items()})
+    """cls from the config keys of its scalar fields, each read by the
+    checkpoint's `typed_value`, plus its nested configs."""
+    values = {name: typed_value(key, t, cfg[key]) for key, (name, t, _) in _keys(cls).items()}
+    return cls(**nested, **values)
 
 
 def build_configs(cfg: Dict[str, object]) -> Tuple[TrainConfig, ModelConfig]:
     try:
-        widths = [_integer(cfg, key) for key in EMBEDDING_DIMS]
+        widths = [typed_value(key, int, cfg[key]) for key in EMBEDDING_DIMS]
         if min(widths) < 0 or sum(widths) == 0:
             raise ValueError("general_dim and domain_dim must be >= 0, and not both 0")
         train_cfg = _build(TrainConfig, cfg)
         encoder, mp = _build(EncoderConfig, cfg), _build(MessagePassingConfig, cfg)
         model_cfg = _build(ModelConfig, cfg, encoder=encoder, mp=mp)
-    except ValueError as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
     return train_cfg, model_cfg
 
@@ -217,43 +196,36 @@ def build_configs(cfg: Dict[str, object]) -> Tuple[TrainConfig, ModelConfig]:
 # IO helpers
 
 
-def _read_corpus(path: str) -> List[Sentence]:
-    if not os.path.exists(path):
-        raise UsageError(f"corpus file not found: {path}")
-    sentences = parse_corpus_file(Path(path).read_text(encoding="utf-8"))
+def _read_corpus(path: str) -> Tuple[List[Sentence], str]:
+    """The sentences of a corpus file and the sha256 of its bytes."""
+    text, digest = _read(path, "corpus")
+    sentences = parse_corpus_file(text)
     if not sentences:
         raise ParseError(f"corpus file {path} contains no sentences")
-    return sentences
-
-
-def _digest(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return sentences, digest
 
 
 def _load_embeddings(
     cfg: Dict[str, object],
-    args: argparse.Namespace,
     corpus: Sequence[Sentence],
+    general_path: Optional[str] = None,
+    domain_path: Optional[str] = None,
 ) -> Tuple[EmbeddingMatrix, EmbeddingMatrix, Dict[str, str]]:
     """Load embedding files when given, else build seeded random tables over
     the corpus vocabulary."""
     digests: Dict[str, str] = {}
-    rng = np.random.default_rng(int(cfg["seed"]))
+    rng = np.random.default_rng(cfg["seed"])
     words = [w for s in corpus for w in s.tokens]
 
     def one(path: Optional[str], dim_key: str, label: str) -> EmbeddingMatrix:
         if path:
-            if not os.path.exists(path):
-                raise UsageError(f"embedding file not found: {path}")
-            digests[label] = _digest(path)
-            return load_embedding_table(
-                Path(path).read_text(encoding="utf-8"), int(cfg[dim_key]), rng
-            )
+            text, digests[label] = _read(path, "embedding")
+            return load_embedding_table(text, cfg[dim_key], rng)
         digests[label] = f"random(dim={cfg[dim_key]}, seed={cfg['seed']})"
-        return random_embedding_table(words, int(cfg[dim_key]), rng)
+        return random_embedding_table(words, cfg[dim_key], rng)
 
-    general = one(getattr(args, "general_emb", None), "general_dim", "general_emb")
-    domain = one(getattr(args, "domain_emb", None), "domain_dim", "domain_emb")
+    general = one(general_path, "general_dim", "general_emb")
+    domain = one(domain_path, "domain_dim", "domain_emb")
     return general, domain, digests
 
 
@@ -276,18 +248,14 @@ def _environment() -> Dict[str, object]:
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = merged_config(args)
     train_cfg, model_cfg = build_configs(cfg)
-    corpus = _read_corpus(args.corpus)
-    general, domain, digests = _load_embeddings(cfg, args, corpus)
-    digests["corpus"] = _digest(args.corpus)
-
-    dev_set = _read_corpus(args.dev_corpus) if getattr(args, "dev_corpus", None) else None
-    eval_corpus = (
-        _read_corpus(args.test_corpus) if getattr(args, "test_corpus", None) else None
-    )
-    if getattr(args, "dev_corpus", None):
-        digests["dev_corpus"] = _digest(args.dev_corpus)
-    if getattr(args, "test_corpus", None):
-        digests["test_corpus"] = _digest(args.test_corpus)
+    corpus, corpus_digest = _read_corpus(args.corpus)
+    general, domain, digests = _load_embeddings(cfg, corpus, args.general_emb, args.domain_emb)
+    digests["corpus"] = corpus_digest
+    dev_set = eval_corpus = None
+    if args.dev_corpus:
+        dev_set, digests["dev_corpus"] = _read_corpus(args.dev_corpus)
+    if args.test_corpus:
+        eval_corpus, digests["test_corpus"] = _read_corpus(args.test_corpus)
 
     if dev_set is None:
         # a split that leaves either side empty exits 2 before `--out` is made
@@ -322,8 +290,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         "wall_clock_seconds": wall_clock,
     }
     manifest_path = os.path.join(out_dir, "manifest.json")
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    Path(manifest_path).write_text(json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
     print(f"wrote {manifest_path}")
     print(report.averaged.format_flat(), end="")
     return 0
@@ -331,27 +298,25 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     model = load_checkpoint(args.checkpoint)
-    corpus = _read_corpus(args.corpus)
+    corpus, _ = _read_corpus(args.corpus)
     report = evaluate_model(model, corpus)
     text = report.format_flat()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        Path(args.out).write_text(text, encoding="utf-8")
     print(text, end="")
     return 0
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
     model = load_checkpoint(args.checkpoint)
-    corpus = _read_corpus(args.corpus)
+    corpus, _ = _read_corpus(args.corpus)
     predicted = [
         Sentence(s.tokens, tuple(ae), tuple(asx), s.heads, s.deprels)
         for s, (ae, asx) in zip(corpus, predict_tags(model, corpus))
     ]
     text = serialize_corpus(predicted)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         print(text, end="")
     return 0
@@ -382,7 +347,7 @@ def run_ablation(
         row_cfg = dict(cfg)
         row_cfg.update(overrides)
         train_cfg, model_cfg = build_configs(row_cfg)
-        general, domain, _ = _load_embeddings(row_cfg, argparse.Namespace(), corpus)
+        general, domain, _ = _load_embeddings(row_cfg, corpus)
         report = multi_run(corpus, train_cfg, model_cfg, general, domain)
         rows.append((label, report.averaged.f1_i))
     return rows
@@ -390,19 +355,18 @@ def run_ablation(
 
 def cmd_ablate(args: argparse.Namespace) -> int:
     cfg = merged_config(args)
-    corpus = _read_corpus(args.corpus)
+    corpus, _ = _read_corpus(args.corpus)
     rows = run_ablation(cfg, corpus)
     lines = [f"{i} {label} f1_i = {100 * f1:.2f}" for i, (label, f1) in enumerate(rows)]
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        Path(args.out).write_text(text, encoding="utf-8")
     print(text, end="")
     return 0
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    corpus = _read_corpus(args.corpus)
+    corpus, _ = _read_corpus(args.corpus)
     st = corpus_stats(corpus)
     print(f"sentences = {st.sentences}")
     print(f"aspect_terms = {st.aspect_terms}")
@@ -449,7 +413,7 @@ def gradcheck_suite(seed: int = 0) -> List[Tuple[str, float]]:
         ("w0", "w1", "w2", "w3"), ("O",) * n, ("none",) * n,
         (None, 0, 1, 2), ("r1", "r1", "r2", "r3"),
     )
-    rv = RelationVocab.from_corpus([chain], include_unknown=False)  # <self>, r1, r2, r3
+    rv = RelationVocab({"<self>": 0, "r1": 1, "r2": 2, "r3": 3})
     graph = build_dependency_graph([chain], rv)
     adj = graph.adjacency[0]
     counts = relation_counts(graph.adjacency, graph.relation_indicator, rv.size)[0]

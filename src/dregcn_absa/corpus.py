@@ -157,20 +157,12 @@ class RelationVocab:
 
     @classmethod
     def from_corpus(
-        cls,
-        sentences: Iterable[Sentence],
-        distinct_reverse_types: bool = False,
-        include_unknown: bool = True,
+        cls, sentences: Iterable[Sentence], distinct_reverse_types: bool = False
     ) -> "RelationVocab":
         names = sorted({d for s in sentences for d in s.deprels})
-        ordered = [SELF_RELATION]
-        if include_unknown:
-            ordered.append(UNK_RELATION)
-        ordered.extend(names)
+        ordered = [SELF_RELATION, UNK_RELATION, *names]
         if distinct_reverse_types:
-            ordered.extend(REVERSE_PREFIX + n for n in names)
-            if include_unknown:
-                ordered.append(REVERSE_PREFIX + UNK_RELATION)
+            ordered.extend(REVERSE_PREFIX + n for n in [*names, UNK_RELATION])
         return cls({name: i for i, name in enumerate(ordered)})
 
     @property

@@ -65,26 +65,28 @@ class ModelConfig:
 
 
 # the JSON value types each config field type accepts (a bool is no number)
-_JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}
+JSON_TYPES = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}
+
+
+def typed_value(name: str, t: type, value: object) -> object:
+    """`value`, checked to be a JSON value of type t: an int takes no bool or
+    float, a float any number (stored as float), a bool only a bool, a str
+    only a string, and a tuple of ints a list of ints."""
+    if t == Tuple[int, ...]:
+        if any(type(v) is not int for v in value):
+            raise TypeError(f"{name} must be a list of int, got {value!r}")
+        return tuple(value)
+    if type(value) not in JSON_TYPES[t]:
+        raise TypeError(f"{name} must be {t.__name__}, got {value!r}")
+    return float(value) if t is float else value
 
 
 def _typed(cls, d: dict, **nested):
     """cls from the JSON values in `d` for each of its fields but `nested`,
-    each checked to have its field's type; a tuple field takes a list."""
+    each read by `typed_value` under its field's name."""
     hints = get_type_hints(cls)
-    values = dict(nested)
-    for f in fields(cls):
-        if f.name in nested:
-            continue
-        t, value = hints[f.name], d[f.name]
-        items, what = (value,), t.__name__
-        if t == Tuple[int, ...]:
-            t, value = int, tuple(value)
-            items, what = value, "a list of int"
-        if any(type(v) not in _JSON_TYPES[t] for v in items):
-            raise TypeError(f"{f.name} must be {what}, got {d[f.name]!r}")
-        values[f.name] = value
-    return cls(**values)
+    names = [f.name for f in fields(cls) if f.name not in nested]
+    return cls(**nested, **{name: typed_value(name, hints[name], d[name]) for name in names})
 
 
 class Model:
@@ -284,6 +286,9 @@ def load_checkpoint(path: str) -> Model:
             arrays = {k[len("param:"):]: data[k] for k in data.files if k.startswith("param:")}
     except (OSError, KeyError, ValueError) as exc:
         raise CheckpointError(f"cannot read checkpoint {path!r}: {exc}") from exc
+    if type(meta) is not dict:
+        kind = type(meta).__name__
+        raise CheckpointError(f"malformed checkpoint {path!r}: metadata is {kind}, not an object")
     if meta.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {meta.get('version')!r}")
     try:
@@ -291,7 +296,7 @@ def load_checkpoint(path: str) -> Model:
         general, domain = _embedding(meta, arrays, "general"), _embedding(meta, arrays, "domain")
         rv = RelationVocab(_ids(meta, "relation_vocab"))
         model = Model(cfg, general, domain, rv, np.random.default_rng(0))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint {path!r}: {type(exc).__name__}: {exc}") from exc
     params = model.parameters()
     missing = set(params) - set(arrays)

@@ -1,8 +1,10 @@
+import dataclasses
 import gc
 import json
 import pathlib
 import platform
 import shutil
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ import dregcn_absa
 from dregcn_absa import autodiff as ad
 from dregcn_absa import cli
 from dregcn_absa.corpus import parse_corpus_file
+from dregcn_absa.encoder import EncoderConfig
+from dregcn_absa.heads import MessagePassingConfig
 from dregcn_absa.model import ModelConfig
 from dregcn_absa.training import TrainConfig
 
@@ -32,14 +36,19 @@ learning_rate = 0.01
 """
 
 
-@pytest.fixture
-def workspace(tmp_path, fixtures_dir):
-    corpus = tmp_path / "train.corpus"
-    text = (fixtures_dir / "tiny.corpus").read_text()
-    corpus.write_text("\n".join([text] * 4))  # 12 sentences for splitting
-    config = tmp_path / "small.conf"
+def make_workspace(root):
+    """root, a 12-sentence corpus (enough to split) and SMALL_CONFIG in it."""
+    corpus = root / "train.corpus"
+    text = (pathlib.Path(__file__).parent / "fixtures" / "tiny.corpus").read_text()
+    corpus.write_text("\n".join([text] * 4))
+    config = root / "small.conf"
     config.write_text(SMALL_CONFIG)
-    return tmp_path, str(corpus), str(config)
+    return root, str(corpus), str(config)
+
+
+@pytest.fixture
+def workspace(tmp_path):
+    return make_workspace(tmp_path)
 
 
 def run_train(tmp_path, corpus, config, extra=()):
@@ -48,6 +57,16 @@ def run_train(tmp_path, corpus, config, extra=()):
         ["train", "--corpus", corpus, "--config", config, "--out", str(out), *extra]
     )
     return code, out
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A workspace and the checkpoint that one `train` wrote there, shared
+    by the tests that only read or copy it."""
+    root, corpus, config = make_workspace(tmp_path_factory.mktemp("trained"))
+    code, out = run_train(root, corpus, config)
+    assert code == 0
+    return root, corpus, out / "checkpoint_seed0.npz"
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +95,7 @@ def test_usage_errors_exit_1(tmp_path, workspace, capsys):
         "m = -1",
         "gcn_layers = -1",
         "epochs = 2.7",
+        "epochs = 2.0",
         "epochs = inf",
         "dev_ratio = 0",
         "seed = -1",
@@ -92,6 +112,7 @@ def test_usage_errors_exit_1(tmp_path, workspace, capsys):
         "runs = 0",
         "cnn_layers = 2.5",
         "domain_dim = 1.5",
+        "general_dim = 6.0",
         "learning_rate = abc",
         "mode = bogus",
         "mp_variant = bogus",
@@ -115,6 +136,13 @@ def test_usage_errors_exit_1(tmp_path, workspace, capsys):
     capsys.readouterr()
     assert cli.main(["gradcheck", "--seed", "-1"]) == 1
     assert capsys.readouterr().err.startswith("usage error: ")
+    # a config file that is not UTF-8 names the line of its first bad byte
+    latin = tmp_path / "latin1.conf"
+    latin.write_bytes(b"epochs = 1\nmode = caf\xe9\n")
+    code, out = run_train(tmp_path, corpus, str(latin))
+    assert code == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == f"usage error: {latin}: line 2: byte 0xe9 is not UTF-8\n"
 
 
 def test_config_keys_are_the_config_dataclass_fields():
@@ -127,7 +155,7 @@ def test_config_keys_are_the_config_dataclass_fields():
     assert cli.build_configs(cli.CONFIG_DEFAULTS) == (TrainConfig(), ModelConfig())
 
 
-def test_data_errors_exit_2(tmp_path, workspace, fixtures_dir):
+def test_data_errors_exit_2(tmp_path, workspace, fixtures_dir, capsys):
     _, corpus, config = workspace
     malformed = tmp_path / "broken.corpus"
     malformed.write_text("word O none\n")  # 3 columns instead of 5
@@ -156,27 +184,46 @@ def test_data_errors_exit_2(tmp_path, workspace, fixtures_dir):
     code, out = run_train(tmp_path, str(reserved), str(reverse_conf))
     assert code == 2
     assert not out.exists()
+    # a corpus or embedding file that is not UTF-8 names the line of its first bad byte
+    latin = tmp_path / "latin1.corpus"
+    latin.write_bytes(b"a O none ROOT root\n\ncaf\xe9 O none ROOT root\n")
+    capsys.readouterr()
+    assert cli.main(["stats", "--corpus", str(latin)]) == 2
+    assert capsys.readouterr().err == f"data error: {latin}: line 3: byte 0xe9 is not UTF-8\n"
+    latin_emb = tmp_path / "latin1.emb"
+    latin_emb.write_bytes(b"coffee 0.1 0.2 0.3 0.4\ncaf\xe9 0.1 0.2 0.3 0.4\n")
+    emb_conf = tmp_path / "emb.conf"
+    emb_conf.write_text(SMALL_CONFIG.replace("general_dim = 6", "general_dim = 4"))
+    code, out = run_train(tmp_path, corpus, str(emb_conf), extra=["--general-emb", str(latin_emb)])
+    assert code == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == f"data error: {latin_emb}: line 2: byte 0xe9 is not UTF-8\n"
+
+
+def _meta_member(meta):
+    return np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
 
 
 def rewrite_checkpoint(src, dst, edit):
-    """Copy a checkpoint, letting edit(meta, arrays) change it on the way."""
+    """Copy a checkpoint, letting edit(meta, arrays) change it on the way;
+    an edit that sets arrays["meta"] replaces the metadata member whole."""
     with np.load(src) as data:
         arrays = {k: data[k] for k in data.files}
     meta = json.loads(bytes(arrays.pop("meta")).decode())
     edit(meta, arrays)
+    arrays.setdefault("meta", _meta_member(meta))
     with open(dst, "wb") as fh:
-        np.savez(fh, meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8), **arrays)
+        np.savez(fh, **arrays)
 
 
-def test_non_finite_checkpoint_exits_2(workspace, capsys):
-    tmp_path, corpus, config = workspace
-    _, out = run_train(tmp_path, corpus, config)
+def test_non_finite_checkpoint_exits_2(trained, capsys):
+    tmp_path, corpus, checkpoint = trained
     bad = tmp_path / "nan.npz"
 
     def poison(meta, arrays):
         arrays["param:ae/hidden_b"][0] = np.nan
 
-    rewrite_checkpoint(out / "checkpoint_seed0.npz", bad, poison)
+    rewrite_checkpoint(checkpoint, bad, poison)
     capsys.readouterr()
     assert cli.main(["evaluate", "--checkpoint", str(bad), "--corpus", corpus]) == 2
     out = capsys.readouterr()
@@ -187,6 +234,13 @@ def test_non_finite_checkpoint_exits_2(workspace, capsys):
 def _set_first_word(key, row):
     def edit(meta, arrays):
         meta[key][next(iter(meta[key]))] = row
+    return edit
+
+
+def _replace_meta(value):
+    """An edit that writes `value` as the whole metadata."""
+    def edit(meta, arrays):
+        arrays["meta"] = _meta_member(value)
     return edit
 
 
@@ -227,6 +281,10 @@ def _set_meta(path, value):
         (_set_meta(("config", "encoder", "kernel_widths"), [3.5]),
          "kernel_widths must be a list of int, got [3.5]"),
         (_set_meta(("config", "encoder", "kernel_widths"), [-1]), "kernel widths must be odd"),
+        (_replace_meta([1, 2]), "metadata is list, not an object"),
+        (_replace_meta("x"), "metadata is str, not an object"),
+        (_replace_meta(3), "metadata is int, not an object"),
+        (_replace_meta(None), "metadata is NoneType, not an object"),
     ],
     ids=["unknown_mode", "missing_config_key", "missing_vocab", "word_past_table",
          "negative_word", "relation_past_table", "duplicate_relation_id",
@@ -234,13 +292,13 @@ def _set_meta(path, value):
          "fractional_relation_id", "boolean_relation_id", "string_dim", "float_dim",
          "wrong_width_dim", "fractional_d", "boolean_d", "fractional_m",
          "fractional_gcn_layers", "fractional_rounds", "fractional_d_t",
-         "fractional_kernel_width", "negative_kernel_width"],
+         "fractional_kernel_width", "negative_kernel_width", "list_metadata",
+         "string_metadata", "number_metadata", "null_metadata"],
 )
-def test_malformed_checkpoint_metadata_exits_2(workspace, capsys, edit, message):
-    tmp_path, corpus, config = workspace
-    _, out = run_train(tmp_path, corpus, config)
+def test_malformed_checkpoint_metadata_exits_2(trained, capsys, edit, message):
+    tmp_path, corpus, checkpoint = trained
     bad = tmp_path / "malformed.npz"
-    rewrite_checkpoint(out / "checkpoint_seed0.npz", bad, edit)
+    rewrite_checkpoint(checkpoint, bad, edit)
     capsys.readouterr()
     for command in ("evaluate", "predict"):
         assert cli.main([command, "--checkpoint", str(bad), "--corpus", corpus]) == 2
@@ -269,13 +327,12 @@ WRONG_VALUES = st.one_of(
 )
 
 
-def test_any_wrong_metadata_leaf_exits_0_or_2(workspace, fixtures_dir, capsys):
+def test_any_wrong_metadata_leaf_exits_0_or_2(trained, fixtures_dir, capsys):
     """One leaf of a train-written checkpoint's metadata, at any key path
     (config sub-keys and vocabulary ids included), replaced by a wrong value:
     `evaluate` returns 0 or 2 and prints no traceback."""
-    tmp_path, corpus, config = workspace
-    _, out = run_train(tmp_path, corpus, config)
-    checkpoint, edited = out / "checkpoint_seed0.npz", tmp_path / "edited.npz"
+    tmp_path, _, checkpoint = trained
+    edited = tmp_path / "edited.npz"
     with np.load(checkpoint) as data:
         meta = json.loads(bytes(data["meta"]).decode())
     # the top-level key first, so the few scalar keys are drawn as often as a vocabulary
@@ -292,6 +349,50 @@ def test_any_wrong_metadata_leaf_exits_0_or_2(workspace, fixtures_dir, capsys):
         assert "Traceback" not in capsys.readouterr().err
 
     check()
+
+
+# (config file text, JSON value) pairs of the wrong type for each field type
+WRONG_TYPED = {
+    int: (("true", True), ("2.5", 2.5), ("2.0", 2.0), ("abc", "abc")),
+    float: (("true", True), ("abc", "abc")),
+    bool: (("1", 1), ("abc", "abc")),
+    str: (("3", 3), ("true", True)),
+}
+# each config dataclass and the key path of its fields in checkpoint metadata
+CONFIG_PATHS = (
+    (TrainConfig, None),
+    (EncoderConfig, ("config", "encoder")),
+    (MessagePassingConfig, ("config", "mp")),
+    (ModelConfig, ("config",)),
+)
+SCALAR_FIELDS = [
+    (path, f.name, t)
+    for cls, path in CONFIG_PATHS
+    for f in dataclasses.fields(cls)
+    if (t := get_type_hints(cls)[f.name]) in WRONG_TYPED
+]
+
+
+@pytest.mark.parametrize("path, name, t", SCALAR_FIELDS, ids=[name for _, name, _ in SCALAR_FIELDS])
+def test_one_type_rule_for_config_files_and_checkpoints(trained, capsys, path, name, t):
+    """A value of the wrong type for a field is a usage error in a config
+    file (exit 1, no `--out`) and a data error in checkpoint metadata (exit 2)."""
+    root, corpus, checkpoint = trained
+    key = "mp_variant" if name == "variant" else name
+    conf, out, edited = root / "wrong.conf", root / f"wrong_{name}", root / "wrong.npz"
+    for text, value in WRONG_TYPED[t]:
+        conf.write_text(SMALL_CONFIG + f"{key} = {text}\n")
+        capsys.readouterr()
+        assert cli.main(["train", "--corpus", corpus, "--config", str(conf), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"usage error: {key} must be "), text
+        assert not out.exists(), text
+        if path is None:  # a TrainConfig is not stored in checkpoints
+            continue
+        rewrite_checkpoint(checkpoint, edited, _set_meta(path + (name,), value))
+        assert cli.main(["evaluate", "--checkpoint", str(edited), "--corpus", corpus]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: malformed checkpoint"), value
+        assert f"TypeError: {name} must be " in err, value
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")

@@ -37,6 +37,9 @@ def simple_sentence():
     )
 
 
+SIMPLE_DEPRELS = ("cop", "det", "nsubj", "root")  # simple_sentence's, sorted
+
+
 # ---------------------------------------------------------------------------
 # Sentence validation
 
@@ -125,16 +128,22 @@ def test_relation_vocab_oov_and_reverse():
     assert rv.indices(["nomatch"]) == [rv.index[UNK_RELATION]]
     rv2 = RelationVocab.from_corpus([simple_sentence()], distinct_reverse_types=True)
     assert rv2.indices(["det"], reverse=True) == [rv2.index[REVERSE_PREFIX + "det"]]
-    rv3 = RelationVocab.from_corpus([simple_sentence()], include_unknown=False)
+    rv3 = known_only(SELF_RELATION, *SIMPLE_DEPRELS)
     with pytest.raises(VocabularyError):
         rv3.indices(["nomatch"])
+
+
+def known_only(*names):
+    """A vocabulary of exactly these names, in order: no OOV bucket."""
+    return RelationVocab({name: i for i, name in enumerate(names)})
 
 
 def _vocabularies():
     s = simple_sentence()
     for distinct in (False, True):
-        for unknown in (False, True):
-            yield RelationVocab.from_corpus([s], distinct, include_unknown=unknown)
+        reverse = [REVERSE_PREFIX + name for name in SIMPLE_DEPRELS] if distinct else []
+        yield known_only(SELF_RELATION, *SIMPLE_DEPRELS, *reverse)
+        yield RelationVocab.from_corpus([s], distinct)
     # index maps a checkpoint may hold: a reverse OOV bucket alone, a
     # doubly prefixed name, a forward OOV bucket without reverse types
     yield RelationVocab({SELF_RELATION: 0, "det": 1, REVERSE_PREFIX + UNK_RELATION: 2})
@@ -159,7 +168,7 @@ def test_relation_tables_answer_as_the_fallback_chain(rv):
 
 def test_vocabulary_without_unknown_rejects_an_unknown_deprel():
     s = simple_sentence()
-    rv = RelationVocab.from_corpus([s], include_unknown=False)
+    rv = known_only(SELF_RELATION, *SIMPLE_DEPRELS)
     odd = Sentence(s.tokens, s.ae_tags, s.as_tags, s.heads, ("det", "nomatch", "cop", "root"))
     with pytest.raises(VocabularyError, match="'nomatch'"):
         rv.indices(odd.deprels)
