@@ -103,10 +103,12 @@ def _parse_value(raw: str) -> object:
 
 def _read(path: str, kind: str) -> Tuple[str, str]:
     """The text of the `kind` file at path and the sha256 of its bytes, from
-    one read. A missing file is a usage error, and a byte that is not UTF-8
-    a ParseError naming its line."""
+    one read. A missing file or a directory is a usage error, and a byte
+    that is not UTF-8 a ParseError naming its line."""
     if not os.path.exists(path):
         raise UsageError(f"{kind} file not found: {path}")
+    if os.path.isdir(path):
+        raise UsageError(f"{kind} file is a directory: {path}")
     data = Path(path).read_bytes()
     try:
         return data.decode("utf-8"), hashlib.sha256(data).hexdigest()
@@ -246,6 +248,8 @@ def _environment() -> Dict[str, object]:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    if args.out and os.path.exists(args.out) and not os.path.isdir(args.out):
+        raise UsageError(f"--out {args.out} exists and is not a directory")
     cfg = merged_config(args)
     train_cfg, model_cfg = build_configs(cfg)
     corpus, corpus_digest = _read_corpus(args.corpus)

@@ -244,13 +244,16 @@ def _read_heads(block: Sequence[List[str]], first: int) -> Tuple[Optional[int], 
     return tuple(heads)
 
 
-def _block_sentence(block: List[List[str]], first: int) -> Sentence:
-    """The sentence of the whitespace-split lines first, first + 1, ..."""
+def _block_sentence(block: List[List[str]], first: int, seen: Dict[str, str]) -> Sentence:
+    """The sentence of the whitespace-split lines first, first + 1, ...; each
+    text column reads through `seen`, so that equal strings are one object."""
     try:
         tokens, ae, asx, heads, deprels = zip(*block, strict=True)
         heads = tuple(map(_HEAD_INDEX.__getitem__, heads))
     except (ValueError, KeyError):  # a line without 5 columns, a head past the table or no index
         heads = _read_heads(block, first)  # raises at the first faulty line, if any
+    columns = (tokens, ae, asx, deprels)
+    tokens, ae, asx, deprels = (tuple(map(seen.setdefault, col, col)) for col in columns)
     try:
         return Sentence(tokens, ae, asx, heads, deprels)
     except ValueError as exc:
@@ -260,15 +263,18 @@ def _block_sentence(block: List[List[str]], first: int) -> Sentence:
 def parse_corpus_file(text: str) -> List[Sentence]:
     """The sentences of a corpus file: 5 whitespace-separated columns per
     token line, blank or whitespace-only lines between sentences. A
-    ParseError names the first faulty line of the first faulty sentence."""
+    ParseError names the first faulty line of the first faulty sentence.
+    Equal strings in the text columns are one object, through a table that
+    lives only for this call: a corpus repeats its words, tags and deprels."""
     sentences: List[Sentence] = []
     block: List[List[str]] = []
+    seen: Dict[str, str] = {}
     # a final empty line ends the last sentence
     for lineno, cols in enumerate(chain(map(str.split, text.splitlines()), ([],)), 1):
         if cols:
             block.append(cols)
         elif block:
-            sentences.append(_block_sentence(block, lineno - len(block)))
+            sentences.append(_block_sentence(block, lineno - len(block), seen))
             block = []
     return sentences
 

@@ -19,6 +19,7 @@ from dregcn_absa.encoder import EncoderConfig
 from dregcn_absa.heads import MessagePassingConfig
 from dregcn_absa.model import ModelConfig
 from dregcn_absa.training import TrainConfig
+from test_properties import corpus_texts
 
 SMALL_CONFIG = """\
 # small settings for fast command tests
@@ -73,8 +74,8 @@ def trained(tmp_path_factory):
 # exit codes
 
 
-def test_usage_errors_exit_1(tmp_path, workspace, capsys):
-    _, corpus, _ = workspace
+def test_usage_errors_exit_1(tmp_path, workspace, capsys, monkeypatch):
+    _, corpus, config = workspace
     assert cli.main(["no-such-command"]) == 1
     assert cli.main(["train"]) == 1  # --corpus is required
     assert cli.main(["train", "--corpus", str(tmp_path / "missing.corpus")]) == 1
@@ -143,6 +144,32 @@ def test_usage_errors_exit_1(tmp_path, workspace, capsys):
     assert code == 1
     assert not out.exists()
     assert capsys.readouterr().err == f"usage error: {latin}: line 2: byte 0xe9 is not UTF-8\n"
+    # a directory where a file is read, directly or through the config
+    # directory, and an existing file as `--out`: each is named, and nothing
+    # is trained or written
+    folder = tmp_path / "somedir"
+    folder.mkdir()
+    cfg_dir = tmp_path / "confdir"
+    (cfg_dir / "shared.conf").mkdir(parents=True)
+    monkeypatch.setenv(cli.CONFIG_DIR_ENV, str(cfg_dir))
+    taken = tmp_path / "taken"
+    taken.write_text("keep me\n")
+    for argv, named in (
+        (["--config", str(folder)], f"config file is a directory: {folder}"),
+        (["--config", "shared.conf"], f"config file is a directory: {cfg_dir / 'shared.conf'}"),
+        (["--corpus", str(folder)], f"corpus file is a directory: {folder}"),
+        (["--general-emb", str(folder)], f"embedding file is a directory: {folder}"),
+    ):
+        capsys.readouterr()
+        out = tmp_path / "dir_run"
+        code = cli.main(["train", "--corpus", corpus, "--out", str(out), *argv])
+        assert code == 1, argv
+        assert not out.exists(), argv
+        assert capsys.readouterr().err == f"usage error: {named}\n", argv
+    code = cli.main(["train", "--corpus", corpus, "--config", config, "--out", str(taken)])
+    assert code == 1
+    assert capsys.readouterr().err == f"usage error: --out {taken} exists and is not a directory\n"
+    assert taken.read_text() == "keep me\n"
 
 
 def test_config_keys_are_the_config_dataclass_fields():
@@ -347,6 +374,33 @@ def test_any_wrong_metadata_leaf_exits_0_or_2(trained, fixtures_dir, capsys):
         capsys.readouterr()
         assert cli.main(["evaluate", "--checkpoint", str(edited), "--corpus", tiny]) in (0, 2)
         assert "Traceback" not in capsys.readouterr().err
+
+    check()
+
+
+def test_any_corpus_text_exits_0_or_2(trained, capsys):
+    """Corpus text with up to two faults, as the parse property draws it:
+    `stats` and `predict` on a train-written checkpoint agree on 0 or 2 and
+    print no traceback, and on 0 `predict`'s output parses back with the
+    input's tokens, heads and deprels."""
+    root, _, checkpoint = trained
+    path = root / "drawn.corpus"
+
+    @settings(max_examples=60, deadline=None)
+    @given(corpus_texts())
+    def check(text):
+        path.write_bytes(text.encode("utf-8"))
+        capsys.readouterr()
+        code = cli.main(["stats", "--corpus", str(path)])
+        assert code in (0, 2)
+        assert "Traceback" not in capsys.readouterr().err
+        assert cli.main(["predict", "--checkpoint", str(checkpoint), "--corpus", str(path)]) == code
+        out = capsys.readouterr()
+        assert "Traceback" not in out.err
+        if code == 0:
+            predicted, read = parse_corpus_file(out.out), parse_corpus_file(text)
+            for column in ("tokens", "heads", "deprels"):
+                assert [getattr(s, column) for s in predicted] == [getattr(s, column) for s in read]
 
     check()
 

@@ -1,4 +1,6 @@
+import gc
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,6 +111,42 @@ def test_parse_errors_carry_line_numbers():
     for reserved in (SELF_RELATION, UNK_RELATION, REVERSE_PREFIX + "nsubj"):
         with pytest.raises(ParseError, match=re.escape(f"line 3: token 1: deprel {reserved!r}")):
             parse_corpus_file(f"a O none ROOT root\n\nb O none ROOT root\nc O none 0 {reserved}\n")
+
+
+def test_parse_shares_equal_strings_within_a_file(tiny_corpus):
+    parsed = parse_corpus_file(serialize_corpus(tiny_corpus * 4))
+    strings = [x for s in parsed for col in (s.tokens, s.ae_tags, s.as_tags, s.deprels) for x in col]
+    assert len({id(x) for x in strings}) == len(set(strings))
+
+
+def test_parsed_corpus_holds_under_100_bytes_per_token():
+    """Laptop-shaped sentences of 18 tokens over a 300-word vocabulary: the
+    parsed corpus holds its tuples and sentences, not four strings per
+    token (about 260 bytes a token here)."""
+    rng = np.random.default_rng(0)
+    sentences, n = 500, 18
+    pairs = (("O", "none"), ("BA", "pos"), ("IA", "neg"), ("BP", "none"))
+    lines = []
+    for words, tags, rels in zip(
+        rng.integers(300, size=(sentences, n)),
+        rng.integers(len(pairs), size=(sentences, n)),
+        rng.integers(20, size=(sentences, n)),
+    ):
+        lines += [
+            f"word{w} {' '.join(pairs[t])} {i - 1 if i else 'ROOT'} {f'rel{r}' if i else 'root'}"
+            for i, (w, t, r) in enumerate(zip(words, tags, rels))
+        ]
+        lines.append("")
+    text = "\n".join(lines)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        parsed = parse_corpus_file(text)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(parsed) == sentences
+    assert held / (sentences * n) <= 100
 
 
 # ---------------------------------------------------------------------------
