@@ -53,6 +53,7 @@ from .corpus import (
 )
 from .encoder import (
     EncoderConfig,
+    ParamTable,
     cnn_encoder_forward,
     dregcn_layer_forward,
     init_cnn_layer,
@@ -231,6 +232,14 @@ def _load_embeddings(
     return general, domain, digests
 
 
+def _check_out_file(path: Optional[str]) -> None:
+    """A usage error unless `--out` is unset or a file path in an existing directory."""
+    if path and os.path.isdir(path):
+        raise UsageError(f"--out {path} is a directory")
+    if path and not os.path.isdir(os.path.dirname(path) or "."):
+        raise UsageError(f"--out {path} is not in an existing directory")
+
+
 def _environment() -> Dict[str, object]:
     """The versions that trained weights can depend on: checkpoint bytes
     follow the BLAS build, which NumPy reports offline."""
@@ -301,6 +310,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    _check_out_file(args.out)
     model = load_checkpoint(args.checkpoint)
     corpus, _ = _read_corpus(args.corpus)
     report = evaluate_model(model, corpus)
@@ -312,6 +322,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
+    _check_out_file(args.out)
     model = load_checkpoint(args.checkpoint)
     corpus, _ = _read_corpus(args.corpus)
     predicted = [
@@ -358,6 +369,7 @@ def run_ablation(
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
+    _check_out_file(args.out)
     cfg = merged_config(args)
     corpus, _ = _read_corpus(args.corpus)
     rows = run_ablation(cfg, corpus)
@@ -421,7 +433,8 @@ def gradcheck_suite(seed: int = 0) -> List[Tuple[str, float]]:
     graph = build_dependency_graph([chain], rv)
     adj = graph.adjacency[0]
     counts = relation_counts(graph.adjacency, graph.relation_indicator, rv.size)[0]
-    gcn = init_dregcn_layer(rng, d, 0)
+    p = ParamTable(rng)
+    gcn = init_dregcn_layer(p, "gcn", d, 0)
     probe_g = np.random.default_rng(seed + 3).normal(size=(n, d))
 
     def gcn_fn():
@@ -431,8 +444,8 @@ def gradcheck_suite(seed: int = 0) -> List[Tuple[str, float]]:
         ("gcn_layer", finite_diff_gradcheck(gcn_fn, [h, gcn.weight, gcn.bias]))
     )
 
-    table = init_relation_table(rng, rv.size, m)
-    dre = init_dregcn_layer(rng, d, m)
+    table = init_relation_table(p, rv.size, m)
+    dre = init_dregcn_layer(p, "dregcn", d, m)
 
     def dre_fn():
         messages = relation_messages(counts, table)
@@ -445,7 +458,7 @@ def gradcheck_suite(seed: int = 0) -> List[Tuple[str, float]]:
         )
     )
 
-    cnn = init_cnn_layer(rng, d, (3, 5))
+    cnn = init_cnn_layer(p, "cnn", d, (3, 5))
 
     def cnn_fn():
         return sum_all(mul(cnn_encoder_forward(h, [cnn]), probe_g))
@@ -454,7 +467,7 @@ def gradcheck_suite(seed: int = 0) -> List[Tuple[str, float]]:
     checks.append(("cnn_layer", finite_diff_gradcheck(cnn_fn, cnn_params)))
 
     # AS head with opinion attention
-    as_head = init_as_head(rng, d, 4)
+    as_head = init_as_head(p, d, 4)
     yae = Tensor(softmax_rows(Tensor(rng.normal(size=(n, 5)))).data)
     gold_as = np.array([0, 1, 2, 0])
 

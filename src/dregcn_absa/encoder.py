@@ -19,8 +19,9 @@ C R are also computed once per forward and handed to each layer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -80,26 +81,59 @@ class CnnLayer:
     proj_bias: Tensor
 
 
-def glorot(rng: np.random.Generator, fan_out: int, fan_in: int, *lead) -> np.ndarray:
-    r = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-r, r, size=(*lead, fan_out, fan_in) if lead else (fan_out, fan_in))
+class ParamTable:
+    """Every trainable tensor of a model by checkpoint name, in declaration
+    order (a checkpoint's member order). `p(name, shape, bound)` declares
+    one. Over a generator it is new: uniform in [-bound, bound] (the Glorot
+    bound when None), zeros without a draw for bound 0, or a copy of `init`.
+    Over a checkpoint's stored arrays it is the stored array as it is, once
+    checked to be finite float64 of that shape (else a ValueError naming it).
+    """
+
+    def __init__(self, source: Union[np.random.Generator, Mapping[str, np.ndarray]]):
+        self.source = source
+        self.tensors: Dict[str, Tensor] = {}
+
+    def __call__(self, name: str, shape: Tuple[int, ...], bound=None, init=None) -> Tensor:
+        if name in self.tensors:
+            raise ContractViolation(f"parameter {name!r} is declared twice")
+        if not isinstance(self.source, np.random.Generator):
+            data = self.source.get(name)
+            fault = (
+                "is missing" if data is None
+                else f"has dtype {data.dtype}, not float64" if data.dtype != np.float64
+                else f"has shape {data.shape}, expected {shape}" if data.shape != shape
+                else "has non-finite values" if not np.isfinite(data).all() else None
+            )
+            if fault:
+                raise ValueError(f"parameter {name!r} {fault}")
+        elif init is not None:
+            data = init.copy()
+        elif bound == 0:
+            data = np.zeros(shape)
+        else:
+            if bound is None:  # Glorot: the last axis is one fan, the others the other
+                bound = np.sqrt(6.0 / (math.prod(shape[:-1]) + shape[-1]))
+            data = self.source.uniform(-bound, bound, size=shape)
+        self.tensors[name] = tensor = Tensor(data)
+        return tensor
 
 
-def init_dregcn_layer(rng: np.random.Generator, d: int, m: int) -> DreGcnLayer:
-    return DreGcnLayer(Tensor(glorot(rng, d, d + m)), Tensor(np.zeros(d)))
+def init_dregcn_layer(p: ParamTable, name: str, d: int, m: int) -> DreGcnLayer:
+    return DreGcnLayer(p(f"{name}_w", (d, d + m)), p(f"{name}_b", (d,), 0))
 
 
-def init_relation_table(rng: np.random.Generator, n_types: int, m: int) -> Tensor:
-    return Tensor(rng.uniform(-0.05, 0.05, size=(n_types, m)))
+def init_relation_table(p: ParamTable, n_types: int, m: int) -> Tensor:
+    return p("enc/relations", (n_types, m), 0.05)
 
 
-def init_cnn_layer(rng: np.random.Generator, d: int, widths: Sequence[int]) -> CnnLayer:
+def init_cnn_layer(p: ParamTable, name: str, d: int, widths: Sequence[int]) -> CnnLayer:
     conv_w, conv_b = [], []
-    for w in widths:
-        conv_w.append(Tensor(rng.uniform(-np.sqrt(6.0 / (w * d + d)), np.sqrt(6.0 / (w * d + d)), size=(w, d, d))))
-        conv_b.append(Tensor(np.zeros(d)))
-    proj = Tensor(glorot(rng, d, d * len(widths)))
-    return CnnLayer(conv_w, conv_b, proj, Tensor(np.zeros(d)))
+    for j, w in enumerate(widths):
+        conv_w.append(p(f"{name}_conv{j}_w", (w, d, d)))
+        conv_b.append(p(f"{name}_conv{j}_b", (d,), 0))
+    proj = p(f"{name}_proj_w", (d, d * len(widths)))
+    return CnnLayer(conv_w, conv_b, proj, p(f"{name}_proj_b", (d,), 0))
 
 
 def normalize_adjacency(a: np.ndarray) -> np.ndarray:
@@ -182,23 +216,24 @@ class EncoderParams:
 
 
 def init_encoder_params(
-    rng: np.random.Generator, cfg: EncoderConfig, emb_dim: int, n_relation_types: int
+    p: ParamTable, cfg: EncoderConfig, emb_dim: int, n_relation_types: int
 ) -> EncoderParams:
-    params = EncoderParams(
-        Tensor(glorot(rng, cfg.d, emb_dim)), Tensor(np.zeros(cfg.d))
-    )
+    params = EncoderParams(p("enc/in_w", (cfg.d, emb_dim)), p("enc/in_b", (cfg.d,), 0))
     if cfg.mode in ("dregcn", "dregcn_plus_cnn"):
-        params.relation_table = init_relation_table(rng, n_relation_types, cfg.m)
+        params.relation_table = init_relation_table(p, n_relation_types, cfg.m)
     if cfg.uses_graph:
-        m = 0 if params.relation_table is None else cfg.m
-        params.graph_layers = [init_dregcn_layer(rng, cfg.d, m) for _ in range(cfg.gcn_layers)]
+        # vanilla_gcn keeps its enc/gcn{i} names
+        kind, m = ("gcn", 0) if params.relation_table is None else ("dregcn", cfg.m)
+        params.graph_layers = [
+            init_dregcn_layer(p, f"enc/{kind}{i}", cfg.d, m) for i in range(cfg.gcn_layers)
+        ]
     if cfg.uses_cnn:
         params.cnn_layers = [
-            init_cnn_layer(rng, cfg.d, cfg.kernel_widths) for _ in range(cfg.cnn_layers)
+            init_cnn_layer(p, f"enc/cnn{i}", cfg.d, cfg.kernel_widths) for i in range(cfg.cnn_layers)
         ]
     if cfg.mode == "dregcn_plus_cnn":
-        params.combine_weight = Tensor(glorot(rng, cfg.d, 2 * cfg.d))
-        params.combine_bias = Tensor(np.zeros(cfg.d))
+        params.combine_weight = p("enc/combine_w", (cfg.d, 2 * cfg.d))
+        params.combine_bias = p("enc/combine_b", (cfg.d,), 0)
     return params
 
 

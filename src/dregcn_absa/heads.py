@@ -26,7 +26,7 @@ from .autodiff import (
     sum_last,
 )
 from .corpus import AE_TAGS, AS_TAGS
-from .encoder import glorot
+from .encoder import ParamTable
 
 OPINION_CLASS_SLICE = (2, 4)  # BP, IP columns of the AE distribution
 
@@ -85,34 +85,34 @@ def message_width(variant: str, d_t: int, pass_pre_attention_as: bool = False) -
     raise ContractViolation(f"variant {variant!r} carries no message")
 
 
-def init_ae_head(rng: np.random.Generator, d_s: int, d_t: int) -> AeHead:
+def init_ae_head(p: ParamTable, d_s: int, d_t: int) -> AeHead:
     return AeHead(
-        Tensor(glorot(rng, d_t, d_s)),
-        Tensor(np.zeros(d_t)),
-        Tensor(glorot(rng, len(AE_TAGS), d_t)),
-        Tensor(np.zeros(len(AE_TAGS))),
+        p("ae/hidden_w", (d_t, d_s)),
+        p("ae/hidden_b", (d_t,), 0),
+        p("ae/out_w", (len(AE_TAGS), d_t)),
+        p("ae/out_b", (len(AE_TAGS),), 0),
     )
 
 
-def init_as_head(rng: np.random.Generator, d_s: int, d_t: int) -> AsHead:
+def init_as_head(p: ParamTable, d_s: int, d_t: int) -> AsHead:
     return AsHead(
-        Tensor(glorot(rng, d_t, d_s)),
-        Tensor(np.zeros(d_t)),
-        Tensor(glorot(rng, d_t, d_t)),
-        Tensor(glorot(rng, len(AS_TAGS), 2 * d_t)),
-        Tensor(np.zeros(len(AS_TAGS))),
+        p("as/hidden_w", (d_t, d_s)),
+        p("as/hidden_b", (d_t,), 0),
+        p("as/bilinear", (d_t, d_t)),
+        p("as/out_w", (len(AS_TAGS), 2 * d_t)),
+        p("as/out_b", (len(AS_TAGS),), 0),
     )
 
 
 def init_re_encoder(
-    rng: np.random.Generator,
+    p: ParamTable,
     d_s: int,
     variant: str,
     d_t: int,
     pass_pre_attention_as: bool = False,
 ) -> ReEncoder:
     width = d_s + message_width(variant, d_t, pass_pre_attention_as)
-    return ReEncoder(Tensor(glorot(rng, d_s, width)), Tensor(np.zeros(d_s)))
+    return ReEncoder(p("re/w", (d_s, width)), p("re/b", (d_s,), 0))
 
 
 # ---------------------------------------------------------------------------

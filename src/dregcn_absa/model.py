@@ -1,14 +1,14 @@
 """End-to-end model: embeddings -> shared encoder -> iterated task heads.
 
-Also owns parameter initialization, the flat parameter registry used by the
-optimizer and gradient checks, and bit-exact checkpoint serialization.
+Also owns the parameter table that the optimizer and gradient checks read
+by name, and bit-exact checkpoint serialization.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields
-from typing import Dict, List, Optional, Sequence, Tuple, Union, get_type_hints
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union, get_type_hints
 
 import numpy as np
 
@@ -20,10 +20,8 @@ from .corpus import (
     build_dependency_graph,
     embed_tokens,
 )
-from .encoder import EncoderConfig, EncoderParams, encode_shared, init_encoder_params
+from .encoder import EncoderConfig, ParamTable, encode_shared, init_encoder_params
 from .heads import (
-    AeHead,
-    AsHead,
     IterationOutput,
     MessagePassingConfig,
     ReEncoder,
@@ -90,7 +88,8 @@ def _typed(cls, d: dict, **nested):
 
 
 class Model:
-    """Bundles configuration, vocabularies and every trainable tensor."""
+    """Bundles configuration, vocabularies and every trainable tensor, drawn
+    from `source`, a generator, or taken as stored from a checkpoint's arrays."""
 
     def __init__(
         self,
@@ -98,70 +97,31 @@ class Model:
         general_emb: EmbeddingMatrix,
         domain_emb: EmbeddingMatrix,
         relation_vocab: RelationVocab,
-        rng: np.random.Generator,
+        source: Union[np.random.Generator, Mapping[str, np.ndarray]],
     ):
         self.cfg = cfg
         self.general_emb = general_emb
         self.domain_emb = domain_emb
         self.relation_vocab = relation_vocab
 
-        self.general_param = Tensor(general_emb.matrix.copy(), name="emb_general")
-        self.domain_param = Tensor(domain_emb.matrix.copy(), name="emb_domain")
+        p = ParamTable(source)
+        self.general_param = p("emb/general", general_emb.matrix.shape, init=general_emb.matrix)
+        self.domain_param = p("emb/domain", domain_emb.matrix.shape, init=domain_emb.matrix)
         emb_dim = general_emb.dim + domain_emb.dim
-        self.encoder_params: EncoderParams = init_encoder_params(
-            rng, cfg.encoder, emb_dim, relation_vocab.size
-        )
+        self.encoder_params = init_encoder_params(p, cfg.encoder, emb_dim, relation_vocab.size)
         d_s = cfg.encoder.d
-        self.ae_head: AeHead = init_ae_head(rng, d_s, cfg.d_t)
-        self.as_head: AsHead = init_as_head(rng, d_s, cfg.d_t)
+        self.ae_head = init_ae_head(p, d_s, cfg.d_t)
+        self.as_head = init_as_head(p, d_s, cfg.d_t)
         self.re_encoder: Optional[ReEncoder] = None
         if cfg.mp.variant != "none":
-            self.re_encoder = init_re_encoder(
-                rng, d_s, cfg.mp.variant, cfg.d_t, cfg.pass_pre_attention_as
-            )
+            self.re_encoder = init_re_encoder(p, d_s, cfg.mp.variant, cfg.d_t, cfg.pass_pre_attention_as)
+        self._params = p.tensors
 
     # -- parameter registry -------------------------------------------------
 
     def parameters(self) -> Dict[str, Tensor]:
-        params: Dict[str, Tensor] = {
-            "emb/general": self.general_param,
-            "emb/domain": self.domain_param,
-            "enc/in_w": self.encoder_params.input_proj_weight,
-            "enc/in_b": self.encoder_params.input_proj_bias,
-        }
-        table = self.encoder_params.relation_table
-        if table is not None:
-            params["enc/relations"] = table
-        kind = "gcn" if table is None else "dregcn"  # vanilla_gcn keeps its enc/gcn{i} names
-        for i, layer in enumerate(self.encoder_params.graph_layers):
-            params[f"enc/{kind}{i}_w"] = layer.weight
-            params[f"enc/{kind}{i}_b"] = layer.bias
-        for i, layer in enumerate(self.encoder_params.cnn_layers):
-            for j, (w, b) in enumerate(zip(layer.conv_weights, layer.conv_biases)):
-                params[f"enc/cnn{i}_conv{j}_w"] = w
-                params[f"enc/cnn{i}_conv{j}_b"] = b
-            params[f"enc/cnn{i}_proj_w"] = layer.proj_weight
-            params[f"enc/cnn{i}_proj_b"] = layer.proj_bias
-        if self.encoder_params.combine_weight is not None:
-            params["enc/combine_w"] = self.encoder_params.combine_weight
-            params["enc/combine_b"] = self.encoder_params.combine_bias
-        params.update(
-            {
-                "ae/hidden_w": self.ae_head.hidden_weight,
-                "ae/hidden_b": self.ae_head.hidden_bias,
-                "ae/out_w": self.ae_head.out_weight,
-                "ae/out_b": self.ae_head.out_bias,
-                "as/hidden_w": self.as_head.hidden_weight,
-                "as/hidden_b": self.as_head.hidden_bias,
-                "as/bilinear": self.as_head.bilinear,
-                "as/out_w": self.as_head.out_weight,
-                "as/out_b": self.as_head.out_bias,
-            }
-        )
-        if self.re_encoder is not None:
-            params["re/w"] = self.re_encoder.weight
-            params["re/b"] = self.re_encoder.bias
-        return params
+        """Every parameter by its checkpoint name, in declaration order."""
+        return dict(self._params)
 
     def trainable_parameters(self) -> Dict[str, Tensor]:
         params = self.parameters()
@@ -295,22 +255,10 @@ def load_checkpoint(path: str) -> Model:
         cfg = ModelConfig.from_dict(meta["config"])
         general, domain = _embedding(meta, arrays, "general"), _embedding(meta, arrays, "domain")
         rv = RelationVocab(_ids(meta, "relation_vocab"))
-        model = Model(cfg, general, domain, rv, np.random.default_rng(0))
+        model = Model(cfg, general, domain, rv, arrays)
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint {path!r}: {type(exc).__name__}: {exc}") from exc
-    params = model.parameters()
-    missing = set(params) - set(arrays)
-    extra = set(arrays) - set(params)
-    if missing or extra:
-        raise CheckpointError(
-            f"checkpoint parameters do not match the model: missing={sorted(missing)}, "
-            f"extra={sorted(extra)}"
-        )
-    for k, v in arrays.items():
-        if params[k].data.shape != v.shape:
-            raise CheckpointError(f"parameter {k!r} has shape {v.shape}, expected {params[k].data.shape}")
-        data = v.astype(np.float64)
-        if not np.isfinite(data).all():
-            raise CheckpointError(f"parameter {k!r} has non-finite values")
-        params[k].data = data
+    extra = set(arrays) - set(model.parameters())
+    if extra:
+        raise CheckpointError(f"malformed checkpoint {path!r}: extra parameters {sorted(extra)}")
     return model

@@ -20,6 +20,7 @@ from dregcn_absa.corpus import (
 )
 from dregcn_absa.encoder import (
     EncoderConfig,
+    ParamTable,
     dregcn_layer_forward,
     init_dregcn_layer,
     init_relation_table,
@@ -113,7 +114,7 @@ def test_criterion_03_attention_contract():
     worst_row_gap = 0.0
     for draw in range(1000):
         n = int(rng.integers(2, 9))
-        head = init_as_head(rng, 10, d_t)
+        head = init_as_head(ParamTable(rng), 10, d_t)
         has = Tensor(rng.normal(size=(n, d_t)))
         pop = Tensor(rng.random(n))
         m = opinion_attention(has, head.bilinear, pop, attention_constants(n)).data
@@ -132,8 +133,9 @@ def test_criterion_04_reduction_equivalence():
         n = int(rng.integers(2, 7))
         d = int(rng.integers(3, 9))
         n_types = int(rng.integers(2, 6))
-        layer = init_dregcn_layer(rng, d, 0)
-        table = init_relation_table(rng, n_types, 0)
+        p = ParamTable(rng)
+        layer = init_dregcn_layer(p, "dregcn", d, 0)
+        table = init_relation_table(p, n_types, 0)
         h = Tensor(rng.normal(size=(n, d)))
         a, c = random_graph(rng, n, n_types)
         gap = np.abs(
@@ -226,14 +228,17 @@ def test_criterion_08_message_passing_plumbing():
     assert message_width("predictions", d_t) == 8
     assert message_width("representations", d_t) == 3 * d_t
     rng = np.random.default_rng(31)
-    assert init_re_encoder(rng, d_s, "predictions", d_t, False).weight.shape == (d_s, d_s + 8)
-    assert init_re_encoder(rng, d_s, "representations", d_t, False).weight.shape == (
+    assert init_re_encoder(ParamTable(rng), d_s, "predictions", d_t, False).weight.shape == (
+        d_s, d_s + 8,
+    )
+    assert init_re_encoder(ParamTable(rng), d_s, "representations", d_t, False).weight.shape == (
         d_s, d_s + 3 * d_t,
     )
 
-    ae_head = init_ae_head(rng, d_s, d_t)
-    as_head = init_as_head(rng, d_s, d_t)
-    re = init_re_encoder(rng, d_s, "representations", d_t, False)
+    p = ParamTable(rng)
+    ae_head = init_ae_head(p, d_s, d_t)
+    as_head = init_as_head(p, d_s, d_t)
+    re = init_re_encoder(p, d_s, "representations", d_t, False)
     hs0 = Tensor(rng.normal(size=(6, d_s)))
     out_none = forward_rounds(hs0, ae_head, as_head, None, MessagePassingConfig("none", 0))
     out_t0 = forward_rounds(hs0, ae_head, as_head, re, MessagePassingConfig("representations", 0))

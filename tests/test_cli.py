@@ -17,7 +17,7 @@ from dregcn_absa import cli
 from dregcn_absa.corpus import parse_corpus_file
 from dregcn_absa.encoder import EncoderConfig
 from dregcn_absa.heads import MessagePassingConfig
-from dregcn_absa.model import ModelConfig
+from dregcn_absa.model import ModelConfig, load_checkpoint
 from dregcn_absa.training import TrainConfig
 from test_properties import corpus_texts
 
@@ -74,7 +74,7 @@ def trained(tmp_path_factory):
 # exit codes
 
 
-def test_usage_errors_exit_1(tmp_path, workspace, capsys, monkeypatch):
+def test_usage_errors_exit_1(tmp_path, workspace, trained, capsys, monkeypatch):
     _, corpus, config = workspace
     assert cli.main(["no-such-command"]) == 1
     assert cli.main(["train"]) == 1  # --corpus is required
@@ -170,6 +170,29 @@ def test_usage_errors_exit_1(tmp_path, workspace, capsys, monkeypatch):
     assert code == 1
     assert capsys.readouterr().err == f"usage error: --out {taken} exists and is not a directory\n"
     assert taken.read_text() == "keep me\n"
+    # an `--out` file that cannot be written is named before any checkpoint
+    # or corpus is read, so a missing checkpoint is never reached either
+    checkpoint = str(trained[2])
+    in_missing_dir = tmp_path / "no_such_dir" / "x.txt"
+    in_a_file = taken / "x.txt"
+    unplaced = "is not in an existing directory"
+    for argv, out, why in (
+        (["evaluate", "--checkpoint", checkpoint], folder, "is a directory"),
+        (["predict", "--checkpoint", checkpoint], folder, "is a directory"),
+        (["ablate", "--config", config], folder, "is a directory"),
+        (["evaluate", "--checkpoint", str(tmp_path / "missing.npz")], folder, "is a directory"),
+        (["evaluate", "--checkpoint", checkpoint], in_missing_dir, unplaced),
+        (["predict", "--checkpoint", checkpoint], in_missing_dir, unplaced),
+        (["ablate", "--config", config], in_missing_dir, unplaced),
+        (["predict", "--checkpoint", checkpoint], in_a_file, unplaced),
+    ):
+        capsys.readouterr()
+        assert cli.main([*argv, "--corpus", corpus, "--out", str(out)]) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.err == f"usage error: --out {out} {why}\n", argv
+        assert captured.out == "", argv
+    assert not in_missing_dir.parent.exists()
+    assert taken.read_text() == "keep me\n"
 
 
 def test_config_keys_are_the_config_dataclass_fields():
@@ -258,6 +281,64 @@ def test_non_finite_checkpoint_exits_2(trained, capsys):
     assert "f1_a" not in out.out
 
 
+def _set_param(name, make):
+    """An edit that replaces parameter member `name` by make(its array)."""
+    def edit(meta, arrays):
+        arrays[f"param:{name}"] = make(arrays[f"param:{name}"])
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set_param("ae/hidden_b", lambda a: np.full(a.shape, "abc")),
+         "parameter 'ae/hidden_b' has dtype <U3, not float64"),
+        (_set_param("ae/hidden_b", lambda a: a.astype(str)), "parameter 'ae/hidden_b' has dtype <U"),
+        (_set_param("ae/hidden_b", lambda a: a != 0), "parameter 'ae/hidden_b' has dtype bool"),
+        (_set_param("ae/hidden_b", lambda a: a + 1j), "parameter 'ae/hidden_b' has dtype complex128"),
+        (_set_param("ae/hidden_b", lambda a: a.astype(np.int64)), "parameter 'ae/hidden_b' has dtype int64"),
+        (_set_param("emb/general", lambda a: a.astype(np.int64)), "parameter 'emb/general' has dtype int64"),
+        (_set_param("ae/out_w", lambda a: a[:, :-1]),
+         "parameter 'ae/out_w' has shape (5, 3), expected (5, 4)"),
+        (_set_param("as/bilinear", lambda a: a.reshape(-1)),
+         "parameter 'as/bilinear' has shape (16,), expected (4, 4)"),
+        (lambda meta, arrays: arrays.pop("param:as/out_b"), "parameter 'as/out_b' is missing"),
+        (lambda meta, arrays: arrays.update({"param:as/extra": np.zeros(3)}),
+         "extra parameters ['as/extra']"),
+    ],
+    ids=["str", "numeric_str", "bool", "complex", "int64", "int64_embedding", "narrow",
+         "flattened", "missing", "extra"],
+)
+def test_wrong_parameter_member_exits_2(trained, capsys, edit, message):
+    """A parameter member that is not float64 of its declared shape, or one
+    missing or extra, is malformed: exit 2, named, and no traceback."""
+    tmp_path, corpus, checkpoint = trained
+    bad = tmp_path / "wrong_param.npz"
+    rewrite_checkpoint(checkpoint, bad, edit)
+    capsys.readouterr()
+    for command in ("evaluate", "predict"):
+        assert cli.main([command, "--checkpoint", str(bad), "--corpus", corpus]) == 2
+        out = capsys.readouterr()
+        assert out.err.startswith("data error: malformed checkpoint") and message in out.err
+        assert "Traceback" not in out.err and out.out == ""
+
+
+def test_load_checkpoint_draws_nothing(trained, monkeypatch):
+    """A checkpoint's parameters are its stored arrays: loading one makes
+    no random generator and draws no throwaway model."""
+    checkpoint = trained[2]
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("load_checkpoint made a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    model = load_checkpoint(str(checkpoint))
+    with np.load(checkpoint) as data:
+        for name, p in model.parameters().items():
+            assert p.data.tobytes() == data[f"param:{name}"].tobytes(), name
+        assert sorted(data.files) == sorted(["meta", *(f"param:{k}" for k in model.parameters())])
+
+
 def _set_first_word(key, row):
     def edit(meta, arrays):
         meta[key][next(iter(meta[key]))] = row
@@ -312,6 +393,9 @@ def _set_meta(path, value):
         (_replace_meta("x"), "metadata is str, not an object"),
         (_replace_meta(3), "metadata is int, not an object"),
         (_replace_meta(None), "metadata is NoneType, not an object"),
+        # a declared size is compared with the stored array's before anything is allocated
+        (_set_meta(("config", "encoder", "d"), 10**15),
+         "parameter 'enc/in_w' has shape (8, 9), expected (1000000000000000, 9)"),
     ],
     ids=["unknown_mode", "missing_config_key", "missing_vocab", "word_past_table",
          "negative_word", "relation_past_table", "duplicate_relation_id",
@@ -320,7 +404,7 @@ def _set_meta(path, value):
          "wrong_width_dim", "fractional_d", "boolean_d", "fractional_m",
          "fractional_gcn_layers", "fractional_rounds", "fractional_d_t",
          "fractional_kernel_width", "negative_kernel_width", "list_metadata",
-         "string_metadata", "number_metadata", "null_metadata"],
+         "string_metadata", "number_metadata", "null_metadata", "huge_d"],
 )
 def test_malformed_checkpoint_metadata_exits_2(trained, capsys, edit, message):
     tmp_path, corpus, checkpoint = trained

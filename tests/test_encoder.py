@@ -5,6 +5,7 @@ from dregcn_absa.autodiff import ContractViolation, Tensor
 from dregcn_absa.corpus import SELF_RELATION, RelationVocab, Sentence, build_dependency_graph
 from dregcn_absa.encoder import (
     EncoderConfig,
+    ParamTable,
     dregcn_layer_forward,
     encode_shared,
     init_dregcn_layer,
@@ -51,7 +52,7 @@ def test_normalize_adjacency_symmetric():
 
 def test_gcn_layer_matches_manual_formula():
     d, n = 6, 4
-    layer = init_dregcn_layer(np.random.default_rng(1), d, 0)
+    layer = init_dregcn_layer(ParamTable(np.random.default_rng(1)), "gcn", d, 0)
     h = Tensor(RNG.normal(size=(n, d)))
     a, _ = random_graph(RNG, n, 3)
     out = dregcn_layer_forward(h, a, None, layer)
@@ -73,8 +74,9 @@ def test_dregcn_layer_matches_double_sum_oracle():
     for distinct in (False, True):
         rv = RelationVocab.from_corpus([s], distinct_reverse_types=distinct)
         g = build_dependency_graph([s], rv, distinct_reverse_types=distinct)
-        layer = init_dregcn_layer(rng, d, m)
-        table = init_relation_table(rng, rv.size, m)
+        p = ParamTable(rng)
+        layer = init_dregcn_layer(p, "dregcn", d, m)
+        table = init_relation_table(p, rv.size, m)
         q = dense_relations(s, rv, distinct)
         for a in (g.adjacency, normalize_adjacency(g.adjacency)):
             counts = relation_counts(a, g.relation_indicator, rv.size)
@@ -87,9 +89,9 @@ def test_dregcn_layer_matches_double_sum_oracle():
 
 def test_dregcn_m0_reduces_to_gcn():
     d, n = 6, 5
-    rng = np.random.default_rng(3)
-    layer = init_dregcn_layer(rng, d, 0)
-    table = init_relation_table(rng, 4, 0)
+    p = ParamTable(np.random.default_rng(3))
+    layer = init_dregcn_layer(p, "dregcn", d, 0)
+    table = init_relation_table(p, 4, 0)
     h = Tensor(RNG.normal(size=(n, d)))
     a, c = random_graph(RNG, n, 4)
     out_dre = dregcn_layer_forward(h, a, relation_messages(c, table), layer)
@@ -100,8 +102,7 @@ def test_dregcn_m0_reduces_to_gcn():
 def test_dregcn_zero_relations_reduce_to_gcn():
     # alternative route: m > 0 but R = 0, identical to the node-only path
     d, m, n = 6, 3, 5
-    rng = np.random.default_rng(4)
-    layer = init_dregcn_layer(rng, d, m)
+    layer = init_dregcn_layer(ParamTable(np.random.default_rng(4)), "dregcn", d, m)
     table = Tensor(np.zeros((4, m)))
     h = Tensor(RNG.normal(size=(n, d)))
     a, c = random_graph(RNG, n, 4)
@@ -112,9 +113,9 @@ def test_dregcn_zero_relations_reduce_to_gcn():
 
 def test_dregcn_rejects_inconsistent_indicator():
     d, m, n = 4, 2, 3
-    rng = np.random.default_rng(5)
-    layer = init_dregcn_layer(rng, d, m)
-    table = init_relation_table(rng, 3, m)
+    p = ParamTable(np.random.default_rng(5))
+    layer = init_dregcn_layer(p, "dregcn", d, m)
+    table = init_relation_table(p, 3, m)
     h = Tensor(RNG.normal(size=(n, d)))
     a, c = random_graph(RNG, n, 3)
     with pytest.raises(ContractViolation):
@@ -130,14 +131,14 @@ def test_encode_shared_output_width_per_mode():
     emb = Tensor(RNG.normal(size=(1, s.n, 7)))
     for mode in ("cnn_only", "vanilla_gcn", "dregcn", "dregcn_plus_cnn"):
         cfg = EncoderConfig(mode=mode, gcn_layers=2, cnn_layers=1, d=10, m=4)
-        params = init_encoder_params(np.random.default_rng(6), cfg, 7, rv.size)
+        params = init_encoder_params(ParamTable(np.random.default_rng(6)), cfg, 7, rv.size)
         out = encode_shared(emb, graph if cfg.uses_graph else None, cfg, params)
         assert out.shape == (1, s.n, 10), mode
 
 
 def test_encode_shared_requires_graph_for_gcn_modes():
     cfg = EncoderConfig(mode="dregcn", d=8, m=4)
-    params = init_encoder_params(np.random.default_rng(8), cfg, 7, 5)
+    params = init_encoder_params(ParamTable(np.random.default_rng(8)), cfg, 7, 5)
     emb = Tensor(RNG.normal(size=(4, 7)))
     with pytest.raises(ContractViolation):
         encode_shared(emb, None, cfg, params)
@@ -151,6 +152,6 @@ def test_normalized_adjacency_option_changes_output():
     outs = []
     for norm in (False, True):
         cfg = EncoderConfig(mode="vanilla_gcn", d=8, normalize_adjacency=norm)
-        params = init_encoder_params(np.random.default_rng(9), cfg, 7, rv.size)
+        params = init_encoder_params(ParamTable(np.random.default_rng(9)), cfg, 7, rv.size)
         outs.append(encode_shared(emb, graph, cfg, params).data)
     assert np.abs(outs[0] - outs[1]).max() > 1e-6

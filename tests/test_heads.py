@@ -3,6 +3,7 @@ import pytest
 
 from dregcn_absa import heads
 from dregcn_absa.autodiff import Tape, Tensor, backward, mul, sum_all
+from dregcn_absa.encoder import ParamTable
 from dregcn_absa.heads import (
     MessagePassingConfig,
     ae_head_forward,
@@ -25,8 +26,8 @@ D_S, D_T = 10, 6
 
 
 def make_heads(seed=0):
-    rng = np.random.default_rng(seed)
-    return init_ae_head(rng, D_S, D_T), init_as_head(rng, D_S, D_T)
+    p = ParamTable(np.random.default_rng(seed))
+    return init_ae_head(p, D_S, D_T), init_as_head(p, D_S, D_T)
 
 
 def test_mp_config_validation():
@@ -135,16 +136,15 @@ def test_message_width_table():
 
 def test_re_encoder_consumes_exact_width():
     rng = np.random.default_rng(1)
-    re_p = init_re_encoder(rng, D_S, "predictions", D_T, False)
+    re_p = init_re_encoder(ParamTable(rng), D_S, "predictions", D_T, False)
     assert re_p.weight.shape == (D_S, D_S + 8)
-    re_r = init_re_encoder(rng, D_S, "representations", D_T, False)
+    re_r = init_re_encoder(ParamTable(rng), D_S, "representations", D_T, False)
     assert re_r.weight.shape == (D_S, D_S + 3 * D_T)
 
 
 def test_forward_rounds_counts_and_none_equals_t0():
     ae_head, as_head = make_heads()
-    rng = np.random.default_rng(2)
-    re = init_re_encoder(rng, D_S, "representations", D_T, False)
+    re = init_re_encoder(ParamTable(np.random.default_rng(2)), D_S, "representations", D_T, False)
     hs0 = Tensor(RNG.normal(size=(5, D_S)))
 
     out_none = forward_rounds(hs0, ae_head, as_head, None, MessagePassingConfig("none", 0))
@@ -168,8 +168,7 @@ def test_forward_rounds_counts_and_none_equals_t0():
 
 def test_forward_rounds_predictions_variant():
     ae_head, as_head = make_heads()
-    rng = np.random.default_rng(3)
-    re = init_re_encoder(rng, D_S, "predictions", D_T, False)
+    re = init_re_encoder(ParamTable(np.random.default_rng(3)), D_S, "predictions", D_T, False)
     hs0 = Tensor(RNG.normal(size=(4, D_S)))
     out = forward_rounds(hs0, ae_head, as_head, re, MessagePassingConfig("predictions", 1))
     assert len(out.rounds) == 2
@@ -178,8 +177,7 @@ def test_forward_rounds_predictions_variant():
 
 def test_forward_rounds_pre_attention_message():
     ae_head, as_head = make_heads()
-    rng = np.random.default_rng(4)
-    re = init_re_encoder(rng, D_S, "representations", D_T, True)
+    re = init_re_encoder(ParamTable(np.random.default_rng(4)), D_S, "representations", D_T, True)
     assert re.weight.shape == (D_S, D_S + 2 * D_T)
     hs0 = Tensor(RNG.normal(size=(4, D_S)))
     out = forward_rounds(

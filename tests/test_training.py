@@ -1,3 +1,5 @@
+import hashlib
+import json
 import tracemalloc
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 
 from dregcn_absa import heads
 from dregcn_absa.autodiff import Tape, Tensor, backward
-from dregcn_absa.corpus import RelationVocab, Sentence, random_embedding_table
+from dregcn_absa.corpus import EmbeddingMatrix, RelationVocab, Sentence, random_embedding_table
 from dregcn_absa.encoder import MODES, EncoderConfig
 from dregcn_absa.heads import MessagePassingConfig
 from dregcn_absa.model import (
@@ -334,6 +336,22 @@ def test_lone_sentence_forward_builds_its_constants_once(tiny_corpus, monkeypatc
             joint_loss(model.forward(s), s)
         assert len(tape.ops) == 62
     assert calls == []
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_initial_parameters_keep_their_recorded_draws(fixtures_dir, mode):
+    """Each parameter of a new default model, in declaration order, hashes
+    as recorded in fixtures/initial_parameters.json. PCG64 draws do not
+    depend on BLAS, so this pins the draw order that checkpoints depend on."""
+    recorded = json.loads((fixtures_dir / "initial_parameters.json").read_text())[mode]
+    vocab = {"good": 0, "screen": 1, "battery": 2}
+    general = EmbeddingMatrix(vocab, np.arange(64.0).reshape(4, 16) / 64, 16)
+    domain = EmbeddingMatrix(vocab, np.arange(32.0).reshape(4, 8) / 32, 8)
+    rv = RelationVocab({"<self>": 0, "<unk>": 1, "nsubj": 2, "amod": 3, "det": 4})
+    cfg = ModelConfig(encoder=EncoderConfig(mode=mode))
+    model = Model(cfg, general, domain, rv, np.random.default_rng(0))
+    digests = [(k, hashlib.sha256(p.data.tobytes()).hexdigest()) for k, p in model.parameters().items()]
+    assert digests == list(recorded.items())
 
 
 def test_parameters_share_no_memory_with_their_sources(tmp_path):
