@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import json
 import pathlib
 import platform
@@ -16,6 +17,7 @@ from dregcn_absa import autodiff as ad
 from dregcn_absa import cli
 from dregcn_absa.corpus import parse_corpus_file
 from dregcn_absa.encoder import EncoderConfig
+from dregcn_absa.evaluation import METRICS
 from dregcn_absa.heads import MessagePassingConfig
 from dregcn_absa.model import ModelConfig, load_checkpoint
 from dregcn_absa.training import TrainConfig
@@ -248,6 +250,11 @@ def test_data_errors_exit_2(tmp_path, workspace, fixtures_dir, capsys):
     assert code == 2
     assert not out.exists()
     assert capsys.readouterr().err == f"data error: {latin_emb}: line 2: byte 0xe9 is not UTF-8\n"
+    # a corpus of blank lines holds no sentence
+    blank = tmp_path / "blank.corpus"
+    blank.write_text("\n  \n\t\n\n")
+    assert cli.main(["stats", "--corpus", str(blank)]) == 2
+    assert capsys.readouterr().err == f"data error: corpus file {blank} contains no sentences\n"
 
 
 def _meta_member(meta):
@@ -656,16 +663,57 @@ def test_commands_close_their_files(workspace, fixtures_dir):
     gc.collect()  # an unclosed handle warns when it is collected
 
 
+def _scores_printed(text):
+    """The five scores of `evaluate` output, as printed."""
+    values = dict(line.split(" = ") for line in text.splitlines())
+    return {name: values[name] for name in METRICS}
+
+
+def test_dev_and_test_corpora_pick_what_each_run_is_scored_on(workspace, fixtures_dir, capsys):
+    """Trained against `--dev-corpus`, a corpus too small to split trains;
+    each run is scored on `--test-corpus`, or on the dev corpus when no test
+    corpus is given, and both files are named in the manifest."""
+    tmp_path, _, config = workspace
+    one, dev, test = (tmp_path / f"{name}.corpus" for name in ("one", "dev", "test"))
+    for path, text in zip((one, dev, test), (fixtures_dir / "tiny.corpus").read_text().split("\n\n")):
+        path.write_text(text.strip() + "\n")
+    code, out = run_train(tmp_path, str(one), config)
+    assert code == 2 and not out.exists()
+    assert "splitting 1 sentences" in capsys.readouterr().err
+
+    runs = {}
+    for name, corpora in (("dev", {"dev_corpus": dev}), ("test", {"dev_corpus": dev, "test_corpus": test})):
+        flags = [arg for key, path in corpora.items() for arg in ("--" + key.replace("_", "-"), str(path))]
+        out = tmp_path / name
+        assert cli.main(["train", "--corpus", str(one), "--config", config, "--out", str(out),
+                         "--runs", "2", "--epochs", "3", *flags]) == 0
+        runs[name] = manifest = json.loads((out / "manifest.json").read_text())
+        named = {k: v for k, v in manifest["digests"].items() if k in ("dev_corpus", "test_corpus")}
+        assert named == {k: hashlib.sha256(path.read_bytes()).hexdigest() for k, path in corpora.items()}
+        target = corpora.get("test_corpus", dev)
+        for ckpt, scores in zip(manifest["checkpoints"], manifest["per_run"], strict=True):
+            capsys.readouterr()
+            assert cli.main(["evaluate", "--checkpoint", ckpt, "--corpus", str(target)]) == 0
+            printed = _scores_printed(capsys.readouterr().out)
+            assert printed == {k: f"{100 * v:.2f}" for k, v in scores.items()}, (name, ckpt)
+    # the test corpus changes what the same checkpoints are scored on, not how they train
+    for a, b in zip(runs["dev"]["checkpoints"], runs["test"]["checkpoints"], strict=True):
+        assert pathlib.Path(a).read_bytes() == pathlib.Path(b).read_bytes()
+    assert runs["dev"]["per_run"] != runs["test"]["per_run"]
+
+
 def test_evaluate_predict_stats(workspace, capsys):
     tmp_path, corpus, config = workspace
     _, out = run_train(tmp_path, corpus, config)
     ckpt = str(out / "checkpoint_seed0.npz")
     capsys.readouterr()
 
-    assert cli.main(["evaluate", "--checkpoint", ckpt, "--corpus", corpus]) == 0
+    scores_path = tmp_path / "scores.txt"
+    assert cli.main(["evaluate", "--checkpoint", ckpt, "--corpus", corpus, "--out", str(scores_path)]) == 0
     text = capsys.readouterr().out
     for key in ("f1_a", "f1_o", "acc_s", "f1_s", "f1_i"):
         assert f"{key} = " in text
+    assert scores_path.read_text() == text
 
     pred_path = tmp_path / "pred.corpus"
     assert cli.main(
@@ -695,8 +743,11 @@ def test_train_determinism_same_seed(workspace):
 
 def test_ablate_emits_six_labeled_rows(workspace, capsys):
     tmp_path, corpus, config = workspace
-    assert cli.main(["ablate", "--corpus", corpus, "--config", config]) == 0
-    lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
+    rows_path = tmp_path / "ablation.txt"
+    assert cli.main(["ablate", "--corpus", corpus, "--config", config, "--out", str(rows_path)]) == 0
+    text = capsys.readouterr().out
+    assert rows_path.read_text() == text
+    lines = [l for l in text.splitlines() if l.strip()]
     assert len(lines) == 6
     labels = [l.split()[1] for l in lines]
     assert labels == [label for label, _ in cli.ABLATION_ROWS]
