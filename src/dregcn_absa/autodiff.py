@@ -39,24 +39,18 @@ class Tensor:
     so a caller that later mutates the array it passed in must copy it first.
     """
 
-    __slots__ = ("data", "grad", "name")
+    __slots__ = ("data", "grad")
 
-    def __init__(self, data, name: Optional[str] = None):
+    def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
-        self.name = name
 
     @property
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def __repr__(self):
-        label = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.data.shape}{label})"
+        return f"Tensor(shape={self.data.shape})"
 
 
 @dataclass

@@ -433,41 +433,38 @@ def gradcheck_suite(seed: int = 0) -> List[Tuple[str, float]]:
     graph = build_dependency_graph([chain], rv)
     adj = graph.adjacency[0]
     counts = relation_counts(graph.adjacency, graph.relation_indicator, rv.size)[0]
-    p = ParamTable(rng)
-    gcn = init_dregcn_layer(p, "gcn", d, 0)
+    # each layer check differentiates its input and its own table's
+    # parameters; every table draws from `rng` in turn
+    gcn_p = ParamTable(rng)
+    gcn = init_dregcn_layer(gcn_p, "gcn", d, 0)
     probe_g = np.random.default_rng(seed + 3).normal(size=(n, d))
 
     def gcn_fn():
         return sum_all(mul(dregcn_layer_forward(h, adj, None, gcn), probe_g))
 
-    checks.append(
-        ("gcn_layer", finite_diff_gradcheck(gcn_fn, [h, gcn.weight, gcn.bias]))
-    )
+    checks.append(("gcn_layer", finite_diff_gradcheck(gcn_fn, [h, *gcn_p.tensors.values()])))
 
-    table = init_relation_table(p, rv.size, m)
-    dre = init_dregcn_layer(p, "dregcn", d, m)
+    dre_p = ParamTable(rng)
+    table = init_relation_table(dre_p, rv.size, m)
+    dre = init_dregcn_layer(dre_p, "dregcn", d, m)
 
     def dre_fn():
         messages = relation_messages(counts, table)
         return sum_all(mul(dregcn_layer_forward(h, adj, messages, dre), probe_g))
 
-    checks.append(
-        (
-            "dregcn_layer",
-            finite_diff_gradcheck(dre_fn, [h, dre.weight, dre.bias, table]),
-        )
-    )
+    checks.append(("dregcn_layer", finite_diff_gradcheck(dre_fn, [h, *dre_p.tensors.values()])))
 
-    cnn = init_cnn_layer(p, "cnn", d, (3, 5))
+    cnn_p = ParamTable(rng)
+    cnn = init_cnn_layer(cnn_p, "cnn", d, (3, 5))
 
     def cnn_fn():
         return sum_all(mul(cnn_encoder_forward(h, [cnn]), probe_g))
 
-    cnn_params = [h] + cnn.conv_weights + cnn.conv_biases + [cnn.proj_weight, cnn.proj_bias]
-    checks.append(("cnn_layer", finite_diff_gradcheck(cnn_fn, cnn_params)))
+    checks.append(("cnn_layer", finite_diff_gradcheck(cnn_fn, [h, *cnn_p.tensors.values()])))
 
     # AS head with opinion attention
-    as_head = init_as_head(p, d, 4)
+    as_p = ParamTable(rng)
+    as_head = init_as_head(as_p, d, 4)
     yae = Tensor(softmax_rows(Tensor(rng.normal(size=(n, 5)))).data)
     gold_as = np.array([0, 1, 2, 0])
 
@@ -475,16 +472,7 @@ def gradcheck_suite(seed: int = 0) -> List[Tuple[str, float]]:
         _, _, yas, _ = as_head_forward(h, as_head, yae, attention_constants(n))
         return nll_rows(yas, gold_as, np.full(n, 0.25))
 
-    as_params = [
-        h,
-        yae,
-        as_head.hidden_weight,
-        as_head.hidden_bias,
-        as_head.bilinear,
-        as_head.out_weight,
-        as_head.out_bias,
-    ]
-    checks.append(("as_head_attention", finite_diff_gradcheck(as_fn, as_params)))
+    checks.append(("as_head_attention", finite_diff_gradcheck(as_fn, [h, yae, *as_p.tensors.values()])))
 
     # full model, T=2 representation message-passing, joint loss. Unit-scale
     # embeddings keep every live gradient coordinate well above the central-

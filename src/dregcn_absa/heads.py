@@ -9,7 +9,7 @@ padded length bucket whose `pad_mask` (B, n) marks the real tokens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, NamedTuple, Optional
 
 import numpy as np
@@ -31,6 +31,12 @@ from .encoder import ParamTable
 OPINION_CLASS_SLICE = (2, 4)  # BP, IP columns of the AE distribution
 
 MP_VARIANTS = ("none", "predictions", "representations")
+
+# The most message-passing rounds a config may ask for; the paper uses T = 2.
+# Each round can grow the shared vectors: on a tiny corpus at initialisation
+# max |hs| reads about 0.4 at 10 rounds, 4 at 50 and 1e21 at 500, so a
+# larger T is an error rather than a run that ends in NaN.
+MAX_ROUNDS = 10
 
 
 @dataclass
@@ -66,8 +72,8 @@ class MessagePassingConfig:
             raise ValueError(
                 f"unknown message-passing variant {self.variant!r}; expected one of {MP_VARIANTS}"
             )
-        if self.rounds < 0:
-            raise ValueError("rounds must be >= 0")
+        if not 0 <= self.rounds <= MAX_ROUNDS:
+            raise ValueError(f"rounds must lie in [0, {MAX_ROUNDS}], got {self.rounds}")
 
     @property
     def effective_rounds(self) -> int:
@@ -126,11 +132,6 @@ def ae_head_forward(hs: Tensor, head: AeHead):
     return hae, yae
 
 
-def opinion_probs(yae: Tensor) -> Tensor:
-    lo, hi = OPINION_CLASS_SLICE
-    return sum_last(yae, lo, hi)
-
-
 def distance_factors(n: int) -> np.ndarray:
     """1/|i-j| off the diagonal, 0 on it."""
     idx = np.arange(n)
@@ -168,24 +169,6 @@ def attention_constants(n: int, pad_mask: Optional[np.ndarray] = None) -> Attent
     return AttentionConstants(factors, mask)
 
 
-def opinion_attention(
-    has: Tensor, ws: Tensor, pop: Tensor, constants: AttentionConstants
-) -> Tensor:
-    """Row-stochastic context attention: bilinear relevance scaled by inverse
-    token distance and by the context token's predicted opinion probability.
-
-    The positions `constants.mask` excludes (the diagonal, padding) get no
-    weight; a row with no candidates (n = 1, or a padded row) comes out
-    all-zero.
-    """
-    return bilinear_attention(has, ws, pop, constants.factors, constants.mask)
-
-
-def opinion_passing_apply(has: Tensor, m: Tensor) -> Tensor:
-    """[h_i ; sum_j M_ij h_j] for every token."""
-    return concat(has, matmul(m, has))
-
-
 def as_head_forward(
     hs: Tensor,
     head: AsHead,
@@ -193,13 +176,23 @@ def as_head_forward(
     constants: AttentionConstants,
     opinion_passing: bool = True,
 ):
-    """(concatenated AS representation, 3-way distribution, attention)."""
+    """(AS hidden h, [h_i ; sum_j M_ij h_j] for every token, 3-way
+    distribution, attention M).
+
+    M is row-stochastic context attention: bilinear relevance scaled by
+    inverse token distance and by the context token's predicted opinion
+    probability, its AE mass on BP and IP. The positions `constants.mask`
+    excludes (the diagonal, padding) get no weight; a row with no candidates
+    (n = 1, or a padded row) comes out all-zero, as does all of M without
+    opinion passing.
+    """
     has = relu(linear(hs, head.hidden_weight, head.hidden_bias))
     if opinion_passing:
-        m = opinion_attention(has, head.bilinear, opinion_probs(yae), constants)
+        pop = sum_last(yae, *OPINION_CLASS_SLICE)
+        m = bilinear_attention(has, head.bilinear, pop, *constants)
     else:
         m = Tensor(np.zeros(hs.shape[:-1] + (hs.shape[-2],)))
-    has_final = opinion_passing_apply(has, m)
+    has_final = concat(has, matmul(m, has))
     yas = softmax_rows(linear(has_final, head.out_weight, head.out_bias))
     return has, has_final, yas, m
 
@@ -234,15 +227,6 @@ class RoundOutput:
     attention: Tensor
 
 
-@dataclass
-class IterationOutput:
-    rounds: List[RoundOutput] = field(default_factory=list)
-
-    @property
-    def final(self) -> RoundOutput:
-        return self.rounds[-1]
-
-
 def forward_rounds(
     hs0: Tensor,
     ae_head: AeHead,
@@ -252,17 +236,18 @@ def forward_rounds(
     opinion_passing: bool = True,
     pad_mask: Optional[np.ndarray] = None,
     pass_pre_attention_as: bool = False,
-) -> IterationOutput:
-    """Round 0 evaluates both heads on the encoder output; each further round
-    re-encodes the shared vectors from the previous round's outputs and
-    re-applies the heads with the same parameters. The attention constants
-    depend only on the bucket's shape, so every round shares one set."""
-    out = IterationOutput()
+) -> List[RoundOutput]:
+    """Every round's outputs, the final round last. Round 0 evaluates both
+    heads on the encoder output; each further round re-encodes the shared
+    vectors from the previous round's outputs and re-applies the heads with
+    the same parameters. The attention constants depend only on the bucket's
+    shape, so every round shares one set."""
+    rounds: List[RoundOutput] = []
     constants = attention_constants(hs0.shape[-2], pad_mask)
     hs = hs0
     for t in range(mp.effective_rounds + 1):
         if t > 0:
-            prev = out.rounds[-1]
+            prev = rounds[-1]
             as_message = prev.has_pre if pass_pre_attention_as else prev.has_final
             hs = message_pass(
                 mp.variant, prev.hs, prev.hae, prev.yae, as_message, prev.yas, re
@@ -271,5 +256,5 @@ def forward_rounds(
         has_pre, has_final, yas, attn = as_head_forward(
             hs, as_head, yae, constants, opinion_passing=opinion_passing
         )
-        out.rounds.append(RoundOutput(hs, hae, yae, has_pre, has_final, yas, attn))
-    return out
+        rounds.append(RoundOutput(hs, hae, yae, has_pre, has_final, yas, attn))
+    return rounds

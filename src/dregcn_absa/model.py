@@ -22,9 +22,9 @@ from .corpus import (
 )
 from .encoder import EncoderConfig, ParamTable, encode_shared, init_encoder_params
 from .heads import (
-    IterationOutput,
     MessagePassingConfig,
     ReEncoder,
+    RoundOutput,
     forward_rounds,
     init_ae_head,
     init_as_head,
@@ -154,8 +154,8 @@ class Model:
         self,
         batch: Union[Sentence, Sequence[Sentence]],
         dropout: Optional[Sequence[np.ndarray]] = None,
-    ) -> IterationOutput:
-        """Forward over a length bucket padded to its longest sentence, n.
+    ) -> List[RoundOutput]:
+        """Each round's outputs, final last, over a bucket padded to its longest sentence, n.
 
         Every output has a leading bucket axis: (B, n, ...), or (1, n, ...)
         for a lone sentence. `dropout` holds the bucket's masks from

@@ -30,7 +30,7 @@ from .corpus import (
     split_train_dev,
 )
 from .evaluation import METRICS, MetricReport, corpus_metrics, decode_spans
-from .heads import IterationOutput
+from .heads import RoundOutput
 from .model import Model, ModelConfig
 
 
@@ -81,7 +81,7 @@ def length_buckets(sentences: Sequence[Sentence]) -> List[List[int]]:
 
 
 def joint_loss(
-    outputs: IterationOutput,
+    outputs: List[RoundOutput],
     batch: Union[Sentence, Sequence[Sentence]],
     batch_size: int = 1,
 ) -> Tensor:
@@ -90,7 +90,7 @@ def joint_loss(
     distributions. Sentence s weighs each of its tokens 1 / (batch_size *
     n_s); padded tokens weigh 0."""
     bucket = [batch] if isinstance(batch, Sentence) else list(batch)
-    final = outputs.final
+    final = outputs[-1]
     shape = final.yae.shape[:-1]
     ae_idx = np.zeros(shape, dtype=np.intp)
     as_idx = np.zeros(shape, dtype=np.intp)
@@ -139,7 +139,7 @@ def adam_step(
     state.step += 1
     t = state.step
     for name, p in params.items():
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        g = p.grad
         if not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient for parameter {name!r}")
         if name not in state.m:
@@ -163,7 +163,7 @@ def predict_tags(
     length bucket; AS tags read 'none' outside the predicted aspect spans."""
     preds: List[Tuple[List[str], List[str]]] = [([], [])] * len(sentences)
     for idx in length_buckets(sentences):
-        final = model.forward([sentences[i] for i in idx]).final
+        final = model.forward([sentences[i] for i in idx])[-1]
         ae_best = np.argmax(final.yae.data, axis=-1)
         as_best = np.argmax(final.yas.data, axis=-1)
         for b, i in enumerate(idx):
@@ -197,6 +197,7 @@ class TrainResult:
     best_dev_f1_i: float
     history: List[dict]
     model: Model
+    dev_set: Sequence[Sentence]  # what the run was checkpointed on
 
 
 def train(
@@ -250,7 +251,7 @@ def train(
             best_f1 = dev_report.f1_i
             best_snapshot = model.snapshot()
 
-    return TrainResult(model.snapshot(), best_snapshot, max(best_f1, 0.0), history, model)
+    return TrainResult(model.snapshot(), best_snapshot, max(best_f1, 0.0), history, model, dev_set)
 
 
 @dataclass
@@ -272,9 +273,9 @@ def multi_run(
     dev_set: Optional[Sequence[Sentence]] = None,
 ) -> MultiRunReport:
     """Repeat training with seeds seed+0 .. seed+runs-1 and average each
-    metric arithmetically. Evaluation uses the dev split unless a separate
-    corpus is given. Each run's model holds its best snapshot when use_best
-    is set, else its final one."""
+    metric arithmetically. Each run is scored on eval_corpus when given,
+    else on the dev set it trained against. Each run's model holds its best
+    snapshot when use_best is set, else its final one."""
     reports: List[MetricReport] = []
     seeds: List[int] = []
     results: List[TrainResult] = []
@@ -283,12 +284,7 @@ def multi_run(
         result = train(corpus, run_cfg, model_cfg, general_emb, domain_emb, dev_set=dev_set)
         if use_best:
             result.model.restore(result.best_snapshot)
-        if eval_corpus is not None:
-            target = eval_corpus
-        elif dev_set is not None:
-            target = dev_set
-        else:
-            _, target = split_train_dev(corpus, run_cfg.dev_ratio, run_cfg.seed)
+        target = result.dev_set if eval_corpus is None else eval_corpus
         reports.append(evaluate_model(result.model, target))
         seeds.append(run_cfg.seed)
         results.append(result)

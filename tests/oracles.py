@@ -137,7 +137,7 @@ def token_accuracy(model, sentences):
     final round's argmax, one sentence at a time."""
     ae_hit = ae_total = as_hit = as_total = 0
     for s in sentences:
-        final = model.forward(s).final
+        final = model.forward(s)[-1]
         ae_pred = np.argmax(final.yae.data[0], axis=-1)
         as_pred = np.argmax(final.yas.data[0], axis=-1)
         for i in range(s.n):

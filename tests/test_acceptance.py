@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from dregcn_absa import cli
-from dregcn_absa.autodiff import Tensor
+from dregcn_absa.autodiff import Tensor, bilinear_attention
 from dregcn_absa.corpus import (
     RelationVocab,
     Sentence,
@@ -36,7 +36,6 @@ from dregcn_absa.heads import (
     init_as_head,
     init_re_encoder,
     message_width,
-    opinion_attention,
 )
 from dregcn_absa.model import Model, ModelConfig
 from dregcn_absa.training import (
@@ -90,7 +89,7 @@ def test_criterion_02_loss_mask_invariance():
         out = model.forward(s)
         base = float(joint_loss(out, s).data)
         mask = as_loss_mask(s.ae_tags)
-        out.final.yas.data[0, ~mask] = rng.dirichlet(np.ones(3), size=(~mask).sum())
+        out[-1].yas.data[0, ~mask] = rng.dirichlet(np.ones(3), size=(~mask).sum())
         assert float(joint_loss(out, s).data) == base  # exact, no tolerance
 
     # (b) aspect-free batches leave every AS-head parameter gradient at 0
@@ -117,7 +116,7 @@ def test_criterion_03_attention_contract():
         head = init_as_head(ParamTable(rng), 10, d_t)
         has = Tensor(rng.normal(size=(n, d_t)))
         pop = Tensor(rng.random(n))
-        m = opinion_attention(has, head.bilinear, pop, attention_constants(n)).data
+        m = bilinear_attention(has, head.bilinear, pop, *attention_constants(n)).data
         assert (np.diag(m) == 0).all(), f"draw {draw}: nonzero diagonal"
         gap = np.abs(m.sum(axis=1) - 1.0).max()
         worst_row_gap = max(worst_row_gap, gap)
@@ -242,9 +241,9 @@ def test_criterion_08_message_passing_plumbing():
     hs0 = Tensor(rng.normal(size=(6, d_s)))
     out_none = forward_rounds(hs0, ae_head, as_head, None, MessagePassingConfig("none", 0))
     out_t0 = forward_rounds(hs0, ae_head, as_head, re, MessagePassingConfig("representations", 0))
-    np.testing.assert_array_equal(out_none.final.yae.data, out_t0.final.yae.data)
-    np.testing.assert_array_equal(out_none.final.yas.data, out_t0.final.yas.data)
-    np.testing.assert_array_equal(out_none.final.has_final.data, out_t0.final.has_final.data)
+    np.testing.assert_array_equal(out_none[-1].yae.data, out_t0[-1].yae.data)
+    np.testing.assert_array_equal(out_none[-1].yas.data, out_t0[-1].yas.data)
+    np.testing.assert_array_equal(out_none[-1].has_final.data, out_t0[-1].has_final.data)
     report(8, "widths 8 and 3*d_t verified; variant=none bit-equal to T=0")
 
 

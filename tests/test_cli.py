@@ -18,7 +18,7 @@ from dregcn_absa import cli
 from dregcn_absa.corpus import parse_corpus_file
 from dregcn_absa.encoder import EncoderConfig
 from dregcn_absa.evaluation import METRICS
-from dregcn_absa.heads import MessagePassingConfig
+from dregcn_absa.heads import MAX_ROUNDS, MessagePassingConfig
 from dregcn_absa.model import ModelConfig, load_checkpoint
 from dregcn_absa.training import TrainConfig
 from test_properties import corpus_texts
@@ -111,6 +111,7 @@ def test_usage_errors_exit_1(tmp_path, workspace, trained, capsys, monkeypatch):
         "pass_pre_attention_as = 1",
         "distinct_reverse_types = no",
         "rounds = 1.5",
+        "rounds = 11",
         "batch_size = 0",
         "runs = 0",
         "cnn_layers = 2.5",
@@ -139,6 +140,9 @@ def test_usage_errors_exit_1(tmp_path, workspace, trained, capsys, monkeypatch):
     capsys.readouterr()
     assert cli.main(["gradcheck", "--seed", "-1"]) == 1
     assert capsys.readouterr().err.startswith("usage error: ")
+    code, out = run_train(tmp_path, corpus, config, extra=["--rounds", "11"])
+    assert code == 1 and not out.exists()
+    assert capsys.readouterr().err == "usage error: rounds must lie in [0, 10], got 11\n"
     # a config file that is not UTF-8 names the line of its first bad byte
     latin = tmp_path / "latin1.conf"
     latin.write_bytes(b"epochs = 1\nmode = caf\xe9\n")
@@ -392,6 +396,7 @@ def _set_meta(path, value):
         (_set_meta(("config", "encoder", "m"), 1.5), "m must be int, got 1.5"),
         (_set_meta(("config", "encoder", "gcn_layers"), 2.5), "gcn_layers must be int, got 2.5"),
         (_set_meta(("config", "mp", "rounds"), 1.5), "rounds must be int, got 1.5"),
+        (_set_meta(("config", "mp", "rounds"), 11), "ValueError: rounds must lie in [0, 10], got 11"),
         (_set_meta(("config", "d_t"), 2.5), "d_t must be int, got 2.5"),
         (_set_meta(("config", "encoder", "kernel_widths"), [3.5]),
          "kernel_widths must be a list of int, got [3.5]"),
@@ -409,7 +414,7 @@ def _set_meta(path, value):
          "fractional_word_id", "boolean_word_id", "string_word_id",
          "fractional_relation_id", "boolean_relation_id", "string_dim", "float_dim",
          "wrong_width_dim", "fractional_d", "boolean_d", "fractional_m",
-         "fractional_gcn_layers", "fractional_rounds", "fractional_d_t",
+         "fractional_gcn_layers", "fractional_rounds", "too_many_rounds", "fractional_d_t",
          "fractional_kernel_width", "negative_kernel_width", "list_metadata",
          "string_metadata", "number_metadata", "null_metadata", "huge_d"],
 )
@@ -565,6 +570,15 @@ def test_flag_overrides_file_overrides_default(workspace):
     assert manifest["config"]["d"] == 8  # file beats the default 32
     assert manifest["config"]["dropout"] == 0.5  # untouched default
     assert manifest["seeds"] == [3]
+
+
+def test_most_rounds_train_and_evaluate(workspace, capsys):
+    tmp_path, corpus, config = workspace
+    code, out = run_train(tmp_path, corpus, config, extra=["--rounds", str(MAX_ROUNDS)])
+    assert code == 0
+    assert load_checkpoint(str(out / "checkpoint_seed0.npz")).cfg.mp.rounds == MAX_ROUNDS
+    assert cli.main(["evaluate", "--checkpoint", str(out / "checkpoint_seed0.npz"), "--corpus", corpus]) == 0
+    assert "f1_i = " in capsys.readouterr().out
 
 
 def test_config_dir_env_fallback(workspace, monkeypatch, tmp_path):

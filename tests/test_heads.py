@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from dregcn_absa import heads
-from dregcn_absa.autodiff import Tape, Tensor, backward, mul, sum_all
+from dregcn_absa.autodiff import Tape, Tensor, backward, bilinear_attention, mul, sum_all, sum_last
 from dregcn_absa.encoder import ParamTable
 from dregcn_absa.heads import (
+    OPINION_CLASS_SLICE,
     MessagePassingConfig,
     ae_head_forward,
     as_head_forward,
@@ -15,8 +16,6 @@ from dregcn_absa.heads import (
     init_as_head,
     init_re_encoder,
     message_width,
-    opinion_attention,
-    opinion_probs,
 )
 
 import oracles
@@ -35,6 +34,9 @@ def test_mp_config_validation():
         MessagePassingConfig("bogus", 1)
     with pytest.raises(ValueError):
         MessagePassingConfig("predictions", -1)
+    with pytest.raises(ValueError, match=r"rounds must lie in \[0, 10\], got 11"):
+        MessagePassingConfig("representations", heads.MAX_ROUNDS + 1)
+    assert MessagePassingConfig("representations", heads.MAX_ROUNDS).rounds == 10
     assert MessagePassingConfig("none", 3).effective_rounds == 0
     assert MessagePassingConfig("representations", 2).effective_rounds == 2
 
@@ -74,7 +76,7 @@ def test_ae_head_distribution():
 def test_opinion_probs_slice():
     _, as_head = make_heads()
     yae = Tensor(np.abs(RNG.normal(size=(4, 5))))
-    pop = opinion_probs(yae)
+    pop = sum_last(yae, *OPINION_CLASS_SLICE)
     np.testing.assert_allclose(pop.data, yae.data[:, 2:4].sum(axis=1))
 
 
@@ -83,7 +85,7 @@ def test_attention_zero_diagonal_and_stochastic_rows():
     n = 6
     has = Tensor(RNG.normal(size=(n, D_T)))
     pop = Tensor(RNG.random(n))
-    m = opinion_attention(has, as_head.bilinear, pop, attention_constants(n))
+    m = bilinear_attention(has, as_head.bilinear, pop, *attention_constants(n))
     assert (np.diag(m.data) == 0).all()
     np.testing.assert_allclose(m.data.sum(axis=1), 1.0, atol=1e-9)
 
@@ -92,7 +94,7 @@ def test_attention_single_token_row_is_zero():
     _, as_head = make_heads()
     has = Tensor(RNG.normal(size=(1, D_T)))
     pop = Tensor(RNG.random(1))
-    m = opinion_attention(has, as_head.bilinear, pop, attention_constants(1))
+    m = bilinear_attention(has, as_head.bilinear, pop, *attention_constants(1))
     assert m.shape == (1, 1) and (m.data == 0).all()
 
 
@@ -102,7 +104,7 @@ def test_attention_respects_pad_mask():
     has = Tensor(RNG.normal(size=(n, D_T)))
     pop = Tensor(RNG.random(n))
     pad = np.array([True, True, True, False, False])
-    m = opinion_attention(has, as_head.bilinear, pop, attention_constants(n, pad))
+    m = bilinear_attention(has, as_head.bilinear, pop, *attention_constants(n, pad))
     assert (m.data[:, ~pad] == 0).all()
     assert (m.data[~pad] == 0).all()
     np.testing.assert_allclose(m.data[pad].sum(axis=1), 1.0, atol=1e-9)
@@ -154,16 +156,16 @@ def test_forward_rounds_counts_and_none_equals_t0():
     out_t2 = forward_rounds(
         hs0, ae_head, as_head, re, MessagePassingConfig("representations", 2)
     )
-    assert len(out_none.rounds) == 1
-    assert len(out_t0.rounds) == 1
-    assert len(out_t2.rounds) == 3
+    assert len(out_none) == 1
+    assert len(out_t0) == 1
+    assert len(out_t2) == 3
     # variant none and zero rounds are the same computation, bit for bit
-    np.testing.assert_array_equal(out_none.final.yae.data, out_t0.final.yae.data)
-    np.testing.assert_array_equal(out_none.final.yas.data, out_t0.final.yas.data)
+    np.testing.assert_array_equal(out_none[-1].yae.data, out_t0[-1].yae.data)
+    np.testing.assert_array_equal(out_none[-1].yas.data, out_t0[-1].yas.data)
     # round 0 of a T=2 run equals the T=0 run
-    np.testing.assert_array_equal(out_t2.rounds[0].yae.data, out_t0.final.yae.data)
+    np.testing.assert_array_equal(out_t2[0].yae.data, out_t0[-1].yae.data)
     # later rounds actually move
-    assert np.abs(out_t2.final.yae.data - out_t0.final.yae.data).max() > 0
+    assert np.abs(out_t2[-1].yae.data - out_t0[-1].yae.data).max() > 0
 
 
 def test_forward_rounds_predictions_variant():
@@ -171,8 +173,8 @@ def test_forward_rounds_predictions_variant():
     re = init_re_encoder(ParamTable(np.random.default_rng(3)), D_S, "predictions", D_T, False)
     hs0 = Tensor(RNG.normal(size=(4, D_S)))
     out = forward_rounds(hs0, ae_head, as_head, re, MessagePassingConfig("predictions", 1))
-    assert len(out.rounds) == 2
-    assert out.final.hs.shape == (4, D_S)
+    assert len(out) == 2
+    assert out[-1].hs.shape == (4, D_S)
 
 
 def test_forward_rounds_pre_attention_message():
@@ -184,7 +186,7 @@ def test_forward_rounds_pre_attention_message():
         hs0, ae_head, as_head, re, MessagePassingConfig("representations", 1),
         pass_pre_attention_as=True,
     )
-    assert len(out.rounds) == 2
+    assert len(out) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +209,7 @@ def test_attention_matches_unfused_oracle(n):
     probe = RNG.normal(size=(n, n))
     params = [has, as_head.bilinear, pop]
     fused, g_fused = _attention_value_and_grads(
-        lambda: opinion_attention(has, as_head.bilinear, pop, attention_constants(n)),
+        lambda: bilinear_attention(has, as_head.bilinear, pop, *attention_constants(n)),
         params,
         probe,
     )
@@ -228,7 +230,7 @@ def test_attention_bucket_matches_each_sentence_alone():
     pop = Tensor(RNG.random((len(lengths), n)))
     probe = RNG.normal(size=(len(lengths), n, n))
     out, (g_has, g_w, g_pop) = _attention_value_and_grads(
-        lambda: opinion_attention(has, as_head.bilinear, pop, attention_constants(n, pad)),
+        lambda: bilinear_attention(has, as_head.bilinear, pop, *attention_constants(n, pad)),
         [has, as_head.bilinear, pop],
         probe,
     )

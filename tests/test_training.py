@@ -76,7 +76,7 @@ def test_joint_loss_matches_manual_formula(tiny_corpus):
 
     from dregcn_absa.corpus import AE_INDEX, AS_INDEX
 
-    yae, yas = out.final.yae.data[0], out.final.yas.data[0]
+    yae, yas = out[-1].yae.data[0], out[-1].yas.data[0]
     expect = 0.0
     for i in range(s.n):
         expect += -np.log(yae[i, AE_INDEX[s.ae_tags[i]]]) / s.n
@@ -92,7 +92,7 @@ def test_loss_ignores_as_probs_outside_aspects(tiny_corpus):
     base = float(joint_loss(out, s).data)
     mask = as_loss_mask(s.ae_tags)
     # scramble AS rows on non-aspect tokens
-    yas = out.final.yas.data[0]
+    yas = out[-1].yas.data[0]
     yas[~mask] = np.roll(yas[~mask], 1, axis=1)
     perturbed = float(joint_loss(out, s).data)
     assert perturbed == base  # exactly, not approximately
@@ -410,7 +410,7 @@ def test_checkpoint_round_trip_is_bit_exact(tiny_corpus, tmp_path):
     # forward agreement on a real sentence
     s = tiny_corpus[0]
     np.testing.assert_array_equal(
-        model.forward(s).final.yae.data, loaded.forward(s).final.yae.data
+        model.forward(s)[-1].yae.data, loaded.forward(s)[-1].yae.data
     )
 
 
