@@ -7,12 +7,15 @@ so a tensor used several times (e.g. head weights shared across
 message-passing rounds) collects the sum of all its contributions.
 
 After `backward`, only leaves (tensors no op produced, such as parameters and
-inputs) and the tensors passed as `params` keep a `.grad`; each intermediate
-gradient is freed once its op's backward has consumed it.
+inputs) and the tensors passed as `params` keep a `.grad`, and only they and
+the loss keep their `.data`: every other op output drops its value as the
+backward starts and its gradient once its op's backward has consumed it. A
+backward closure holds just what its gradient reads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -50,7 +53,7 @@ class Tensor:
         return self.data.shape
 
     def __repr__(self):
-        return f"Tensor(shape={self.data.shape})"
+        return f"Tensor(shape={getattr(self.data, 'shape', None)})"
 
 
 @dataclass
@@ -151,12 +154,16 @@ def matmul(a: ArrayLike, b: ArrayLike) -> Tensor:
     if av.ndim < 2 or bv.ndim < 2 or av.shape[-1] != bv.shape[-2]:
         raise DimensionError(f"matmul: incompatible shapes {av.shape} and {bv.shape}")
     out = Tensor(av @ bv)
+    # each side's gradient reads the other side's value
+    a_shape, b_shape = av.shape, bv.shape
+    a_val = av if isinstance(b, Tensor) else None
+    b_val = bv if isinstance(a, Tensor) else None
 
     def bwd(g):
-        if isinstance(a, Tensor):
-            _accum(a, _unbroadcast(g @ np.swapaxes(bv, -1, -2), av.shape))
-        if isinstance(b, Tensor):
-            _accum(b, _unbroadcast(np.swapaxes(av, -1, -2) @ g, bv.shape))
+        if b_val is not None:
+            _accum(a, _unbroadcast(g @ np.swapaxes(b_val, -1, -2), a_shape))
+        if a_val is not None:
+            _accum(b, _unbroadcast(np.swapaxes(a_val, -1, -2) @ g, b_shape))
 
     _record(out, (a, b), bwd)
     return out
@@ -173,13 +180,14 @@ def linear(x: ArrayLike, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     y = x2 @ wv.T
     if bv is not None:
         y += bv
-    out = Tensor(y.reshape(xv.shape[:-1] + (wv.shape[0],)))
+    x_shape = xv.shape
+    out = Tensor(y.reshape(x_shape[:-1] + (wv.shape[0],)))
 
     def bwd(g):
         g2 = g.reshape(-1, g.shape[-1])
-        _accum(x, (g2 @ wv).reshape(xv.shape))
+        _accum(x, (g2 @ wv).reshape(x_shape))
         _accum(w, g2.T @ x2)
-        if bv is not None:
+        if b is not None:
             _accum(b, g2.sum(axis=0))
 
     _record(out, (x, w, b), bwd)
@@ -209,10 +217,11 @@ def concat(*parts: ArrayLike) -> Tensor:
 def add(a: ArrayLike, b: ArrayLike) -> Tensor:
     av, bv = _val(a), _val(b)
     out = Tensor(av + bv)
+    a_shape, b_shape = av.shape, bv.shape
 
     def bwd(g):
-        _accum(a, _unbroadcast(g, av.shape))
-        _accum(b, _unbroadcast(g, bv.shape))
+        _accum(a, _unbroadcast(g, a_shape))
+        _accum(b, _unbroadcast(g, b_shape))
 
     _record(out, (a, b), bwd)
     return out
@@ -221,10 +230,16 @@ def add(a: ArrayLike, b: ArrayLike) -> Tensor:
 def mul(a: ArrayLike, b: ArrayLike) -> Tensor:
     av, bv = _val(a), _val(b)
     out = Tensor(av * bv)
+    # each side's gradient reads the other side's value
+    a_shape, b_shape = av.shape, bv.shape
+    a_val = av if isinstance(b, Tensor) else None
+    b_val = bv if isinstance(a, Tensor) else None
 
     def bwd(g):
-        _accum(a, _unbroadcast(g * bv, av.shape))
-        _accum(b, _unbroadcast(g * av, bv.shape))
+        if b_val is not None:
+            _accum(a, _unbroadcast(g * b_val, a_shape))
+        if a_val is not None:
+            _accum(b, _unbroadcast(g * a_val, b_shape))
 
     _record(out, (a, b), bwd)
     return out
@@ -246,9 +261,10 @@ def sum_last(a: ArrayLike, start: int, stop: int) -> Tensor:
     """a[..., start:stop] summed over the last axis, as one op."""
     av = _val(a)
     out = Tensor(av[..., start:stop].sum(axis=-1))
+    shape = av.shape
 
     def bwd(g):
-        full = np.zeros_like(av)
+        full = np.zeros(shape)
         full[..., start:stop] = g[..., None]
         _accum(a, full)
 
@@ -257,14 +273,19 @@ def sum_last(a: ArrayLike, start: int, stop: int) -> Tensor:
 
 
 def rows(table: Tensor, idx) -> Tensor:
-    """Row gather (idx of any shape); backward scatter-adds into the table."""
+    """Row gather (idx of any shape, entries >= 0); backward scatter-adds
+    into the table with one `np.bincount`, which sums each cell's
+    contributions in index order, as `np.add.at` does."""
     idx = np.asarray(idx, dtype=np.intp)
-    out = Tensor(_val(table)[idx])
+    tv = _val(table)
+    out = Tensor(tv[idx])
+    shape = tv.shape
 
     def bwd(g):
-        full = np.zeros_like(table.data)
-        np.add.at(full, idx, g)
-        _accum(table, full)
+        width = math.prod(shape[1:])
+        cells = (idx[..., None] * width + np.arange(width)).ravel()  # flat table cells
+        full = np.bincount(cells, weights=g.ravel(), minlength=shape[0] * width)
+        _accum(table, full.reshape(shape))
 
     _record(out, (table,), bwd)
     return out
@@ -273,9 +294,10 @@ def rows(table: Tensor, idx) -> Tensor:
 def sum_all(a: ArrayLike) -> Tensor:
     av = _val(a)
     out = Tensor(av.sum())
+    shape = av.shape
 
     def bwd(g):
-        _accum(a, np.broadcast_to(g, av.shape))
+        _accum(a, np.broadcast_to(g, shape))
 
     _record(out, (a,), bwd)
     return out
@@ -316,10 +338,11 @@ def nll_rows(probs: ArrayLike, gold_idx, weights) -> Tensor:
     picked = np.take_along_axis(pv, idx[..., None], axis=-1)[..., 0]
     clamped = np.maximum(picked, LOG_CLAMP)
     out = Tensor(float(-(w * np.log(clamped)).sum()))
+    shape = pv.shape
 
     def bwd(g):
         coef = np.where(picked > LOG_CLAMP, -float(g) * w / clamped, 0.0)
-        full = np.zeros_like(pv)
+        full = np.zeros(shape)
         np.put_along_axis(full, idx[..., None], coef[..., None], axis=-1)
         _accum(probs, full)
 
@@ -376,7 +399,8 @@ def conv_branches(
     kernel = kernel.reshape(span * d, -1)
     pre = _windows(xp, n, span).reshape(-1, span * d) @ kernel + np.concatenate(bvs)
     y = np.maximum(0.0, pre, out=pre)
-    out = Tensor(y.reshape(xv.shape[:-1] + (blocks[-1],)))
+    x_shape = xv.shape
+    out = Tensor(y.reshape(x_shape[:-1] + (blocks[-1],)))
 
     def bwd(g):
         g2 = g.reshape(-1, blocks[-1]) * (y > 0)
@@ -386,7 +410,7 @@ def conv_branches(
             k0 = half - wv.shape[0] // 2
             _accum(w, gk[k0 : k0 + wv.shape[0], :, lo:hi])
             _accum(b, gb[lo:hi])
-        gcols = (g2 @ kernel.T).reshape(xv.shape[:-1] + (span, d))
+        gcols = (g2 @ kernel.T).reshape(x_shape[:-1] + (span, d))
         gxp = np.zeros_like(xp)
         for k in range(span):
             gxp[..., k : k + n, :] += gcols[..., k, :]
@@ -446,23 +470,35 @@ def bilinear_attention(
 def backward(tape: Tape, loss: Tensor, params: Sequence[Tensor] = ()) -> None:
     """Populate gradients by reverse traversal of the tape.
 
+    As it starts, every op output but the loss and the tensors in `params`
+    drops its `.data` (each closure holds what it reads), and each tensor in
+    `params` has its `.grad` zeroed in place, or allocated when it has none:
+    a gradient that is a view of a model's gradient vector stays that view,
+    and a parameter unreachable from the loss ends with zeros.
+
     Afterwards only leaves (tensors that no op on the tape produced) and the
     tensors in `params` hold a `.grad`. Every other op output's gradient is
     dropped as soon as its op's backward has run: the tape is in execution
     order, so by then every consumer of that output has added its share.
-    Parameters listed in `params` but unreachable from the loss receive an
-    explicit zero gradient. The tape keeps its ops.
+    The tape keeps its ops.
     """
     if loss.data.shape != ():
         raise ContractViolation(f"backward: loss has shape {loss.data.shape}, not scalar")
+    keep = {id(p) for p in params}
     for op in tape.ops:
-        op.output.grad = None
+        out = op.output
+        if id(out) not in keep:
+            out.grad = None
+            if out is not loss:
+                out.data = None
         for t in op.inputs:
-            if isinstance(t, Tensor):
+            if isinstance(t, Tensor) and id(t) not in keep:
                 t.grad = None
     for p in params:
-        p.grad = None
-    keep = {id(p) for p in params}
+        if p.grad is None:
+            p.grad = np.zeros_like(p.data)
+        else:
+            p.grad.fill(0.0)
     loss.grad = np.ones((), dtype=np.float64)
     for op in reversed(tape.ops):
         out = op.output
@@ -471,9 +507,6 @@ def backward(tape: Tape, loss: Tensor, params: Sequence[Tensor] = ()) -> None:
         op.backward(out.grad)
         if id(out) not in keep:
             out.grad = None
-    for p in params:
-        if p.grad is None:
-            p.grad = np.zeros_like(p.data)
 
 
 def finite_diff_gradcheck(

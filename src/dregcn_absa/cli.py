@@ -225,7 +225,10 @@ def _load_embeddings(
             text, digests[label] = _read(path, "embedding")
             return load_embedding_table(text, cfg[dim_key], rng)
         digests[label] = f"random(dim={cfg[dim_key]}, seed={cfg['seed']})"
-        return random_embedding_table(words, cfg[dim_key], rng)
+        try:
+            return random_embedding_table(words, cfg[dim_key], rng)
+        except (MemoryError, ValueError) as exc:
+            raise UsageError(f"{dim_key} = {cfg[dim_key]}: the table cannot be allocated: {exc}") from exc
 
     general = one(general_path, "general_dim", "general_emb")
     domain = one(domain_path, "domain_dim", "domain_emb")
@@ -273,6 +276,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     if dev_set is None:
         # a split that leaves either side empty exits 2 before `--out` is made
         split_train_dev(corpus, train_cfg.dev_ratio, train_cfg.seed)
+    # so does a model too large to allocate: build the first run's once
+    rv = RelationVocab.from_corpus(corpus, model_cfg.distinct_reverse_types)
+    try:
+        Model(model_cfg, general, domain, rv, np.random.default_rng(train_cfg.seed))
+    except (MemoryError, ValueError) as exc:
+        sizes = f"d = {model_cfg.encoder.d}, m = {model_cfg.encoder.m}, d_t = {model_cfg.d_t}"
+        raise UsageError(f"the model ({sizes}) cannot be allocated: {exc}") from exc
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
     started = time.time()

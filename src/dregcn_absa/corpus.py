@@ -14,7 +14,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -260,6 +260,21 @@ def _block_sentence(block: List[List[str]], first: int, seen: Dict[str, str]) ->
         raise ParseError(f"sentence starting at line {first}: {exc}") from exc
 
 
+PIECE_CHARS = 1 << 16  # the least a piece of `text_lines` holds, when the text is longer
+
+
+def text_lines(text: str, piece: int = PIECE_CHARS) -> Iterator[str]:
+    """The lines of `text`, as `text.splitlines()` gives them, split one
+    bounded piece at a time: each piece ends just after the first "\n" at
+    least `piece` characters in, so no line (nor a "\r\n") is cut, and no
+    list of every line is ever held."""
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start + piece) + 1 or len(text)
+        yield from text[start:stop].splitlines()
+        start = stop
+
+
 def parse_corpus_file(text: str) -> List[Sentence]:
     """The sentences of a corpus file: 5 whitespace-separated columns per
     token line, blank or whitespace-only lines between sentences. A
@@ -270,7 +285,7 @@ def parse_corpus_file(text: str) -> List[Sentence]:
     block: List[List[str]] = []
     seen: Dict[str, str] = {}
     # a final empty line ends the last sentence
-    for lineno, cols in enumerate(chain(map(str.split, text.splitlines()), ([],)), 1):
+    for lineno, cols in enumerate(chain(map(str.split, text_lines(text)), ([],)), 1):
         if cols:
             block.append(cols)
         elif block:
@@ -321,7 +336,7 @@ def load_embedding_table(
     vocab: Dict[str, int] = {}
     values = array("d")
     lines: List[int] = []  # the line each row was read on
-    for lineno, parts in enumerate(map(str.split, text.splitlines()), 1):
+    for lineno, parts in enumerate(map(str.split, text_lines(text)), 1):
         if not parts:
             continue
         if len(parts) != expected_dim + 1:

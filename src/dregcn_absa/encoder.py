@@ -85,9 +85,10 @@ class ParamTable:
     """Every trainable tensor of a model by checkpoint name, in declaration
     order (a checkpoint's member order). `p(name, shape, bound)` declares
     one. Over a generator it is new: uniform in [-bound, bound] (the Glorot
-    bound when None), zeros without a draw for bound 0, or a copy of `init`.
+    bound when None), zeros without a draw for bound 0, or `init` itself.
     Over a checkpoint's stored arrays it is the stored array as it is, once
     checked to be finite float64 of that shape (else a ValueError naming it).
+    `pack` then copies them all into one vector.
     """
 
     def __init__(self, source: Union[np.random.Generator, Mapping[str, np.ndarray]]):
@@ -108,7 +109,7 @@ class ParamTable:
             if fault:
                 raise ValueError(f"parameter {name!r} {fault}")
         elif init is not None:
-            data = init.copy()
+            data = init
         elif bound == 0:
             data = np.zeros(shape)
         else:
@@ -117,6 +118,29 @@ class ParamTable:
             data = self.source.uniform(-bound, bound, size=shape)
         self.tensors[name] = tensor = Tensor(data)
         return tensor
+
+    def views(self, vector: np.ndarray) -> Dict[str, np.ndarray]:
+        """One view of `vector` per declared tensor, by name: the tensors'
+        shapes laid end to end in declaration order."""
+        out: Dict[str, np.ndarray] = {}
+        start = 0
+        for name, tensor in self.tensors.items():
+            stop = start + tensor.data.size
+            out[name] = vector[start:stop].reshape(tensor.data.shape)
+            start = stop
+        return out
+
+    def pack(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Copy every declared tensor into one new float64 vector and give it
+        a zeroed gradient in a second; each `.data` and `.grad` becomes a view
+        of its vector (`views`). Returns (parameter vector, gradient vector)."""
+        values = np.concatenate([t.data.ravel() for t in self.tensors.values()])
+        grads = np.zeros_like(values)
+        for t, value, grad in zip(
+            self.tensors.values(), self.views(values).values(), self.views(grads).values()
+        ):
+            t.data, t.grad = value, grad
+        return values, grads
 
 
 def init_dregcn_layer(p: ParamTable, name: str, d: int, m: int) -> DreGcnLayer:

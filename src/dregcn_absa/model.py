@@ -1,7 +1,9 @@
 """End-to-end model: embeddings -> shared encoder -> iterated task heads.
 
 Also owns the parameter table that the optimizer and gradient checks read
-by name, and bit-exact checkpoint serialization.
+by name, and bit-exact checkpoint serialization. Every parameter is a view of
+one parameter vector and its gradient a view of one gradient vector, both
+allocated when the model is built.
 """
 
 from __future__ import annotations
@@ -89,7 +91,10 @@ def _typed(cls, d: dict, **nested):
 
 class Model:
     """Bundles configuration, vocabularies and every trainable tensor, drawn
-    from `source`, a generator, or taken as stored from a checkpoint's arrays."""
+    from `source`, a generator, or copied from a checkpoint's arrays.
+
+    The tensors are views, in declaration order (embedding tables first), of
+    `param_vector`, and their gradients views of `grad_vector`."""
 
     def __init__(
         self,
@@ -115,13 +120,14 @@ class Model:
         self.re_encoder: Optional[ReEncoder] = None
         if cfg.mp.variant != "none":
             self.re_encoder = init_re_encoder(p, d_s, cfg.mp.variant, cfg.d_t, cfg.pass_pre_attention_as)
-        self._params = p.tensors
+        self._table = p
+        self.param_vector, self.grad_vector = p.pack()
 
     # -- parameter registry -------------------------------------------------
 
     def parameters(self) -> Dict[str, Tensor]:
         """Every parameter by its checkpoint name, in declaration order."""
-        return dict(self._params)
+        return dict(self._table.tensors)
 
     def trainable_parameters(self) -> Dict[str, Tensor]:
         params = self.parameters()
@@ -129,13 +135,22 @@ class Model:
             params = {k: v for k, v in params.items() if not k.startswith("emb/")}
         return params
 
+    def trainable_vectors(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The spans of the parameter and gradient vectors that hold the
+        trainable parameters, the last ones declared."""
+        size = sum(p.data.size for p in self.trainable_parameters().values())
+        start = self.param_vector.size - size
+        return self.param_vector[start:], self.grad_vector[start:]
+
     def snapshot(self) -> Dict[str, np.ndarray]:
-        return {k: v.data.copy() for k, v in self.parameters().items()}
+        """Every parameter by name: views of one copy of the parameter vector."""
+        return self._table.views(self.param_vector.copy())
 
     def restore(self, snapshot: Dict[str, np.ndarray]) -> None:
+        """Copy the snapshot's arrays into the parameters they name."""
         params = self.parameters()
         for k, v in snapshot.items():
-            params[k].data = v.copy()
+            params[k].data[...] = v
 
     # -- forward -------------------------------------------------------------
 
@@ -236,7 +251,7 @@ def _embedding(meta: dict, arrays: Dict[str, np.ndarray], kind: str) -> Embeddin
     matrix, dim = arrays[f"emb/{kind}"], meta[f"{kind}_dim"]
     if type(dim) is not int or matrix.shape[1:] != (dim,):
         raise ValueError(f"{kind}_dim is {dim!r}, not the width of its {matrix.shape} table")
-    return EmbeddingMatrix(_vocab(meta, f"{kind}_vocab", len(matrix)), matrix.copy(), dim)
+    return EmbeddingMatrix(_vocab(meta, f"{kind}_vocab", len(matrix)), matrix, dim)
 
 
 def load_checkpoint(path: str) -> Model:

@@ -118,6 +118,23 @@ def test_grad_rows_scatter():
     check(lambda: ad.sum_all(ad.mul(ad.rows(table, idx), probe)), [table])
 
 
+@pytest.mark.parametrize("idx_shape", [(9,), (3, 5)])
+def test_rows_backward_matches_an_add_at_oracle_bit_for_bit(idx_shape):
+    """The scatter sums each row's contributions in index order, as
+    np.add.at does; repeated indices and untouched rows included."""
+    rng = np.random.default_rng(4)
+    table = Tensor(rng.normal(size=(6, 3)))
+    idx = rng.integers(0, 4, size=idx_shape)  # rows 4 and 5 are never read
+    probe = rng.normal(size=idx_shape + (3,))
+    with Tape() as tape:
+        loss = ad.sum_all(ad.mul(ad.rows(table, idx), probe))
+    backward(tape, loss, params=[table])
+    expect = np.zeros((6, 3))
+    np.add.at(expect, idx, probe)
+    assert len(set(idx.ravel().tolist())) < idx.size
+    assert table.grad.tobytes() == expect.tobytes()
+
+
 def test_grad_sum_axis():
     a = t(4, 3)
     check(lambda: ad.sum_all(ad.mul(oracles.sum_axis(a, axis=1), np.arange(1.0, 5.0))), [a])
@@ -260,8 +277,9 @@ def _value_and_grads(out_fn, params, probe):
     with Tape() as tape:
         out = out_fn()
         loss = ad.sum_all(ad.mul(out, probe))
+    value = out.data  # read before backward, which drops an op output's value
     backward(tape, loss, params=params)
-    return out.data, [p.grad.copy() for p in params]
+    return value, [p.grad.copy() for p in params]
 
 
 def _conv_params(widths, d_in, c_out):

@@ -122,6 +122,9 @@ def test_usage_errors_exit_1(tmp_path, workspace, trained, capsys, monkeypatch):
         "mp_variant = bogus",
         "learning_rate = true",
         "dropout = false",
+        "d = 1000000000000000",  # too large to allocate
+        "d = 10000000000000000000",
+        "general_dim = 1000000000000000",
     ):
         bad_value = tmp_path / "bad_value.conf"
         bad_value.write_text(SMALL_CONFIG + setting + "\n")
@@ -131,6 +134,8 @@ def test_usage_errors_exit_1(tmp_path, workspace, trained, capsys, monkeypatch):
         assert not out.exists(), setting
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and "Traceback" not in err, setting
+        if "000000000000000" in setting:  # a size too large names itself
+            assert setting.split(" = ")[1] in err, setting
     # gradcheck reads its seed through the same validation
     for setting in ("seed = abc", "seed = 2.5"):
         bad_value.write_text(setting + "\n")

@@ -149,6 +149,34 @@ def test_parsed_corpus_holds_under_100_bytes_per_token():
     assert held / (sentences * n) <= 100
 
 
+def test_parse_peak_stays_near_what_it_returns():
+    """A laptop-sized file (3,048 sentences of N(18, 9) tokens, 58k lines)
+    is walked a bounded piece at a time, so the parse's traced peak is at
+    most 1.3 times the corpus it returns (about 1.1; 2.3 with a list of
+    every line)."""
+    rng = np.random.default_rng(1)
+    pairs = (("O", "none"), ("BA", "pos"), ("IA", "neg"), ("BP", "none"))
+    lines = []
+    for n in np.clip(np.rint(rng.normal(18, 9, size=3048)), 3, 80).astype(int):
+        words, tags, rels = rng.integers(3000, size=n), rng.integers(4, size=n), rng.integers(40, size=n)
+        lines += [
+            f"word{w} {' '.join(pairs[t])} {i - 1 if i else 'ROOT'} {f'rel{r}' if i else 'root'}"
+            for i, (w, t, r) in enumerate(zip(words, tags, rels))
+        ]
+        lines.append("")
+    text = "\n".join(lines)
+    del lines
+    gc.collect()
+    tracemalloc.start()
+    try:
+        parsed = parse_corpus_file(text)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(parsed) == 3048
+    assert peak <= 1.3 * held
+
+
 # ---------------------------------------------------------------------------
 # relation vocabulary
 

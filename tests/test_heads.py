@@ -197,8 +197,9 @@ def _attention_value_and_grads(fn, params, probe):
     with Tape() as tape:
         out = fn()
         loss = sum_all(mul(out, probe))
+    value = out.data  # read before backward, which drops an op output's value
     backward(tape, loss, params=params)
-    return out.data, [p.grad.copy() for p in params]
+    return value, [p.grad.copy() for p in params]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 9])

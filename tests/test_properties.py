@@ -24,6 +24,7 @@ from dregcn_absa.corpus import (
     parse_corpus_file,
     random_embedding_table,
     serialize_corpus,
+    text_lines,
 )
 from dregcn_absa.encoder import MODES, EncoderConfig, normalize_adjacency, relation_counts
 from dregcn_absa.evaluation import Span, decode_spans
@@ -261,6 +262,13 @@ def test_parse_matches_line_by_line_reference(text):
     ParseError: when a sentence has faults of more than one kind, the one
     the reference meets first in line order and check order."""
     assert _outcome(parse_corpus_file, text) == _outcome(parse_corpus_reference, text)
+
+
+@given(st.text(st.sampled_from("ab \t\n\r\x0b\x0c\x1c\x85\u2028"), max_size=40), st.integers(1, 8))
+def test_text_lines_in_pieces_are_the_splitlines_lines(text, piece):
+    """Cutting the text into pieces of at least `piece` characters, each
+    just after a "\n", splits it into exactly the lines of str.splitlines."""
+    assert list(text_lines(text, piece)) == text.splitlines()
 
 
 VALUES = st.one_of(

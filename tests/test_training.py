@@ -176,6 +176,128 @@ def test_backward_peak_stays_below_half_the_tape():
     assert peak - start <= 0.5 * start
 
 
+def test_backward_peak_stays_below_the_forward_peak():
+    """On a B = 8 bucket of 31-48-token sentences, default config with
+    dropout, the traced peak during backward is at most the forward's: the
+    op outputs that no closure reads are gone before the first gradient is
+    (about 0.96 of it; 1.2 when the tape keeps every output)."""
+    rng = np.random.default_rng(1)
+    batch = [random_gold_sentence(rng, int(n)) for n in rng.integers(31, 49, size=8)]
+    model, _, _ = build_model(batch, ModelConfig())
+    params = list(model.parameters().values())
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with Tape() as tape:
+            loss = batch_loss(model, batch, np.random.default_rng(1))
+        forward_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        backward(tape, loss, params=params)
+        backward_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert backward_peak <= forward_peak
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_backward_keeps_values_of_the_loss_params_and_leaves_only(mode):
+    """After backward, every op output but the loss and the listed
+    parameters has dropped its value; the leaves keep theirs."""
+    rng = np.random.default_rng(2)
+    batch = [random_gold_sentence(rng, n) for n in (3, 5, 9)]
+    cfg = small_model_config(mode=mode, variant="representations", rounds=2, dropout=0.5)
+    model, _, _ = build_model(batch, cfg)
+    params = list(model.trainable_parameters().values())
+    with Tape() as tape:
+        loss = batch_loss(model, batch, np.random.default_rng(1))
+    backward(tape, loss, params=params)
+    kept = {id(p) for p in params} | {id(loss)}
+    outputs = {id(op.output) for op in tape.ops}
+    assert id(loss) in outputs
+    for t in _taped(tape):
+        if id(t) in outputs and id(t) not in kept:
+            assert t.data is None
+        else:  # the loss, a parameter or a leaf such as an input constant
+            assert isinstance(t.data, np.ndarray)
+    assert all(isinstance(p.data, np.ndarray) for p in params)
+
+
+def _two_steps(freeze=False):
+    """A model after two training steps, and the Adam state they used."""
+    corpus = synth.overfit_corpus(8, seed=4)
+    cfg = small_model_config(mode="dregcn_plus_cnn", variant="representations", rounds=2, dropout=0.5)
+    cfg.freeze_embeddings = freeze
+    model, _, _ = build_model(corpus, cfg)
+    params = model.trainable_parameters()
+    state = AdamState(*model.trainable_vectors())
+    rng = np.random.default_rng(0)
+    for batch in (corpus[:4], corpus[4:]):
+        with Tape() as tape:
+            loss = batch_loss(model, batch, rng)
+        backward(tape, loss, params=list(params.values()))
+        adam_step(params, state, 0.01)
+    return model, state
+
+
+@pytest.mark.parametrize("freeze", [False, True])
+def test_parameters_and_gradients_stay_views_of_two_vectors(freeze):
+    """After two steps every parameter is still a view of the parameter
+    vector, and every trainable gradient of the gradient vector, each at
+    its own offset; Adam updated the trainable span in place."""
+    model, state = _two_steps(freeze)
+    params = model.parameters()
+    trainable = model.trainable_parameters()
+    assert sum(p.data.size for p in params.values()) == model.param_vector.size
+    assert model.grad_vector.size == model.param_vector.size
+    for name, p in params.items():
+        assert np.shares_memory(p.data, model.param_vector), name
+    for name, p in trainable.items():
+        assert np.shares_memory(p.grad, model.grad_vector), name
+    grads = [p.grad for p in trainable.values()]
+    for i, g in enumerate(grads):
+        assert not any(np.shares_memory(g, h) for h in grads[i + 1 :])
+    assert np.shares_memory(state.values, model.param_vector)
+    assert state.values.size == sum(p.data.size for p in trainable.values())
+    np.testing.assert_array_equal(
+        np.concatenate([p.grad.ravel() for p in trainable.values()]), state.grads
+    )
+
+
+def test_second_adam_step_allocates_almost_nothing():
+    """Adam works in vectors allocated with its state: a step allocates
+    less than a tenth of the parameter bytes (a step one parameter at a
+    time allocated several times them)."""
+    model, state = _two_steps()
+    params = model.trainable_parameters()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        adam_step(params, state, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 0.1 * model.param_vector.nbytes
+
+
+def test_restore_copies_into_the_parameter_vector():
+    """A snapshot is one copy of the parameter vector; restoring it writes
+    the values back into the parameters, which stay views of the vector."""
+    model, _ = _two_steps()
+    snapshot = model.snapshot()
+    saved = model.param_vector.copy()
+    copy = next(iter(snapshot.values())).base
+    assert copy.shape == model.param_vector.shape
+    for name, value in snapshot.items():
+        assert value.base is copy, name
+        assert not np.shares_memory(value, model.param_vector), name
+    model.param_vector[:] = 0.0
+    model.restore(snapshot)
+    np.testing.assert_array_equal(model.param_vector, saved)
+    for name, p in model.parameters().items():
+        assert np.shares_memory(p.data, model.param_vector), name
+        np.testing.assert_array_equal(p.data, snapshot[name])
+
+
 # ---------------------------------------------------------------------------
 # adam
 
@@ -183,14 +305,15 @@ def test_backward_peak_stays_below_half_the_tape():
 def test_adam_matches_reference_updates():
     rng = np.random.default_rng(0)
     p = Tensor(rng.normal(size=(3,)))
+    p.grad = np.zeros(3)
     ref = p.data.copy()
     m = np.zeros(3)
     v = np.zeros(3)
-    state = AdamState()
+    state = AdamState(p.data, p.grad)  # the vectors the step reads and updates
     lr = 0.1
     for t in range(1, 4):
         g = rng.normal(size=3)
-        p.grad = g.copy()
+        p.grad[...] = g
         adam_step({"p": p}, state, lr)
         m = 0.9 * m + 0.1 * g
         v = 0.999 * v + 0.001 * g * g
@@ -202,7 +325,7 @@ def test_adam_rejects_non_finite_gradient():
     p = Tensor(np.ones(2))
     p.grad = np.array([np.nan, 0.0])
     with pytest.raises(NumericError, match="p"):
-        adam_step({"p": p}, AdamState(), 0.1)
+        adam_step({"p": p}, AdamState(p.data, p.grad), 0.1)
 
 
 # ---------------------------------------------------------------------------
