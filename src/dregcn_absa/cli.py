@@ -49,7 +49,6 @@ from .corpus import (
     parse_corpus_file,
     random_embedding_table,
     serialize_corpus,
-    split_train_dev,
 )
 from .encoder import (
     EncoderConfig,
@@ -67,11 +66,13 @@ from .model import CheckpointError, Model, ModelConfig, load_checkpoint, save_ch
 from .model import JSON_TYPES, typed_value
 from .training import (
     NumericError,
+    SizeError,
     TrainConfig,
     evaluate_model,
     joint_loss,
     multi_run,
     predict_tags,
+    too_big,
 )
 
 CONFIG_DIR_ENV = "DREGCN_ABSA_CONFIG_DIR"
@@ -228,7 +229,9 @@ def _load_embeddings(
         try:
             return random_embedding_table(words, cfg[dim_key], rng)
         except (MemoryError, ValueError) as exc:
-            raise UsageError(f"{dim_key} = {cfg[dim_key]}: the table cannot be allocated: {exc}") from exc
+            if not too_big(exc):
+                raise
+            raise SizeError(f"{dim_key} = {cfg[dim_key]}: the table cannot be allocated: {exc}") from exc
 
     general = one(general_path, "general_dim", "general_emb")
     domain = one(domain_path, "domain_dim", "domain_emb")
@@ -273,18 +276,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.test_corpus:
         eval_corpus, digests["test_corpus"] = _read_corpus(args.test_corpus)
 
-    if dev_set is None:
-        # a split that leaves either side empty exits 2 before `--out` is made
-        split_train_dev(corpus, train_cfg.dev_ratio, train_cfg.seed)
-    # so does a model too large to allocate: build the first run's once
-    rv = RelationVocab.from_corpus(corpus, model_cfg.distinct_reverse_types)
-    try:
-        Model(model_cfg, general, domain, rv, np.random.default_rng(train_cfg.seed))
-    except (MemoryError, ValueError) as exc:
-        sizes = f"d = {model_cfg.encoder.d}, m = {model_cfg.encoder.m}, d_t = {model_cfg.d_t}"
-        raise UsageError(f"the model ({sizes}) cannot be allocated: {exc}") from exc
-    out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
     started = time.time()
     report = multi_run(
         corpus, train_cfg, model_cfg, general, domain,
@@ -292,6 +283,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     wall_clock = time.time() - started
 
+    # made only now, so that a run that fails leaves no `--out` behind
+    out_dir = args.out or "."
+    os.makedirs(out_dir, exist_ok=True)
     checkpoints = []
     for seed, result in zip(report.seeds, report.results):
         ckpt_path = os.path.join(out_dir, f"checkpoint_seed{seed}.npz")
@@ -625,7 +619,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, SizeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (ParseError, VocabularyError, SplitError, CheckpointError, OSError) as exc:

@@ -263,14 +263,14 @@ def _block_sentence(block: List[List[str]], first: int, seen: Dict[str, str]) ->
 PIECE_CHARS = 1 << 16  # the least a piece of `text_lines` holds, when the text is longer
 
 
-def text_lines(text: str, piece: int = PIECE_CHARS) -> Iterator[str]:
+def text_lines(text: str) -> Iterator[str]:
     """The lines of `text`, as `text.splitlines()` gives them, split one
     bounded piece at a time: each piece ends just after the first "\n" at
-    least `piece` characters in, so no line (nor a "\r\n") is cut, and no
-    list of every line is ever held."""
+    least `PIECE_CHARS` characters in, so no line (nor a "\r\n") is cut,
+    and no list of every line is ever held."""
     start = 0
     while start < len(text):
-        stop = text.find("\n", start + piece) + 1 or len(text)
+        stop = text.find("\n", start + PIECE_CHARS) + 1 or len(text)
         yield from text[start:stop].splitlines()
         start = stop
 

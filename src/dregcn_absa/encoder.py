@@ -130,6 +130,18 @@ class ParamTable:
             start = stop
         return out
 
+    def span(self, names: Sequence[str]) -> slice:
+        """The slice of a packed vector that holds exactly the named tensors;
+        a ContractViolation unless they were declared one after another, in
+        this order."""
+        order = list(self.tensors)
+        first = order.index(names[0])
+        if order[first : first + len(names)] != list(names):
+            raise ContractViolation(f"parameters {list(names)} are not declared one after another")
+        sizes = [t.data.size for t in self.tensors.values()]
+        start = sum(sizes[:first])
+        return slice(start, start + sum(sizes[first : first + len(names)]))
+
     def pack(self) -> Tuple[np.ndarray, np.ndarray]:
         """Copy every declared tensor into one new float64 vector and give it
         a zeroed gradient in a second; each `.data` and `.grad` becomes a view

@@ -136,11 +136,10 @@ class Model:
         return params
 
     def trainable_vectors(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The spans of the parameter and gradient vectors that hold the
-        trainable parameters, the last ones declared."""
-        size = sum(p.data.size for p in self.trainable_parameters().values())
-        start = self.param_vector.size - size
-        return self.param_vector[start:], self.grad_vector[start:]
+        """The spans of the parameter and gradient vectors that hold exactly
+        the trainable parameters."""
+        span = self._table.span(list(self.trainable_parameters()))
+        return self.param_vector[span], self.grad_vector[span]
 
     def snapshot(self) -> Dict[str, np.ndarray]:
         """Every parameter by name: views of one copy of the parameter vector."""

@@ -41,6 +41,21 @@ class NumericError(RuntimeError):
     """A gradient went non-finite; message names the parameter."""
 
 
+class SizeError(ValueError):
+    """A model or table too large to allocate; message names its sizes."""
+
+
+# the starts of what NumPy raises as a ValueError for an array it cannot hold
+_TOO_BIG = ("array is too big", "Maximum allowed dimension exceeded")
+
+
+def too_big(exc: BaseException) -> bool:
+    """Whether `exc` is NumPy refusing to allocate an array for its size."""
+    return isinstance(exc, MemoryError) or (
+        isinstance(exc, ValueError) and str(exc).startswith(_TOO_BIG)
+    )
+
+
 @dataclass
 class TrainConfig:
     learning_rate: float = 0.0005
@@ -241,7 +256,13 @@ def train(
         train_set = list(corpus)
     relation_vocab = RelationVocab.from_corpus(corpus, model_cfg.distinct_reverse_types)
     rng = np.random.default_rng(train_cfg.seed)
-    model = Model(model_cfg, general_emb, domain_emb, relation_vocab, rng)
+    try:
+        model = Model(model_cfg, general_emb, domain_emb, relation_vocab, rng)
+    except (MemoryError, ValueError) as exc:
+        if not too_big(exc):
+            raise
+        sizes = f"d = {model_cfg.encoder.d}, m = {model_cfg.encoder.m}, d_t = {model_cfg.d_t}"
+        raise SizeError(f"the model ({sizes}) cannot be allocated: {exc}") from exc
     params = model.trainable_parameters()
     state = AdamState(*model.trainable_vectors())
 

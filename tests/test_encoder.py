@@ -155,3 +155,18 @@ def test_normalized_adjacency_option_changes_output():
         params = init_encoder_params(ParamTable(np.random.default_rng(9)), cfg, 7, rv.size)
         outs.append(encode_shared(emb, graph, cfg, params).data)
     assert np.abs(outs[0] - outs[1]).max() > 1e-6
+
+
+def test_param_table_span_holds_exactly_the_named_run():
+    """`span` is the slice of the packed vector behind a run of tensors
+    declared one after another; any other set of names is refused."""
+    p = ParamTable(np.random.default_rng(8))
+    a, b, c = p("a", (2, 3)), p("b", (4,)), p("c", (1, 5))
+    values, _ = p.pack()
+    span = p.span(["b", "c"])
+    assert span == slice(6, 15)
+    np.testing.assert_array_equal(values[span], np.concatenate([b.data.ravel(), c.data.ravel()]))
+    assert p.span(["a", "b", "c"]) == slice(0, 15)
+    for names in (["a", "c"], ["c", "b"]):
+        with pytest.raises(ContractViolation):
+            p.span(names)

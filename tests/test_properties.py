@@ -1,11 +1,14 @@
 """Property tests over random parse trees, random corpora and random
 mini-batches."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dregcn_absa.corpus as corpus_module
 from dregcn_absa.autodiff import Tape, backward
 
 from dregcn_absa.corpus import (
@@ -268,7 +271,8 @@ def test_parse_matches_line_by_line_reference(text):
 def test_text_lines_in_pieces_are_the_splitlines_lines(text, piece):
     """Cutting the text into pieces of at least `piece` characters, each
     just after a "\n", splits it into exactly the lines of str.splitlines."""
-    assert list(text_lines(text, piece)) == text.splitlines()
+    with mock.patch.object(corpus_module, "PIECE_CHARS", piece):
+        assert list(text_lines(text)) == text.splitlines()
 
 
 VALUES = st.one_of(

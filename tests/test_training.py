@@ -1,6 +1,7 @@
 import hashlib
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from dregcn_absa.training import (
     MAX_BUCKET,
     AdamState,
     NumericError,
+    SizeError,
     TrainConfig,
     adam_step,
     as_loss_mask,
@@ -32,6 +34,7 @@ from dregcn_absa.training import (
     multi_run,
     predict_sentence_tags,
     predict_tags,
+    too_big,
     train,
 )
 
@@ -355,6 +358,29 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0)
     with pytest.raises(ValueError):
         TrainConfig(runs=0)
+
+
+def test_a_model_too_large_to_allocate_is_a_size_error():
+    """Only NumPy refusing an array for its size counts as too big; `train`
+    turns that refusal, raised while its model is built, into a SizeError
+    that names the sizes."""
+    for make in (
+        lambda: np.zeros((10**15, 10**15)),  # the byte count overflows
+        lambda: np.zeros(10**19),  # a dimension past the index type
+        lambda: np.zeros((50, 10**15)),  # more than any memory holds
+    ):
+        with pytest.raises((MemoryError, ValueError)) as info:
+            make()
+        assert too_big(info.value)
+    assert not too_big(ValueError("parameter 'x' has shape (2,), expected (3,)"))
+    corpus = synth.overfit_corpus(6, seed=1)
+    rng = np.random.default_rng(0)
+    words = [w for s in corpus for w in s.tokens]
+    general, domain = random_embedding_table(words, 6, rng), random_embedding_table(words, 3, rng)
+    cfg = small_model_config()
+    huge = replace(cfg, encoder=replace(cfg.encoder, d=10**15))
+    with pytest.raises(SizeError, match=f"d = {10**15}"):
+        train(corpus, TrainConfig(epochs=1, runs=1), huge, general, domain)
 
 
 def test_train_is_deterministic_under_seed():
