@@ -9,8 +9,13 @@ message-passing rounds) collects the sum of all its contributions.
 After `backward`, only leaves (tensors no op produced, such as parameters and
 inputs) and the tensors passed as `params` keep a `.grad`, and only they and
 the loss keep their `.data`: every other op output drops its value as the
-backward starts and its gradient once its op's backward has consumed it. A
-backward closure holds just what its gradient reads.
+backward starts and its gradient once its op's backward has consumed it.
+
+A backward closure holds just what its gradient reads, and no array that
+another closure or the caller already holds a copy of: `linear` keeps the
+parts of a joined input rather than the join, `rebuilt_matmul` rebuilds its
+constant operand, and `bilinear_attention` recomputes h W. A closure lives
+as long as its tape, so what it holds stays until the step ends.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -169,15 +174,65 @@ def matmul(a: ArrayLike, b: ArrayLike) -> Tensor:
     return out
 
 
-def linear(x: ArrayLike, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
+def rebuilt_matmul(build: Callable[[], np.ndarray], b: Tensor) -> Tensor:
+    """build() @ b over the last two axes, where build() makes a constant:
+    the backward calls `build` again for the gradient of b rather than hold
+    the constant, which pays when it is larger than what `build` reads."""
+    av, bv = build(), _val(b)
+    if av.ndim < 2 or bv.ndim < 2 or av.shape[-1] != bv.shape[-2]:
+        raise DimensionError(f"rebuilt_matmul: incompatible shapes {av.shape} and {bv.shape}")
+    out = Tensor(av @ bv)
+    b_shape = bv.shape
+
+    def bwd(g):
+        _accum(b, _unbroadcast(np.swapaxes(build(), -1, -2) @ g, b_shape))
+
+    _record(out, (b,), bwd)
+    return out
+
+
+def _join_checked(op: str, vals: Sequence[np.ndarray]) -> None:
+    if not vals:
+        raise DimensionError(f"{op}: no operands")
+    if any(v.shape[:-1] != vals[0].shape[:-1] for v in vals):
+        raise DimensionError(
+            f"{op}: leading dimensions disagree: " + ", ".join(str(v.shape) for v in vals)
+        )
+
+
+def _split_accum(parts: Sequence, widths: Sequence[int], g: np.ndarray) -> None:
+    """Hand each of the joined `parts`, in order, its slice of the joined
+    gradient: the next `width` columns."""
+    lo = 0
+    for part, width in zip(parts, widths):
+        _accum(part, g[..., lo : lo + width])
+        lo += width
+
+
+def linear(
+    x: Union[ArrayLike, Tuple[ArrayLike, ...]], w: Tensor, b: Optional[Tensor] = None
+) -> Tensor:
     """x @ w.T (+ b) over the last axis as one op; weights stored
-    (out_dim, in_dim). Leading axes are flattened into one product."""
-    xv, wv = _val(x), _val(w)
+    (out_dim, in_dim). Leading axes are flattened into one product.
+
+    `x` may be a tuple of operands, joined on the last axis as `concat`
+    joins them. The closure then holds the parts, which other closures
+    mostly hold already, and not the joined copy: the backward joins them
+    again for the weight gradient and hands each part its slice of the
+    input gradient, as `concat`'s backward would.
+    """
+    parts = x if isinstance(x, tuple) else (x,)
+    vals = [_val(p) for p in parts]
+    if len(vals) == 1:
+        xv = vals[0]
+    else:
+        _join_checked("linear", vals)
+        xv = np.concatenate(vals, axis=-1)
+    wv = _val(w)
     bv = None if b is None else _val(b)
     if xv.ndim < 1 or wv.ndim != 2 or xv.shape[-1] != wv.shape[1]:
         raise DimensionError(f"linear: incompatible shapes {xv.shape} and {wv.shape}")
-    x2 = xv.reshape(-1, xv.shape[-1])
-    y = x2 @ wv.T
+    y = xv.reshape(-1, xv.shape[-1]) @ wv.T
     if bv is not None:
         y += bv
     x_shape = xv.shape
@@ -185,30 +240,27 @@ def linear(x: ArrayLike, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
 
     def bwd(g):
         g2 = g.reshape(-1, g.shape[-1])
-        _accum(x, (g2 @ wv).reshape(x_shape))
-        _accum(w, g2.T @ x2)
+        joined = vals[0] if len(vals) == 1 else np.concatenate(vals, axis=-1)
+        _accum(w, g2.T @ joined.reshape(-1, x_shape[-1]))
+        del joined
         if b is not None:
             _accum(b, g2.sum(axis=0))
+        if any(isinstance(p, Tensor) for p in parts):
+            _split_accum(parts, [v.shape[-1] for v in vals], (g2 @ wv).reshape(x_shape))
 
-    _record(out, (x, w, b), bwd)
+    _record(out, (*parts, w, b), bwd)
     return out
 
 
 def concat(*parts: ArrayLike) -> Tensor:
     """Concatenation along the last axis."""
-    if not parts:
-        raise DimensionError("concat: no operands")
     vals = [_val(p) for p in parts]
-    if any(v.shape[:-1] != vals[0].shape[:-1] for v in vals):
-        raise DimensionError(
-            "concat: leading dimensions disagree: " + ", ".join(str(v.shape) for v in vals)
-        )
+    _join_checked("concat", vals)
     out = Tensor(np.concatenate(vals, axis=-1))
-    bounds = list(accumulate([0] + [v.shape[-1] for v in vals]))
+    widths = [v.shape[-1] for v in vals]
 
     def bwd(g):
-        for part, lo, hi in zip(parts, bounds[:-1], bounds[1:]):
-            _accum(part, g[..., lo:hi])
+        _split_accum(parts, widths, g)
 
     _record(out, parts, bwd)
     return out
@@ -411,6 +463,7 @@ def conv_branches(
             _accum(w, gk[k0 : k0 + wv.shape[0], :, lo:hi])
             _accum(b, gb[lo:hi])
         gcols = (g2 @ kernel.T).reshape(x_shape[:-1] + (span, d))
+        del g2, gk  # gone before the scatter below, this closure's peak
         gxp = np.zeros_like(xp)
         for k in range(span):
             gxp[..., k : k + n, :] += gcols[..., k, :]
@@ -433,7 +486,8 @@ def bilinear_attention(
 
     h: (..., n, d); w: (d, d); col_weight: (..., n); factors: constant
     (n, n); mask: broadcastable to (..., n, n). A row with no unmasked
-    position comes out all-zero. The backward is in closed form.
+    position comes out all-zero. The backward is in closed form; it keeps
+    h and W and recomputes h W from them.
     """
     hv, wv, cv = _val(h), _val(w), _val(col_weight)
     n = hv.shape[-2]
@@ -443,9 +497,8 @@ def bilinear_attention(
         )
     if factors.shape != (n, n):
         raise DimensionError(f"bilinear_attention: factors {factors.shape} for n = {n}")
-    hw = hv @ wv
-    raw = hw @ np.swapaxes(hv, -1, -2)
-    scaled = raw * factors
+    scaled = (hv @ wv) @ np.swapaxes(hv, -1, -2)
+    scaled *= factors
     cols = cv[..., None, :]
     p = _softmax(scaled * cols, mask)
     out = Tensor(p)
@@ -457,7 +510,7 @@ def bilinear_attention(
         ghw = graw @ hv
         gw = np.swapaxes(hv, -1, -2) @ ghw
         _accum(w, gw.reshape(-1, *wv.shape).sum(axis=0))
-        _accum(h, np.swapaxes(graw, -1, -2) @ hw + ghw @ wv.T)
+        _accum(h, np.swapaxes(graw, -1, -2) @ (hv @ wv) + ghw @ wv.T)
 
     _record(out, (h, w, col_weight), bwd)
     return out

@@ -58,7 +58,6 @@ from .encoder import (
     init_cnn_layer,
     init_dregcn_layer,
     init_relation_table,
-    relation_counts,
     relation_messages,
 )
 from .heads import MessagePassingConfig, as_head_forward, attention_constants, init_as_head
@@ -436,7 +435,7 @@ def gradcheck_suite(seed: int = 0) -> List[Tuple[str, float]]:
     rv = RelationVocab({"<self>": 0, "r1": 1, "r2": 2, "r3": 3})
     graph = build_dependency_graph([chain], rv)
     adj = graph.adjacency[0]
-    counts = relation_counts(graph.adjacency, graph.relation_indicator, rv.size)[0]
+    arcs = graph.relation_indicator[:, 1:]  # (i, j, type) of the one sentence
     # each layer check differentiates its input and its own table's
     # parameters; every table draws from `rng` in turn
     gcn_p = ParamTable(rng)
@@ -453,7 +452,7 @@ def gradcheck_suite(seed: int = 0) -> List[Tuple[str, float]]:
     dre = init_dregcn_layer(dre_p, "dregcn", d, m)
 
     def dre_fn():
-        messages = relation_messages(counts, table)
+        messages = relation_messages(adj, arcs, table)
         return sum_all(mul(dregcn_layer_forward(h, adj, messages, dre), probe_g))
 
     checks.append(("dregcn_layer", finite_diff_gradcheck(dre_fn, [h, *dre_p.tensors.values()])))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -373,15 +373,17 @@ def embed_tokens(
     sentences: Sequence[Sentence],
     general: EmbeddingMatrix,
     domain: EmbeddingMatrix,
-    general_param: Tensor,
-    domain_param: Tensor,
-) -> Tensor:
+    general_param: Union[Tensor, np.ndarray],
+    domain_param: Union[Tensor, np.ndarray],
+) -> Union[Tensor, np.ndarray]:
     """(B, n, d_g + d_d) for a bucket of B sentences padded to the longest,
     n: row (b, i) = [general(w); domain(w)] for token i of sentence b.
     Unseen words and padded rows read the OOV rows.
 
     The rows are read from the parameter tensors that back the two tables,
-    so the lookup stays on the tape and the embeddings fine-tune.
+    so the lookup stays on the tape and the embeddings fine-tune. Given
+    the tables' arrays instead (frozen embeddings), the lookup is a constant
+    array that records nothing.
     """
     n = max(s.n for s in sentences)
 
@@ -391,7 +393,9 @@ def embed_tokens(
             idx[b, : s.n] = table.indices(s.tokens)
         return idx
 
-    return concat(rows(general_param, indices(general)), rows(domain_param, indices(domain)))
+    if isinstance(general_param, Tensor):
+        return concat(rows(general_param, indices(general)), rows(domain_param, indices(domain)))
+    return np.concatenate((general_param[indices(general)], domain_param[indices(domain)]), axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,12 @@ without relation messages: `vanilla_gcn` runs the same layers with m = 0
 and no relation table.
 
 DreGCN needs the relation types only through the counts C[i, k] =
-sum_j A_ij Q_ijk. `encode_shared` computes C once per forward, after any
-normalization of A, with one `np.bincount` over the graphs' typed arcs: O(n)
-for a parse tree's 3n - 2 arcs, and no (n, n, |N|) tensor is ever formed.
-Every DreGCN layer shares one relation table R, so the relation messages
-C R are also computed once per forward and handed to each layer.
+sum_j A_ij Q_ijk, built after any normalization of A with one `np.bincount`
+over the graphs' typed arcs: O(n) for a parse tree's 3n - 2 arcs, and no
+(n, n, |N|) tensor is ever formed. Every DreGCN layer shares one relation
+table R, so `encode_shared` computes the relation messages C R once per
+forward, as one op whose backward rebuilds C from the arcs rather than hold
+it, and hands them to each layer.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .autodiff import (
     conv_branches,
     linear,
     matmul,
+    rebuilt_matmul,
     relu,
 )
 from .corpus import DepGraph
@@ -180,25 +182,28 @@ def normalize_adjacency(a: np.ndarray) -> np.ndarray:
 
 
 def relation_counts(a: np.ndarray, arcs: np.ndarray, n_types: int) -> np.ndarray:
-    """C[b, i, k] = sum_j A_bij Q_bijk (B, n, |N|), summed over the typed arcs
-    (b, i, j, k) that mark the nonzeros of Q in a bucket's (B, n, n) graph."""
-    b, i, j, k = arcs.T
+    """C[..., i, k] = sum_j A[..., i, j] Q[..., i, j, k] (..., n, |N|), summed
+    over the typed arcs that mark the nonzeros of Q: (b, i, j, k) in a
+    bucket's (B, n, n) graph, or (i, j, k) in one sentence's (n, n) graph."""
+    *rows, j, k = arcs.T
     shape = a.shape[:-1] + (n_types,)
-    cell = np.ravel_multi_index((b, i, k), shape)
-    counts = np.bincount(cell, weights=a[b, i, j], minlength=int(np.prod(shape)))
+    cell = np.ravel_multi_index((*rows, k), shape)
+    counts = np.bincount(cell, weights=a[(*rows, j)], minlength=int(np.prod(shape)))
     return counts.reshape(shape)
 
 
-def relation_messages(counts: np.ndarray, table: Tensor) -> Optional[Tensor]:
-    """The relation messages C R (..., n, m) from the counts C (..., n, |N|)
-    that `relation_counts` builds and the table R (|N|, m); None when m = 0,
-    where there are none."""
+def relation_messages(a: np.ndarray, arcs: np.ndarray, table: Tensor) -> Optional[Tensor]:
+    """The relation messages C R (..., n, m) of the graph A with typed `arcs`,
+    as `relation_counts` takes them, and the table R (|N|, m), as one op
+    whose backward rebuilds C; None when m = 0, where there are none."""
     n_types, m = table.shape
-    if counts.shape[-1] != n_types:
+    if arcs.shape[-1] != a.ndim + 1 or (arcs.size and arcs[:, -1].max() >= n_types):
         raise ContractViolation(
-            f"relation counts have {counts.shape[-1]} types, the table {n_types}"
+            f"arcs of shape {arcs.shape} do not index a {a.shape} graph over {n_types} types"
         )
-    return matmul(counts, table) if m > 0 else None
+    if m == 0:
+        return None
+    return rebuilt_matmul(lambda: relation_counts(a, arcs, n_types), table)
 
 
 def dregcn_layer_forward(
@@ -212,19 +217,18 @@ def dregcn_layer_forward(
 
     The double sum is W [A H; C R] row by row, where `messages` is C R
     (..., n, m), built by `relation_messages` from the same A and the graph's
-    typed arcs. Without messages (m = 0, or no relation table) this is the
-    vanilla GCN, ReLU((A H) W^T + b).
+    typed arcs; `linear` joins A H and C R itself. Without messages (m = 0,
+    or no relation table) this is the vanilla GCN, ReLU((A H) W^T + b).
     """
     if a.shape != h.shape[:-1] + (h.shape[-2],):
         raise DimensionError(f"adjacency {a.shape} does not match features {h.shape}")
-    neighbors = matmul(a, h)
-    if messages is not None:
-        if messages.shape[:-1] != h.shape[:-1]:
-            raise ContractViolation(
-                f"relation messages shape {messages.shape} does not match features {h.shape}"
-            )
-        neighbors = concat(neighbors, messages)
-    return relu(linear(neighbors, layer.weight, layer.bias))
+    if messages is None:
+        return relu(linear(matmul(a, h), layer.weight, layer.bias))
+    if messages.shape[:-1] != h.shape[:-1]:
+        raise ContractViolation(
+            f"relation messages shape {messages.shape} does not match features {h.shape}"
+        )
+    return relu(linear((matmul(a, h), messages), layer.weight, layer.bias))
 
 
 def cnn_encoder_forward(
@@ -274,7 +278,7 @@ def init_encoder_params(
 
 
 def encode_shared(
-    emb: Tensor,
+    emb: Union[Tensor, np.ndarray],
     graph: Optional[DepGraph],
     cfg: EncoderConfig,
     params: EncoderParams,
@@ -285,7 +289,7 @@ def encode_shared(
     Output width is d (= d_s) in every mode; the dregcn_plus_cnn mode
     concatenates both stacks and projects back down. `graph` is the
     bucket's graph; for a padded bucket, `pad_mask` (B, n) marks the real
-    tokens.
+    tokens. `emb` is a plain array when the embedding tables are frozen.
     """
     x0 = linear(emb, params.input_proj_weight, params.input_proj_bias)
     if cfg.mode == "cnn_only":
@@ -300,8 +304,7 @@ def encode_shared(
     table = params.relation_table
     messages = None
     if table is not None:
-        counts = relation_counts(a, graph.relation_indicator, table.shape[0])
-        messages = relation_messages(counts, table)
+        messages = relation_messages(a, graph.relation_indicator, table)
     h = x0
     for layer in params.graph_layers:
         h = dregcn_layer_forward(h, a, messages, layer)

@@ -18,7 +18,6 @@ from .autodiff import (
     ContractViolation,
     Tensor,
     bilinear_attention,
-    concat,
     linear,
     matmul,
     relu,
@@ -176,8 +175,8 @@ def as_head_forward(
     constants: AttentionConstants,
     opinion_passing: bool = True,
 ):
-    """(AS hidden h, [h_i ; sum_j M_ij h_j] for every token, 3-way
-    distribution, attention M).
+    """(AS hidden h, context sum_j M_ij h_j for every token, 3-way
+    distribution from [h_i ; context_i], attention M).
 
     M is row-stochastic context attention: bilinear relevance scaled by
     inverse token distance and by the context token's predicted opinion
@@ -192,28 +191,9 @@ def as_head_forward(
         m = bilinear_attention(has, head.bilinear, pop, *constants)
     else:
         m = Tensor(np.zeros(hs.shape[:-1] + (hs.shape[-2],)))
-    has_final = concat(has, matmul(m, has))
-    yas = softmax_rows(linear(has_final, head.out_weight, head.out_bias))
-    return has, has_final, yas, m
-
-
-def message_pass(
-    variant: str,
-    hs_prev: Tensor,
-    hae_prev: Tensor,
-    yae_prev: Tensor,
-    has_final_prev: Tensor,
-    yas_prev: Tensor,
-    re: ReEncoder,
-) -> Tensor:
-    """Re-encode the shared vectors from the previous round's task outputs."""
-    if variant == "predictions":
-        message = concat(hs_prev, yae_prev, yas_prev)
-    elif variant == "representations":
-        message = concat(hs_prev, hae_prev, has_final_prev)
-    else:
-        raise ContractViolation(f"message_pass called with variant {variant!r}")
-    return linear(message, re.weight, re.bias)
+    context = matmul(m, has)
+    yas = softmax_rows(linear((has, context), head.out_weight, head.out_bias))
+    return has, context, yas, m
 
 
 @dataclass
@@ -221,10 +201,26 @@ class RoundOutput:
     hs: Tensor
     hae: Tensor
     yae: Tensor
-    has_pre: Tensor
-    has_final: Tensor
+    has_pre: Tensor  # the AS hidden h
+    context: Tensor  # sum_j M_ij h_j; the AS output reads [h_i ; context_i]
     yas: Tensor
     attention: Tensor
+
+
+def message_pass(
+    variant: str, prev: RoundOutput, re: ReEncoder, pass_pre_attention_as: bool = False
+) -> Tensor:
+    """Re-encode the shared vectors from the previous round's task outputs:
+    [hs; yae; yas], or [hs; hae; h; context] ([hs; hae; h] when passing the
+    pre-attention AS hidden), joined by the re-encoder's `linear`."""
+    if variant == "predictions":
+        message = (prev.hs, prev.yae, prev.yas)
+    elif variant == "representations":
+        as_parts = (prev.has_pre,) if pass_pre_attention_as else (prev.has_pre, prev.context)
+        message = (prev.hs, prev.hae, *as_parts)
+    else:
+        raise ContractViolation(f"message_pass called with variant {variant!r}")
+    return linear(message, re.weight, re.bias)
 
 
 def forward_rounds(
@@ -247,14 +243,10 @@ def forward_rounds(
     hs = hs0
     for t in range(mp.effective_rounds + 1):
         if t > 0:
-            prev = rounds[-1]
-            as_message = prev.has_pre if pass_pre_attention_as else prev.has_final
-            hs = message_pass(
-                mp.variant, prev.hs, prev.hae, prev.yae, as_message, prev.yas, re
-            )
+            hs = message_pass(mp.variant, rounds[-1], re, pass_pre_attention_as)
         hae, yae = ae_head_forward(hs, ae_head)
-        has_pre, has_final, yas, attn = as_head_forward(
+        has_pre, context, yas, attn = as_head_forward(
             hs, as_head, yae, constants, opinion_passing=opinion_passing
         )
-        rounds.append(RoundOutput(hs, hae, yae, has_pre, has_final, yas, attn))
+        rounds.append(RoundOutput(hs, hae, yae, has_pre, context, yas, attn))
     return rounds

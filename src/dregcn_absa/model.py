@@ -179,14 +179,15 @@ class Model:
         lengths = np.array([s.n for s in bucket])
         n = int(lengths.max())
         pad_mask = None if (lengths == n).all() else np.arange(n) < lengths[:, None]
-        emb = embed_tokens(
-            bucket, self.general_emb, self.domain_emb, self.general_param, self.domain_param
-        )
+        tables = self.general_param, self.domain_param
+        if self.cfg.freeze_embeddings:  # constants: no tape op, no gradient
+            tables = tuple(t.data for t in tables)
+        emb = embed_tokens(bucket, self.general_emb, self.domain_emb, *tables)
         if dropout is not None:
             keep = np.zeros(emb.shape)
             for b, mask in enumerate(dropout):
                 keep[b, : len(mask)] = mask
-            emb = mul(emb, keep)
+            emb = mul(emb, keep) if isinstance(emb, Tensor) else emb * keep
         graph = None
         if self.cfg.encoder.uses_graph:
             graph = build_dependency_graph(

@@ -136,9 +136,9 @@ def test_criterion_04_reduction_equivalence():
         layer = init_dregcn_layer(p, "dregcn", d, 0)
         table = init_relation_table(p, n_types, 0)
         h = Tensor(rng.normal(size=(n, d)))
-        a, c = random_graph(rng, n, n_types)
+        a, arcs = random_graph(rng, n, n_types)
         gap = np.abs(
-            dregcn_layer_forward(h, a, relation_messages(c, table), layer).data
+            dregcn_layer_forward(h, a, relation_messages(a, arcs, table), layer).data
             - gcn_reference(h.data, a, layer.weight.data, layer.bias.data)
         ).max()
         worst = max(worst, gap)
@@ -243,7 +243,8 @@ def test_criterion_08_message_passing_plumbing():
     out_t0 = forward_rounds(hs0, ae_head, as_head, re, MessagePassingConfig("representations", 0))
     np.testing.assert_array_equal(out_none[-1].yae.data, out_t0[-1].yae.data)
     np.testing.assert_array_equal(out_none[-1].yas.data, out_t0[-1].yas.data)
-    np.testing.assert_array_equal(out_none[-1].has_final.data, out_t0[-1].has_final.data)
+    np.testing.assert_array_equal(out_none[-1].has_pre.data, out_t0[-1].has_pre.data)
+    np.testing.assert_array_equal(out_none[-1].context.data, out_t0[-1].context.data)
     report(8, "widths 8 and 3*d_t verified; variant=none bit-equal to T=0")
 
 

@@ -282,6 +282,32 @@ def _value_and_grads(out_fn, params, probe):
     return value, [p.grad.copy() for p in params]
 
 
+@pytest.mark.parametrize("lead", [(), (2,)])
+def test_linear_of_parts_is_bit_identical_to_linear_of_concat(lead):
+    """`linear` given its operands as parts gives the bytes of `linear` over
+    their `concat`, for the value and for every gradient, a part passed
+    twice included; the finite differences agree with it too."""
+    a, b, c = t(*lead, 3, 2), t(*lead, 3, 4), t(*lead, 3, 1)
+    w, bias = t(5, 9), t(5)
+    probe = RNG.normal(size=lead + (3, 5))
+    params = [a, b, c, w, bias]
+    joined = _value_and_grads(lambda: ad.linear((a, b, c, a), w, bias), params, probe)
+    reference = _value_and_grads(lambda: ad.linear(ad.concat(a, b, c, a), w, bias), params, probe)
+    for got, want in zip([joined[0], *joined[1]], [reference[0], *reference[1]]):
+        assert got.tobytes() == want.tobytes()
+    check(lambda: ad.sum_all(ad.mul(ad.linear((a, b, c, a), w, bias), probe)), params)
+
+
+def test_linear_of_parts_checks_their_shapes():
+    w = t(2, 5)
+    with pytest.raises(DimensionError):
+        ad.linear((), w)
+    with pytest.raises(DimensionError):
+        ad.linear((t(3, 2), t(4, 3)), w)  # leading dimensions disagree
+    with pytest.raises(DimensionError):
+        ad.linear((t(3, 2), t(3, 2)), w)  # joined width 4, not 5
+
+
 def _conv_params(widths, d_in, c_out):
     weights = [t(w, d_in, c_out) for w in widths]
     return weights, [t(c_out) for _ in widths]

@@ -9,19 +9,19 @@ from typing import get_type_hints
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dregcn_absa
 from dregcn_absa import autodiff as ad
 from dregcn_absa import cli
 from dregcn_absa.corpus import parse_corpus_file
-from dregcn_absa.encoder import EncoderConfig
+from dregcn_absa.encoder import MODES, EncoderConfig
 from dregcn_absa.evaluation import METRICS
-from dregcn_absa.heads import MAX_ROUNDS, MessagePassingConfig
+from dregcn_absa.heads import MAX_ROUNDS, MP_VARIANTS, MessagePassingConfig
 from dregcn_absa.model import ModelConfig, load_checkpoint
 from dregcn_absa.training import TrainConfig
-from test_properties import corpus_texts
+from test_properties import corpus_texts, embedding_texts
 
 SMALL_CONFIG = """\
 # small settings for fast command tests
@@ -502,6 +502,94 @@ def test_any_corpus_text_exits_0_or_2(trained, capsys):
             predicted, read = parse_corpus_file(out.out), parse_corpus_file(text)
             for column in ("tokens", "heads", "deprels"):
                 assert [getattr(s, column) for s in predicted] == [getattr(s, column) for s in read]
+
+    check()
+
+
+# value text of each JSON type and none; no number is above 4, so every
+# width, depth and count stays tiny
+FUZZ_VALUES = st.sampled_from((
+    "0", "1", "2", "4", "-1", "0.5", "0.01", "2.0", "-0.5", "nan", "inf", "1e999",
+    "true", "False", '"dregcn"', "cnn_only", "vanilla_gcn", "predictions", "representations",
+    "none", "abc", "",
+))
+# values of each key's own type (a learning rate above 1 may diverge, exit 4)
+FUZZ_TYPED = {
+    int: ("0", "1", "2", "4", "-1"),
+    float: ("0", "0.1", "0.5", "-0.5", "nan"),
+    bool: ("true", "false"),
+    str: (*MODES, *MP_VARIANTS, "abc"),
+}
+
+
+def _fuzz_line(key):
+    """`key = value`: three times in four a value of the key's type."""
+    if key == "learning_rate":
+        values = st.sampled_from(("0.01", "0.5", "0", "-1", "nan", "true", "abc", ""))
+    else:
+        typed = st.sampled_from(FUZZ_TYPED[type(cli.CONFIG_DEFAULTS[key])])
+        values = st.sampled_from((typed,) * 3 + (FUZZ_VALUES,)).flatmap(lambda pool: pool)
+    return values.map(lambda value: f"{key} = {value}")
+
+
+# mostly a known key with a value of its type or any other; now and then an
+# unknown key, a comment, a section header, a blank line or no `=` at all
+FUZZ_LINES = st.sampled_from((True,) * 6 + (False,)).flatmap(
+    lambda known: st.sampled_from(sorted(cli.CONFIG_DEFAULTS)).flatmap(_fuzz_line)
+    if known
+    else st.sampled_from((
+        "dimension = 4", "epoch = 1", "# a comment", "[train]", "", "d = 2  # trailing", "no equals sign",
+    ))
+)
+
+
+@st.composite
+def train_configs(draw):
+    """Config file bytes: small widths first, then drawn lines that may
+    repeat or override a key, now and then with a byte that is not UTF-8."""
+    lines = ["d = 4", "d_t = 2", "m = 2", "domain_dim = 2", "batch_size = 4"]
+    lines += draw(st.lists(FUZZ_LINES, max_size=3))
+    data = "\n".join(lines).encode()
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+def test_any_config_and_embedding_text_trains_or_exits_1_or_2(workspace, capsys):
+    """`train` for one epoch and run on drawn config text and, half the
+    time, a drawn general embedding file (its width is the config's first
+    line): exit 0, 1 or 2 with no traceback; a failed run leaves no `--out`,
+    and each checkpoint a run writes loads in `evaluate` and `predict`."""
+    root, corpus, _ = workspace
+    config, emb, out = root / "drawn.conf", root / "drawn.emb", root / "run"
+
+    @settings(max_examples=60, deadline=None)
+    @given(train_configs(), st.none() | embedding_texts())
+    @example(b"d = 4\nd_t = 2\nm = 2\nmode = dregcn\nfreeze_embeddings = true", ("a 0.5 1 0\n", 3))
+    def check(config_bytes, embedding):
+        config.write_bytes(config_bytes)
+        argv = ["train", "--corpus", corpus, "--config", str(config), "--out", str(out)]
+        argv += ["--epochs", "1", "--runs", "1"]
+        if embedding is not None:
+            text, dim = embedding
+            emb.write_text(text, encoding="utf-8", newline="")
+            config.write_bytes(f"general_dim = {dim}\n".encode() + config_bytes)
+            argv += ["--general-emb", str(emb)]
+        shutil.rmtree(out, ignore_errors=True)
+        capsys.readouterr()
+        code = cli.main(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in capsys.readouterr().err
+        if code != 0:
+            assert not out.exists()
+            return
+        checkpoints = sorted(out.glob("checkpoint_seed*.npz"))
+        assert checkpoints
+        for checkpoint in checkpoints:
+            for command in ("evaluate", "predict"):
+                assert cli.main([command, "--checkpoint", str(checkpoint), "--corpus", corpus]) == 0
+        assert "Traceback" not in capsys.readouterr().err
 
     check()
 

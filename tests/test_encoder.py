@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from dregcn_absa.autodiff import ContractViolation, Tensor
+from dregcn_absa.autodiff import (
+    ContractViolation,
+    Tape,
+    Tensor,
+    backward,
+    finite_diff_gradcheck,
+    matmul,
+    mul,
+    sum_all,
+)
 from dregcn_absa.corpus import SELF_RELATION, RelationVocab, Sentence, build_dependency_graph
 from dregcn_absa.encoder import (
     EncoderConfig,
@@ -22,8 +31,8 @@ RNG = np.random.default_rng(7)
 
 
 def random_graph(rng, n, n_types):
-    """Adjacency and relation counts of a random parse tree whose arcs are
-    typed r1 .. r{n_types - 1} over the vocabulary <self>, r1, ..."""
+    """Adjacency and typed arcs (i, j, type) of a random parse tree whose
+    arcs are typed r1 .. r{n_types - 1} over the vocabulary <self>, r1, ..."""
     order = rng.permutation(n)
     heads = [None] * n
     for k in range(1, n):
@@ -32,7 +41,7 @@ def random_graph(rng, n, n_types):
     s = Sentence(("w",) * n, ("O",) * n, ("none",) * n, tuple(heads), rels)
     rv = RelationVocab({SELF_RELATION: 0, **{f"r{k}": k for k in range(1, n_types)}})
     g = build_dependency_graph([s], rv)
-    return g.adjacency[0], relation_counts(g.adjacency, g.relation_indicator, rv.size)[0]
+    return g.adjacency[0], g.relation_indicator[:, 1:]
 
 
 def test_encoder_config_validation():
@@ -79,12 +88,46 @@ def test_dregcn_layer_matches_double_sum_oracle():
         table = init_relation_table(p, rv.size, m)
         q = dense_relations(s, rv, distinct)
         for a in (g.adjacency, normalize_adjacency(g.adjacency)):
-            counts = relation_counts(a, g.relation_indicator, rv.size)
-            out = dregcn_layer_forward(h, a, relation_messages(counts, table), layer)
+            messages = relation_messages(a, g.relation_indicator, table)
+            out = dregcn_layer_forward(h, a, messages, layer)
             expect = dregcn_double_sum(
                 h.data[0], a[0], q, layer.weight.data, layer.bias.data, table.data
             )[None]
             np.testing.assert_allclose(out.data, expect, atol=1e-10)
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_relation_messages_are_bit_identical_to_counts_times_table(normalize):
+    """The one-op C R, whose backward rebuilds C from the arcs, gives the
+    bytes of `matmul(relation_counts(...), R)` for the value and for R's
+    gradient, on a padded bucket and on one sentence's (i, j, type) arcs;
+    the finite differences agree with it too."""
+    rng = np.random.default_rng(11)
+    pair = Sentence(("a", "b"), ("O",) * 2, ("none",) * 2, (None, 0), ("root", "amod"))
+    sentences = [simple_sentence(), pair]  # the pair is padded to 4 tokens
+    rv = RelationVocab.from_corpus(sentences)
+    g = build_dependency_graph(sentences, rv)
+    a = normalize_adjacency(g.adjacency) if normalize else g.adjacency
+    table = Tensor(rng.normal(size=(rv.size, 3)))
+    lone = g.relation_indicator[g.relation_indicator[:, 0] == 0]
+    for adjacency, arcs in ((a, g.relation_indicator), (a[0], lone[:, 1:])):
+        probe = rng.normal(size=adjacency.shape[:-1] + (3,))
+        results = []
+        for build in (
+            lambda: relation_messages(adjacency, arcs, table),
+            lambda: matmul(relation_counts(adjacency, arcs, rv.size), table),
+        ):
+            with Tape() as tape:
+                out = build()
+                loss = sum_all(mul(out, probe))
+            value = out.data
+            backward(tape, loss, params=[table])
+            results.append((value.tobytes(), table.grad.tobytes()))
+        assert results[0] == results[1]
+        err = finite_diff_gradcheck(
+            lambda: sum_all(mul(relation_messages(adjacency, arcs, table), probe)), [table]
+        )
+        assert err < 1e-6
 
 
 def test_dregcn_m0_reduces_to_gcn():
@@ -93,8 +136,8 @@ def test_dregcn_m0_reduces_to_gcn():
     layer = init_dregcn_layer(p, "dregcn", d, 0)
     table = init_relation_table(p, 4, 0)
     h = Tensor(RNG.normal(size=(n, d)))
-    a, c = random_graph(RNG, n, 4)
-    out_dre = dregcn_layer_forward(h, a, relation_messages(c, table), layer)
+    a, arcs = random_graph(RNG, n, 4)
+    out_dre = dregcn_layer_forward(h, a, relation_messages(a, arcs, table), layer)
     out_gcn = gcn_reference(h.data, a, layer.weight.data, layer.bias.data)
     assert np.abs(out_dre.data - out_gcn.data).max() <= 1e-12
 
@@ -105,8 +148,8 @@ def test_dregcn_zero_relations_reduce_to_gcn():
     layer = init_dregcn_layer(ParamTable(np.random.default_rng(4)), "dregcn", d, m)
     table = Tensor(np.zeros((4, m)))
     h = Tensor(RNG.normal(size=(n, d)))
-    a, c = random_graph(RNG, n, 4)
-    out_dre = dregcn_layer_forward(h, a, relation_messages(c, table), layer)
+    a, arcs = random_graph(RNG, n, 4)
+    out_dre = dregcn_layer_forward(h, a, relation_messages(a, arcs, table), layer)
     out_gcn = gcn_reference(h.data, a, layer.weight.data[:, :d], layer.bias.data)
     assert np.abs(out_dre.data - out_gcn.data).max() <= 1e-12
 
@@ -117,11 +160,15 @@ def test_dregcn_rejects_inconsistent_indicator():
     layer = init_dregcn_layer(p, "dregcn", d, m)
     table = init_relation_table(p, 3, m)
     h = Tensor(RNG.normal(size=(n, d)))
-    a, c = random_graph(RNG, n, 3)
+    a, arcs = random_graph(RNG, n, 3)
+    unknown = arcs.copy()
+    unknown[-1, -1] = 3  # a type the table has no row for
+    for bad in (unknown, arcs[:, 1:]):
+        with pytest.raises(ContractViolation):
+            relation_messages(a, bad, table)
+    smaller, smaller_arcs = random_graph(np.random.default_rng(0), n - 1, 3)
     with pytest.raises(ContractViolation):
-        relation_messages(c[:, :2], table)
-    with pytest.raises(ContractViolation):
-        dregcn_layer_forward(h, a, relation_messages(c[:2], table), layer)
+        dregcn_layer_forward(h, a, relation_messages(smaller, smaller_arcs, table), layer)
 
 
 def test_encode_shared_output_width_per_mode():

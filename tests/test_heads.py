@@ -115,17 +115,17 @@ def test_as_head_shapes_and_opinion_passing_toggle():
     hs = Tensor(RNG.normal(size=(4, D_S)))
     _, yae = ae_head_forward(hs, ae_head)
     constants = attention_constants(4)
-    has, has_final, yas, m = as_head_forward(hs, as_head, yae, constants)
+    has, context, yas, m = as_head_forward(hs, as_head, yae, constants)
     assert has.shape == (4, D_T)
-    assert has_final.shape == (4, 2 * D_T)
+    assert context.shape == (4, D_T)
     assert yas.shape == (4, 3)
     np.testing.assert_allclose(yas.data.sum(axis=1), 1.0, atol=1e-12)
-    # disabling opinion passing keeps all widths but zeroes the context half
-    has2, has_final2, _, m2 = as_head_forward(hs, as_head, yae, constants, opinion_passing=False)
+    # disabling opinion passing keeps all widths but zeroes the context
+    has2, context2, _, m2 = as_head_forward(hs, as_head, yae, constants, opinion_passing=False)
     assert (m2.data == 0).all()
-    assert has_final2.shape == (4, 2 * D_T)
-    np.testing.assert_array_equal(has_final2.data[:, D_T:], 0.0)
-    np.testing.assert_array_equal(has_final2.data[:, :D_T], has2.data)
+    assert context2.shape == (4, D_T)
+    np.testing.assert_array_equal(context2.data, 0.0)
+    np.testing.assert_array_equal(has2.data, has.data)
 
 
 def test_message_width_table():
