@@ -262,8 +262,12 @@ def _environment() -> Dict[str, object]:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    if args.out and os.path.exists(args.out) and not os.path.isdir(args.out):
-        raise UsageError(f"--out {args.out} exists and is not a directory")
+    ancestor = args.out  # made after training, so its nearest existing ancestor must be a directory
+    while ancestor and not os.path.exists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if ancestor and not os.path.isdir(ancestor):
+        where = "exists and" if ancestor == args.out else f"is under {ancestor}, which"
+        raise UsageError(f"--out {args.out} {where} is not a directory")
     cfg = merged_config(args)
     train_cfg, model_cfg = build_configs(cfg)
     corpus, corpus_digest = _read_corpus(args.corpus)
@@ -425,17 +429,15 @@ def gradcheck_suite(seed: int = 0) -> List[Tuple[str, float]]:
 
     checks.append(("concat_relu_linear", finite_diff_gradcheck(catrelu, [a, b, wc])))
 
-    # graph layers on a 4-token chain
+    # layers on a bucket of one 4-token chain
     n, d, m = 4, 5, 3
-    h = Tensor(rng.normal(size=(n, d)))
+    h = Tensor(rng.normal(size=(n, d))[None])
     chain = Sentence(
         ("w0", "w1", "w2", "w3"), ("O",) * n, ("none",) * n,
         (None, 0, 1, 2), ("r1", "r1", "r2", "r3"),
     )
     rv = RelationVocab({"<self>": 0, "r1": 1, "r2": 2, "r3": 3})
     graph = build_dependency_graph([chain], rv)
-    adj = graph.adjacency[0]
-    arcs = graph.relation_indicator[:, 1:]  # (i, j, type) of the one sentence
     # each layer check differentiates its input and its own table's
     # parameters; every table draws from `rng` in turn
     gcn_p = ParamTable(rng)
@@ -443,7 +445,7 @@ def gradcheck_suite(seed: int = 0) -> List[Tuple[str, float]]:
     probe_g = np.random.default_rng(seed + 3).normal(size=(n, d))
 
     def gcn_fn():
-        return sum_all(mul(dregcn_layer_forward(h, adj, None, gcn), probe_g))
+        return sum_all(mul(dregcn_layer_forward(h, graph.adjacency, None, gcn), probe_g))
 
     checks.append(("gcn_layer", finite_diff_gradcheck(gcn_fn, [h, *gcn_p.tensors.values()])))
 
@@ -452,8 +454,8 @@ def gradcheck_suite(seed: int = 0) -> List[Tuple[str, float]]:
     dre = init_dregcn_layer(dre_p, "dregcn", d, m)
 
     def dre_fn():
-        messages = relation_messages(adj, arcs, table)
-        return sum_all(mul(dregcn_layer_forward(h, adj, messages, dre), probe_g))
+        messages = relation_messages(graph.adjacency, graph.relation_indicator, table)
+        return sum_all(mul(dregcn_layer_forward(h, graph.adjacency, messages, dre), probe_g))
 
     checks.append(("dregcn_layer", finite_diff_gradcheck(dre_fn, [h, *dre_p.tensors.values()])))
 
@@ -468,12 +470,12 @@ def gradcheck_suite(seed: int = 0) -> List[Tuple[str, float]]:
     # AS head with opinion attention
     as_p = ParamTable(rng)
     as_head = init_as_head(as_p, d, 4)
-    yae = Tensor(softmax_rows(Tensor(rng.normal(size=(n, 5)))).data)
-    gold_as = np.array([0, 1, 2, 0])
+    yae = Tensor(softmax_rows(Tensor(rng.normal(size=(n, 5)))).data[None])
+    gold_as = np.array([[0, 1, 2, 0]])
 
     def as_fn():
         _, _, yas, _ = as_head_forward(h, as_head, yae, attention_constants(n))
-        return nll_rows(yas, gold_as, np.full(n, 0.25))
+        return nll_rows(yas, gold_as, np.full((1, n), 0.25))
 
     checks.append(("as_head_attention", finite_diff_gradcheck(as_fn, [h, yae, *as_p.tensors.values()])))
 
@@ -503,7 +505,7 @@ def gradcheck_suite(seed: int = 0) -> List[Tuple[str, float]]:
     model = Model(model_cfg, general, domain, rv, full_rng)
 
     def full_fn():
-        return joint_loss(model.forward(sentence), sentence)
+        return joint_loss(model.forward([sentence]), [sentence])
 
     checks.append(
         ("full_model_T2", finite_diff_gradcheck(full_fn, list(model.parameters().values())))

@@ -121,39 +121,17 @@ class ParamTable:
         self.tensors[name] = tensor = Tensor(data)
         return tensor
 
-    def views(self, vector: np.ndarray) -> Dict[str, np.ndarray]:
-        """One view of `vector` per declared tensor, by name: the tensors'
-        shapes laid end to end in declaration order."""
-        out: Dict[str, np.ndarray] = {}
-        start = 0
-        for name, tensor in self.tensors.items():
-            stop = start + tensor.data.size
-            out[name] = vector[start:stop].reshape(tensor.data.shape)
-            start = stop
-        return out
-
-    def span(self, names: Sequence[str]) -> slice:
-        """The slice of a packed vector that holds exactly the named tensors;
-        a ContractViolation unless they were declared one after another, in
-        this order."""
-        order = list(self.tensors)
-        first = order.index(names[0])
-        if order[first : first + len(names)] != list(names):
-            raise ContractViolation(f"parameters {list(names)} are not declared one after another")
-        sizes = [t.data.size for t in self.tensors.values()]
-        start = sum(sizes[:first])
-        return slice(start, start + sum(sizes[first : first + len(names)]))
-
     def pack(self) -> Tuple[np.ndarray, np.ndarray]:
         """Copy every declared tensor into one new float64 vector and give it
         a zeroed gradient in a second; each `.data` and `.grad` becomes a view
-        of its vector (`views`). Returns (parameter vector, gradient vector)."""
-        values = np.concatenate([t.data.ravel() for t in self.tensors.values()])
+        of its vector, the tensors laid end to end in declaration order.
+        Returns (parameter vector, gradient vector)."""
+        tensors = self.tensors.values()
+        values = np.concatenate([t.data.ravel() for t in tensors])
         grads = np.zeros_like(values)
-        for t, value, grad in zip(
-            self.tensors.values(), self.views(values).values(), self.views(grads).values()
-        ):
-            t.data, t.grad = value, grad
+        bounds = np.cumsum([t.data.size for t in tensors])[:-1]
+        for t, value, grad in zip(tensors, np.split(values, bounds), np.split(grads, bounds)):
+            t.data, t.grad = value.reshape(t.data.shape), grad.reshape(t.data.shape)
         return values, grads
 
 
@@ -182,22 +160,21 @@ def normalize_adjacency(a: np.ndarray) -> np.ndarray:
 
 
 def relation_counts(a: np.ndarray, arcs: np.ndarray, n_types: int) -> np.ndarray:
-    """C[..., i, k] = sum_j A[..., i, j] Q[..., i, j, k] (..., n, |N|), summed
-    over the typed arcs that mark the nonzeros of Q: (b, i, j, k) in a
-    bucket's (B, n, n) graph, or (i, j, k) in one sentence's (n, n) graph."""
-    *rows, j, k = arcs.T
+    """C[b, i, k] = sum_j A[b, i, j] Q[b, i, j, k] (B, n, |N|), summed over the
+    typed arcs (b, i, j, k) of a bucket's (B, n, n) graph that mark Q's nonzeros."""
+    b, i, j, k = arcs.T
     shape = a.shape[:-1] + (n_types,)
-    cell = np.ravel_multi_index((*rows, k), shape)
-    counts = np.bincount(cell, weights=a[(*rows, j)], minlength=int(np.prod(shape)))
+    cell = np.ravel_multi_index((b, i, k), shape)
+    counts = np.bincount(cell, weights=a[b, i, j], minlength=int(np.prod(shape)))
     return counts.reshape(shape)
 
 
 def relation_messages(a: np.ndarray, arcs: np.ndarray, table: Tensor) -> Optional[Tensor]:
-    """The relation messages C R (..., n, m) of the graph A with typed `arcs`,
-    as `relation_counts` takes them, and the table R (|N|, m), as one op
-    whose backward rebuilds C; None when m = 0, where there are none."""
+    """The relation messages C R (B, n, m) of the bucket graph A with typed
+    `arcs` (b, i, j, k) and the table R (|N|, m), as one op whose backward
+    rebuilds C; None when m = 0, where there are none."""
     n_types, m = table.shape
-    if arcs.shape[-1] != a.ndim + 1 or (arcs.size and arcs[:, -1].max() >= n_types):
+    if arcs.shape[-1] != 4 or (arcs.size and arcs[:, -1].max() >= n_types):
         raise ContractViolation(
             f"arcs of shape {arcs.shape} do not index a {a.shape} graph over {n_types} types"
         )

@@ -1,9 +1,9 @@
 """End-to-end model: embeddings -> shared encoder -> iterated task heads.
 
-Also owns the parameter table that the optimizer and gradient checks read
-by name, and bit-exact checkpoint serialization. Every parameter is a view of
-one parameter vector and its gradient a view of one gradient vector, both
-allocated when the model is built.
+Also owns the parameter table that gradient checks and checkpoints read by
+name, and bit-exact checkpoint serialization. Every parameter is a view of one
+parameter vector and its gradient a view of one gradient vector, allocated
+when the model is built; Adam, snapshots and restores work on the vectors.
 """
 
 from __future__ import annotations
@@ -136,20 +136,19 @@ class Model:
         return params
 
     def trainable_vectors(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The spans of the parameter and gradient vectors that hold exactly
-        the trainable parameters."""
-        span = self._table.span(list(self.trainable_parameters()))
-        return self.param_vector[span], self.grad_vector[span]
+        """The trainable spans of the parameter and gradient vectors: past the
+        two embedding tables, declared first, when they are frozen, else all."""
+        tables = self.general_param.data.size + self.domain_param.data.size
+        start = tables if self.cfg.freeze_embeddings else 0
+        return self.param_vector[start:], self.grad_vector[start:]
 
-    def snapshot(self) -> Dict[str, np.ndarray]:
-        """Every parameter by name: views of one copy of the parameter vector."""
-        return self._table.views(self.param_vector.copy())
+    def snapshot(self) -> np.ndarray:
+        """A copy of the parameter vector."""
+        return self.param_vector.copy()
 
-    def restore(self, snapshot: Dict[str, np.ndarray]) -> None:
-        """Copy the snapshot's arrays into the parameters they name."""
-        params = self.parameters()
-        for k, v in snapshot.items():
-            params[k].data[...] = v
+    def restore(self, snapshot: np.ndarray) -> None:
+        """Write a `snapshot` back into the parameter vector."""
+        self.param_vector[...] = snapshot
 
     # -- forward -------------------------------------------------------------
 

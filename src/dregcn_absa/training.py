@@ -136,6 +136,8 @@ def batch_loss(model: Model, batch: Sequence[Sentence], rng: np.random.Generator
 # ---------------------------------------------------------------------------
 # adam
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # the moments' decay rates; the step's denominator floor
+
 
 @dataclass
 class AdamState:
@@ -149,9 +151,6 @@ class AdamState:
 
     values: np.ndarray
     grads: np.ndarray
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     vectors: Optional[Tuple[np.ndarray, ...]] = None  # m, v, float scratch x 2, bool scratch
 
@@ -172,18 +171,18 @@ def adam_step(params: Dict[str, Tensor], state: AdamState, lr: float) -> None:
     state.step += 1
     t = state.step
     # m = beta1 m + (1 - beta1) g and v = beta2 v + (1 - beta2) g g, in place
-    m *= state.beta1
-    m += np.multiply(g, 1 - state.beta1, out=s)
-    v *= state.beta2
-    np.multiply(g, 1 - state.beta2, out=s)
+    m *= BETA1
+    m += np.multiply(g, 1 - BETA1, out=s)
+    v *= BETA2
+    np.multiply(g, 1 - BETA2, out=s)
     s *= g
     v += s
     # values -= lr * m_hat / (sqrt(v_hat) + eps)
-    np.divide(m, 1 - state.beta1**t, out=s)
+    np.divide(m, 1 - BETA1**t, out=s)
     s *= lr
-    np.divide(v, 1 - state.beta2**t, out=d)
+    np.divide(v, 1 - BETA2**t, out=d)
     np.sqrt(d, out=d)
-    d += state.eps
+    d += EPS
     s /= d
     state.values -= s
 
@@ -228,8 +227,8 @@ def evaluate_model(model: Model, sentences: Sequence[Sentence]) -> MetricReport:
 
 @dataclass
 class TrainResult:
-    final_snapshot: Dict[str, np.ndarray]
-    best_snapshot: Dict[str, np.ndarray]
+    final_snapshot: np.ndarray  # parameter vectors, as `Model.snapshot` copies them
+    best_snapshot: np.ndarray
     best_dev_f1_i: float
     history: List[dict]
     model: Model

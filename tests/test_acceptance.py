@@ -135,7 +135,7 @@ def test_criterion_04_reduction_equivalence():
         p = ParamTable(rng)
         layer = init_dregcn_layer(p, "dregcn", d, 0)
         table = init_relation_table(p, n_types, 0)
-        h = Tensor(rng.normal(size=(n, d)))
+        h = Tensor(rng.normal(size=(n, d))[None])
         a, arcs = random_graph(rng, n, n_types)
         gap = np.abs(
             dregcn_layer_forward(h, a, relation_messages(a, arcs, table), layer).data

@@ -181,6 +181,14 @@ def test_usage_errors_exit_1(tmp_path, workspace, trained, capsys, monkeypatch):
     assert code == 1
     assert capsys.readouterr().err == f"usage error: --out {taken} exists and is not a directory\n"
     assert taken.read_text() == "keep me\n"
+    # an `--out` under an existing file cannot be made: named before training
+    under_file = taken / "sub"
+    code = cli.main(["train", "--corpus", corpus, "--config", config, "--out", str(under_file)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"usage error: --out {under_file} is under {taken}, which is not a directory\n"
+    )
+    assert taken.read_text() == "keep me\n"
     # an `--out` file that cannot be written is named before any checkpoint
     # or corpus is read, so a missing checkpoint is never reached either
     checkpoint = str(trained[2])

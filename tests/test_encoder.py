@@ -31,8 +31,9 @@ RNG = np.random.default_rng(7)
 
 
 def random_graph(rng, n, n_types):
-    """Adjacency and typed arcs (i, j, type) of a random parse tree whose
-    arcs are typed r1 .. r{n_types - 1} over the vocabulary <self>, r1, ..."""
+    """The (1, n, n) adjacency and typed arcs (b, i, j, k) of a bucket of one
+    random parse tree whose arcs are typed r1 .. r{n_types - 1} over the
+    vocabulary <self>, r1, ..."""
     order = rng.permutation(n)
     heads = [None] * n
     for k in range(1, n):
@@ -41,7 +42,7 @@ def random_graph(rng, n, n_types):
     s = Sentence(("w",) * n, ("O",) * n, ("none",) * n, tuple(heads), rels)
     rv = RelationVocab({SELF_RELATION: 0, **{f"r{k}": k for k in range(1, n_types)}})
     g = build_dependency_graph([s], rv)
-    return g.adjacency[0], g.relation_indicator[:, 1:]
+    return g.adjacency, g.relation_indicator
 
 
 def test_encoder_config_validation():
@@ -62,7 +63,7 @@ def test_normalize_adjacency_symmetric():
 def test_gcn_layer_matches_manual_formula():
     d, n = 6, 4
     layer = init_dregcn_layer(ParamTable(np.random.default_rng(1)), "gcn", d, 0)
-    h = Tensor(RNG.normal(size=(n, d)))
+    h = Tensor(RNG.normal(size=(n, d))[None])
     a, _ = random_graph(RNG, n, 3)
     out = dregcn_layer_forward(h, a, None, layer)
     expect = gcn_reference(h.data, a, layer.weight.data, layer.bias.data)
@@ -100,7 +101,7 @@ def test_dregcn_layer_matches_double_sum_oracle():
 def test_relation_messages_are_bit_identical_to_counts_times_table(normalize):
     """The one-op C R, whose backward rebuilds C from the arcs, gives the
     bytes of `matmul(relation_counts(...), R)` for the value and for R's
-    gradient, on a padded bucket and on one sentence's (i, j, type) arcs;
+    gradient, on a padded bucket and on a bucket of its first sentence alone;
     the finite differences agree with it too."""
     rng = np.random.default_rng(11)
     pair = Sentence(("a", "b"), ("O",) * 2, ("none",) * 2, (None, 0), ("root", "amod"))
@@ -110,7 +111,7 @@ def test_relation_messages_are_bit_identical_to_counts_times_table(normalize):
     a = normalize_adjacency(g.adjacency) if normalize else g.adjacency
     table = Tensor(rng.normal(size=(rv.size, 3)))
     lone = g.relation_indicator[g.relation_indicator[:, 0] == 0]
-    for adjacency, arcs in ((a, g.relation_indicator), (a[0], lone[:, 1:])):
+    for adjacency, arcs in ((a, g.relation_indicator), (a[:1], lone)):
         probe = rng.normal(size=adjacency.shape[:-1] + (3,))
         results = []
         for build in (
@@ -135,7 +136,7 @@ def test_dregcn_m0_reduces_to_gcn():
     p = ParamTable(np.random.default_rng(3))
     layer = init_dregcn_layer(p, "dregcn", d, 0)
     table = init_relation_table(p, 4, 0)
-    h = Tensor(RNG.normal(size=(n, d)))
+    h = Tensor(RNG.normal(size=(n, d))[None])
     a, arcs = random_graph(RNG, n, 4)
     out_dre = dregcn_layer_forward(h, a, relation_messages(a, arcs, table), layer)
     out_gcn = gcn_reference(h.data, a, layer.weight.data, layer.bias.data)
@@ -147,7 +148,7 @@ def test_dregcn_zero_relations_reduce_to_gcn():
     d, m, n = 6, 3, 5
     layer = init_dregcn_layer(ParamTable(np.random.default_rng(4)), "dregcn", d, m)
     table = Tensor(np.zeros((4, m)))
-    h = Tensor(RNG.normal(size=(n, d)))
+    h = Tensor(RNG.normal(size=(n, d))[None])
     a, arcs = random_graph(RNG, n, 4)
     out_dre = dregcn_layer_forward(h, a, relation_messages(a, arcs, table), layer)
     out_gcn = gcn_reference(h.data, a, layer.weight.data[:, :d], layer.bias.data)
@@ -159,11 +160,11 @@ def test_dregcn_rejects_inconsistent_indicator():
     p = ParamTable(np.random.default_rng(5))
     layer = init_dregcn_layer(p, "dregcn", d, m)
     table = init_relation_table(p, 3, m)
-    h = Tensor(RNG.normal(size=(n, d)))
+    h = Tensor(RNG.normal(size=(n, d))[None])
     a, arcs = random_graph(RNG, n, 3)
     unknown = arcs.copy()
     unknown[-1, -1] = 3  # a type the table has no row for
-    for bad in (unknown, arcs[:, 1:]):
+    for bad in (unknown, arcs[:, 1:]):  # a type past the table; (i, j, k) arcs
         with pytest.raises(ContractViolation):
             relation_messages(a, bad, table)
     smaller, smaller_arcs = random_graph(np.random.default_rng(0), n - 1, 3)
@@ -202,18 +203,3 @@ def test_normalized_adjacency_option_changes_output():
         params = init_encoder_params(ParamTable(np.random.default_rng(9)), cfg, 7, rv.size)
         outs.append(encode_shared(emb, graph, cfg, params).data)
     assert np.abs(outs[0] - outs[1]).max() > 1e-6
-
-
-def test_param_table_span_holds_exactly_the_named_run():
-    """`span` is the slice of the packed vector behind a run of tensors
-    declared one after another; any other set of names is refused."""
-    p = ParamTable(np.random.default_rng(8))
-    a, b, c = p("a", (2, 3)), p("b", (4,)), p("c", (1, 5))
-    values, _ = p.pack()
-    span = p.span(["b", "c"])
-    assert span == slice(6, 15)
-    np.testing.assert_array_equal(values[span], np.concatenate([b.data.ravel(), c.data.ravel()]))
-    assert p.span(["a", "b", "c"]) == slice(0, 15)
-    for names in (["a", "c"], ["c", "b"]):
-        with pytest.raises(ContractViolation):
-            p.span(names)

@@ -323,17 +323,15 @@ def test_restore_copies_into_the_parameter_vector():
     model, _ = _two_steps()
     snapshot = model.snapshot()
     saved = model.param_vector.copy()
-    copy = next(iter(snapshot.values())).base
-    assert copy.shape == model.param_vector.shape
-    for name, value in snapshot.items():
-        assert value.base is copy, name
-        assert not np.shares_memory(value, model.param_vector), name
+    assert snapshot.shape == model.param_vector.shape
+    assert not np.shares_memory(snapshot, model.param_vector)
     model.param_vector[:] = 0.0
     model.restore(snapshot)
     np.testing.assert_array_equal(model.param_vector, saved)
-    for name, p in model.parameters().items():
+    params = model.parameters()
+    for name, p in params.items():
         assert np.shares_memory(p.data, model.param_vector), name
-        np.testing.assert_array_equal(p.data, snapshot[name])
+    np.testing.assert_array_equal(np.concatenate([p.data.ravel() for p in params.values()]), snapshot)
 
 
 # ---------------------------------------------------------------------------
@@ -428,14 +426,11 @@ def test_train_is_deterministic_under_seed():
     tc = TrainConfig(learning_rate=0.01, batch_size=4, epochs=3, seed=5, runs=1)
     a = train(corpus, tc, cfg, general, domain)
     b = train(corpus, tc, cfg, general, domain)
-    for name in a.final_snapshot:
-        np.testing.assert_array_equal(a.final_snapshot[name], b.final_snapshot[name])
+    np.testing.assert_array_equal(a.final_snapshot, b.final_snapshot)
     assert a.history == b.history
     c = train(corpus, TrainConfig(learning_rate=0.01, batch_size=4, epochs=3, seed=6, runs=1),
               cfg, general, domain)
-    assert any(
-        np.abs(a.final_snapshot[k] - c.final_snapshot[k]).max() > 0 for k in a.final_snapshot
-    )
+    assert np.abs(a.final_snapshot - c.final_snapshot).max() > 0
 
 
 def test_train_loss_decreases():
@@ -464,8 +459,7 @@ def test_multi_run_average_is_mean_of_runs():
     )
     assert len(report.results) == 3
     for result in report.results:  # each model holds its best snapshot
-        for name, value in result.model.snapshot().items():
-            np.testing.assert_array_equal(value, result.best_snapshot[name])
+        np.testing.assert_array_equal(result.model.snapshot(), result.best_snapshot)
 
 
 def _footprint(obj, path="model"):
@@ -563,7 +557,7 @@ def test_parameters_share_no_memory_with_their_sources(tmp_path):
     snapshot = loaded.snapshot()
     loaded.restore(snapshot)
     for name, p in loaded.parameters().items():
-        assert not np.shares_memory(p.data, snapshot[name]), name
+        assert not np.shares_memory(p.data, snapshot), name
 
 
 def test_freeze_embeddings_excludes_tables(tiny_corpus):
@@ -573,6 +567,29 @@ def test_freeze_embeddings_excludes_tables(tiny_corpus):
     names = model.trainable_parameters()
     assert not any(n.startswith("emb/") for n in names)
     assert any(n.startswith("emb/") for n in model.parameters())
+
+
+@pytest.mark.parametrize("freeze", [True, False])
+def test_frozen_training_keeps_both_tables_bit_for_bit(freeze):
+    """Frozen training ends with both embedding tables bit for bit as passed
+    in, unfrozen training changes them, and either way every trainable
+    parameter changes, so Adam's span reaches each of them."""
+    corpus = synth.overfit_corpus(8, seed=2)
+    rng = np.random.default_rng(0)
+    words = [w for s in corpus for w in s.tokens]
+    tables = {"emb/general": random_embedding_table(words, 6, rng)}
+    tables["emb/domain"] = random_embedding_table(words, 3, rng)
+    cfg = small_model_config(dropout=0.5)
+    cfg.freeze_embeddings = freeze
+    tc = TrainConfig(learning_rate=0.01, batch_size=4, epochs=2, seed=0, runs=1)
+    result = train(corpus, tc, cfg, *tables.values())
+    params = result.model.parameters()
+    for name, table in tables.items():
+        kept = params[name].data.tobytes() == table.matrix.tobytes()
+        assert kept == freeze, name
+    initial = train(corpus, replace(tc, epochs=0), cfg, *tables.values()).model.parameters()
+    for name in result.model.trainable_parameters():
+        assert np.abs(params[name].data - initial[name].data).max() > 0, name
 
 
 # ---------------------------------------------------------------------------
