@@ -16,6 +16,11 @@ another closure or the caller already holds a copy of: `linear` keeps the
 parts of a joined input rather than the join, `rebuilt_matmul` rebuilds its
 constant operand, and `bilinear_attention` recomputes h W. A closure lives
 as long as its tape, so what it holds stays until the step ends.
+
+An op builds backward state only under a tape: with none recording, it
+returns its output before it makes its closure or computes anything that
+only the backward reads (such as `relu`'s mask), so an evaluating forward
+pays for its outputs alone.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import numpy as np
 ArrayLike = Union["Tensor", np.ndarray, float, int]
 
 LOG_CLAMP = 1e-12
+_F64 = np.dtype(np.float64)
 
 
 class DimensionError(ValueError):
@@ -50,7 +56,9 @@ class Tensor:
     __slots__ = ("data", "grad")
 
     def __init__(self, data):
-        self.data = np.asarray(data, dtype=np.float64)
+        if type(data) is not np.ndarray or data.dtype is not _F64:
+            data = np.asarray(data, dtype=np.float64)
+        self.data = data
         self.grad: Optional[np.ndarray] = None
 
     @property
@@ -159,6 +167,8 @@ def matmul(a: ArrayLike, b: ArrayLike) -> Tensor:
     if av.ndim < 2 or bv.ndim < 2 or av.shape[-1] != bv.shape[-2]:
         raise DimensionError(f"matmul: incompatible shapes {av.shape} and {bv.shape}")
     out = Tensor(av @ bv)
+    if not _TAPE_STACK:
+        return out
     # each side's gradient reads the other side's value
     a_shape, b_shape = av.shape, bv.shape
     a_val = av if isinstance(b, Tensor) else None
@@ -182,6 +192,8 @@ def rebuilt_matmul(build: Callable[[], np.ndarray], b: Tensor) -> Tensor:
     if av.ndim < 2 or bv.ndim < 2 or av.shape[-1] != bv.shape[-2]:
         raise DimensionError(f"rebuilt_matmul: incompatible shapes {av.shape} and {bv.shape}")
     out = Tensor(av @ bv)
+    if not _TAPE_STACK:
+        return out
     b_shape = bv.shape
 
     def bwd(g):
@@ -221,13 +233,12 @@ def linear(
     again for the weight gradient and hands each part its slice of the
     input gradient, as `concat`'s backward would.
     """
-    parts = x if isinstance(x, tuple) else (x,)
-    vals = [_val(p) for p in parts]
-    if len(vals) == 1:
-        xv = vals[0]
-    else:
+    if isinstance(x, tuple):
+        parts, vals = x, [_val(p) for p in x]
         _join_checked("linear", vals)
-        xv = np.concatenate(vals, axis=-1)
+        xv = vals[0] if len(vals) == 1 else np.concatenate(vals, axis=-1)
+    else:
+        parts, xv = None, _val(x)  # one operand: no list, no join
     wv = _val(w)
     bv = None if b is None else _val(b)
     if xv.ndim < 1 or wv.ndim != 2 or xv.shape[-1] != wv.shape[1]:
@@ -237,6 +248,10 @@ def linear(
         y += bv
     x_shape = xv.shape
     out = Tensor(y.reshape(x_shape[:-1] + (wv.shape[0],)))
+    if not _TAPE_STACK:
+        return out
+    if parts is None:
+        parts, vals = (x,), (xv,)
 
     def bwd(g):
         g2 = g.reshape(-1, g.shape[-1])
@@ -257,6 +272,8 @@ def concat(*parts: ArrayLike) -> Tensor:
     vals = [_val(p) for p in parts]
     _join_checked("concat", vals)
     out = Tensor(np.concatenate(vals, axis=-1))
+    if not _TAPE_STACK:
+        return out
     widths = [v.shape[-1] for v in vals]
 
     def bwd(g):
@@ -269,6 +286,8 @@ def concat(*parts: ArrayLike) -> Tensor:
 def add(a: ArrayLike, b: ArrayLike) -> Tensor:
     av, bv = _val(a), _val(b)
     out = Tensor(av + bv)
+    if not _TAPE_STACK:
+        return out
     a_shape, b_shape = av.shape, bv.shape
 
     def bwd(g):
@@ -282,6 +301,8 @@ def add(a: ArrayLike, b: ArrayLike) -> Tensor:
 def mul(a: ArrayLike, b: ArrayLike) -> Tensor:
     av, bv = _val(a), _val(b)
     out = Tensor(av * bv)
+    if not _TAPE_STACK:
+        return out
     # each side's gradient reads the other side's value
     a_shape, b_shape = av.shape, bv.shape
     a_val = av if isinstance(b, Tensor) else None
@@ -300,6 +321,8 @@ def mul(a: ArrayLike, b: ArrayLike) -> Tensor:
 def relu(x: ArrayLike) -> Tensor:
     xv = _val(x)
     out = Tensor(np.maximum(0.0, xv))
+    if not _TAPE_STACK:
+        return out
     pos = xv > 0
 
     def bwd(g):
@@ -313,6 +336,8 @@ def sum_last(a: ArrayLike, start: int, stop: int) -> Tensor:
     """a[..., start:stop] summed over the last axis, as one op."""
     av = _val(a)
     out = Tensor(av[..., start:stop].sum(axis=-1))
+    if not _TAPE_STACK:
+        return out
     shape = av.shape
 
     def bwd(g):
@@ -331,6 +356,8 @@ def rows(table: Tensor, idx) -> Tensor:
     idx = np.asarray(idx, dtype=np.intp)
     tv = _val(table)
     out = Tensor(tv[idx])
+    if not _TAPE_STACK:
+        return out
     shape = tv.shape
 
     def bwd(g):
@@ -346,6 +373,8 @@ def rows(table: Tensor, idx) -> Tensor:
 def sum_all(a: ArrayLike) -> Tensor:
     av = _val(a)
     out = Tensor(av.sum())
+    if not _TAPE_STACK:
+        return out
     shape = av.shape
 
     def bwd(g):
@@ -369,6 +398,8 @@ def softmax_rows(x: ArrayLike) -> Tensor:
     """Unmasked softmax along the last axis."""
     p = _softmax(_val(x), None)
     out = Tensor(p)
+    if not _TAPE_STACK:
+        return out
 
     def bwd(g):
         _accum(x, _softmax_grad(p, g))
@@ -390,6 +421,8 @@ def nll_rows(probs: ArrayLike, gold_idx, weights) -> Tensor:
     picked = np.take_along_axis(pv, idx[..., None], axis=-1)[..., 0]
     clamped = np.maximum(picked, LOG_CLAMP)
     out = Tensor(float(-(w * np.log(clamped)).sum()))
+    if not _TAPE_STACK:
+        return out
     shape = pv.shape
 
     def bwd(g):
@@ -453,6 +486,8 @@ def conv_branches(
     y = np.maximum(0.0, pre, out=pre)
     x_shape = xv.shape
     out = Tensor(y.reshape(x_shape[:-1] + (blocks[-1],)))
+    if not _TAPE_STACK:
+        return out
 
     def bwd(g):
         g2 = g.reshape(-1, blocks[-1]) * (y > 0)
@@ -502,6 +537,8 @@ def bilinear_attention(
     cols = cv[..., None, :]
     p = _softmax(scaled * cols, mask)
     out = Tensor(p)
+    if not _TAPE_STACK:
+        return out
 
     def bwd(g):
         gs = _softmax_grad(p, g)

@@ -322,10 +322,6 @@ class EmbeddingMatrix:
     def row_index(self, word: str) -> int:
         return self.vocab.get(word, self.oov_index)
 
-    def indices(self, words: Sequence[str]) -> np.ndarray:
-        get, oov = self.vocab.get, self.oov_index
-        return np.array([get(w, oov) for w in words], dtype=np.intp)
-
 
 def load_embedding_table(
     text: str, expected_dim: int, rng: np.random.Generator
@@ -388,10 +384,9 @@ def embed_tokens(
     n = max(s.n for s in sentences)
 
     def indices(table: EmbeddingMatrix) -> np.ndarray:
-        idx = np.full((len(sentences), n), table.oov_index, dtype=np.intp)
-        for b, s in enumerate(sentences):
-            idx[b, : s.n] = table.indices(s.tokens)
-        return idx
+        get, oov = table.vocab.get, table.oov_index
+        padded = [[get(w, oov) for w in s.tokens] + [oov] * (n - s.n) for s in sentences]
+        return np.array(padded, dtype=np.intp)
 
     if isinstance(general_param, Tensor):
         return concat(rows(general_param, indices(general)), rows(domain_param, indices(domain)))

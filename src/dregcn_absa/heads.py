@@ -174,25 +174,28 @@ def as_head_forward(
     yae: Tensor,
     constants: AttentionConstants,
     opinion_passing: bool = True,
+    output: bool = True,
 ):
     """(AS hidden h, context sum_j M_ij h_j for every token, 3-way
-    distribution from [h_i ; context_i], attention M).
+    distribution from [h_i ; context_i], attention M). Without `output`
+    the distribution is not computed and reads None.
 
     M is row-stochastic context attention: bilinear relevance scaled by
     inverse token distance and by the context token's predicted opinion
     probability, its AE mass on BP and IP. The positions `constants.mask`
     excludes (the diagonal, padding) get no weight; a row with no candidates
     (n = 1, or a padded row) comes out all-zero, as does all of M without
-    opinion passing.
+    opinion passing, where M is a constant that gets no gradient.
     """
     has = relu(linear(hs, head.hidden_weight, head.hidden_bias))
     if opinion_passing:
         pop = sum_last(yae, *OPINION_CLASS_SLICE)
         m = bilinear_attention(has, head.bilinear, pop, *constants)
+        context = matmul(m, has)
     else:
         m = Tensor(np.zeros(hs.shape[:-1] + (hs.shape[-2],)))
-    context = matmul(m, has)
-    yas = softmax_rows(linear((has, context), head.out_weight, head.out_bias))
+        context = matmul(m.data, has)
+    yas = softmax_rows(linear((has, context), head.out_weight, head.out_bias)) if output else None
     return has, context, yas, m
 
 
@@ -203,7 +206,7 @@ class RoundOutput:
     yae: Tensor
     has_pre: Tensor  # the AS hidden h
     context: Tensor  # sum_j M_ij h_j; the AS output reads [h_i ; context_i]
-    yas: Tensor
+    yas: Optional[Tensor]  # None where nothing reads it (see `forward_rounds`)
     attention: Tensor
 
 
@@ -237,16 +240,22 @@ def forward_rounds(
     heads on the encoder output; each further round re-encodes the shared
     vectors from the previous round's outputs and re-applies the heads with
     the same parameters. The attention constants depend only on the bucket's
-    shape, so every round shares one set."""
+    shape, so every round shares one set.
+
+    A round computes its AS distribution only where something reads it: the
+    loss and prediction read the final round's, and the next round's
+    message reads each round's under `predictions`. Elsewhere `yas` is None."""
     rounds: List[RoundOutput] = []
     constants = attention_constants(hs0.shape[-2], pad_mask)
     hs = hs0
-    for t in range(mp.effective_rounds + 1):
+    last = mp.effective_rounds
+    for t in range(last + 1):
         if t > 0:
             hs = message_pass(mp.variant, rounds[-1], re, pass_pre_attention_as)
         hae, yae = ae_head_forward(hs, ae_head)
         has_pre, context, yas, attn = as_head_forward(
-            hs, as_head, yae, constants, opinion_passing=opinion_passing
+            hs, as_head, yae, constants, opinion_passing=opinion_passing,
+            output=t == last or mp.variant == "predictions",
         )
         rounds.append(RoundOutput(hs, hae, yae, has_pre, context, yas, attn))
     return rounds

@@ -175,9 +175,9 @@ class Model:
         `dropout_masks`; without it the forward evaluates.
         """
         bucket = [batch] if isinstance(batch, Sentence) else list(batch)
-        lengths = np.array([s.n for s in bucket])
-        n = int(lengths.max())
-        pad_mask = None if (lengths == n).all() else np.arange(n) < lengths[:, None]
+        lengths = [s.n for s in bucket]
+        n = max(lengths)
+        pad_mask = None if min(lengths) == n else np.arange(n) < np.array(lengths)[:, None]
         tables = self.general_param, self.domain_param
         if self.cfg.freeze_embeddings:  # constants: no tape op, no gradient
             tables = tuple(t.data for t in tables)

@@ -199,15 +199,15 @@ def predict_tags(
     preds: List[Tuple[List[str], List[str]]] = [([], [])] * len(sentences)
     for idx in length_buckets(sentences):
         final = model.forward([sentences[i] for i in idx])[-1]
-        ae_best = np.argmax(final.yae.data, axis=-1)
-        as_best = np.argmax(final.yas.data, axis=-1)
+        ae_best = np.argmax(final.yae.data, axis=-1).tolist()
+        as_best = np.argmax(final.yas.data, axis=-1).tolist()
         for b, i in enumerate(idx):
-            ae_tags = [AE_TAGS[k] for k in ae_best[b, : sentences[i].n]]
+            ae_tags = [AE_TAGS[k] for k in ae_best[b][: sentences[i].n]]
             as_tags = [AS_NONE] * len(ae_tags)
             for span in decode_spans(ae_tags):
                 if span.kind == "aspect":
                     for t in range(span.start, span.end):
-                        as_tags[t] = AS_TAGS[as_best[b, t]]
+                        as_tags[t] = AS_TAGS[as_best[b][t]]
             preds[i] = (ae_tags, as_tags)
     return preds
 

@@ -598,12 +598,18 @@ def _sentence_encoder(model, s, emb):
     return linear(concat(h, cnn(x0)), params.combine_weight, params.combine_bias)
 
 
+def token_indices(table, words):
+    """The row of each word in an `EmbeddingMatrix`, its OOV row for an
+    unseen word, one word at a time."""
+    return np.array([table.vocab.get(w, table.oov_index) for w in words], dtype=np.intp)
+
+
 def sentence_forward(model, s, keep=None):
     """Final-round (yae, yas) of one sentence as (n, 5) and (n, 3), composed
     from the unfused ops; `keep` is the sentence's dropout mask."""
     emb = concat(
-        rows(model.general_param, model.general_emb.indices(s.tokens)),
-        rows(model.domain_param, model.domain_emb.indices(s.tokens)),
+        rows(model.general_param, token_indices(model.general_emb, s.tokens)),
+        rows(model.domain_param, token_indices(model.domain_emb, s.tokens)),
     )
     if keep is not None:
         emb = mul(emb, keep)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dregcn_absa import autodiff as ad
 from dregcn_absa.autodiff import (
@@ -9,6 +11,7 @@ from dregcn_absa.autodiff import (
     backward,
     finite_diff_gradcheck,
 )
+from dregcn_absa.heads import attention_constants
 
 import oracles
 
@@ -413,3 +416,68 @@ def test_conv_branches_passes_a_nan_pre_activation_on_like_relu():
     assert np.isnan(out[..., 0]).all()
     assert np.isfinite(out[..., 1:]).all()
     assert np.isnan(ad.relu(Tensor([np.nan])).data).all()
+
+
+# ---------------------------------------------------------------------------
+# with and without a tape
+
+
+def _every_op(rng, lengths):
+    """One call of each op of the module on inputs drawn from `rng`, by name:
+    on one sentence of n tokens when `lengths` is None, else on a bucket
+    padded to the longest of `lengths`, whose padded rows are zero."""
+    n = 4 if lengths is None else max(lengths)
+    lead = () if lengths is None else (len(lengths),)
+    pad = None if lengths is None else np.arange(n) < np.array(lengths)[:, None]
+    real = np.ones((n, 1)) if pad is None else pad[..., None]
+
+    def draw(*shape):  # (..., n, width), zero on padded rows
+        return Tensor(rng.normal(size=lead + shape) * real)
+
+    d = 3
+    x, y, h = draw(n, d), draw(n, 2), draw(n, d)
+    w, w2, bias = (Tensor(rng.normal(size=shape)) for shape in ((5, d), (5, d + 2), (5,)))
+    table, square = Tensor(rng.normal(size=(6, d))), Tensor(rng.normal(size=(d, d)))
+    counts = rng.normal(size=lead + (n, 6))
+    idx = rng.integers(0, 6, size=lead + (n,))
+    probs = ad.softmax_rows(draw(n, 5))
+    gold, weights = rng.integers(0, 5, size=lead + (n,)), rng.random(lead + (n,)) * real[..., 0]
+    kernels = [Tensor(rng.normal(size=(k, d, 2))) for k in (1, 3)]
+    kernel_biases = [Tensor(rng.normal(size=2)) for _ in kernels]
+    col = Tensor(rng.random(lead + (n,)))
+    return {
+        "matmul": lambda: ad.matmul(x, square),
+        "matmul_constant_left": lambda: ad.matmul(counts, table),
+        "rebuilt_matmul": lambda: ad.rebuilt_matmul(lambda: counts, table),
+        "linear": lambda: ad.linear(x, w, bias),
+        "linear_parts": lambda: ad.linear((x, y), w2, bias),
+        "concat": lambda: ad.concat(x, y, x),
+        "add": lambda: ad.add(x, h),
+        "mul": lambda: ad.mul(x, h.data),
+        "relu": lambda: ad.relu(x),
+        "sum_last": lambda: ad.sum_last(x, 1, 3),
+        "rows": lambda: ad.rows(table, idx),
+        "sum_all": lambda: ad.sum_all(x),
+        "softmax_rows": lambda: ad.softmax_rows(x),
+        "nll_rows": lambda: ad.nll_rows(probs, gold, weights),
+        "conv_branches": lambda: ad.conv_branches(x, kernels, kernel_biases, pad),
+        "bilinear_attention": lambda: ad.bilinear_attention(
+            h, square, col, *attention_constants(n, pad)
+        ),
+    }
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.one_of(st.none(), st.lists(st.integers(1, 6), min_size=1, max_size=4)),
+)
+def test_every_op_gives_the_same_bytes_with_and_without_a_tape(seed, lengths):
+    """Without a tape an op skips its backward state, not its value: one
+    sentence and a padded bucket read bit for bit as under a tape."""
+    free = {name: op() for name, op in _every_op(np.random.default_rng(seed), lengths).items()}
+    for name, op in _every_op(np.random.default_rng(seed), lengths).items():
+        with Tape() as tape:
+            taped = op()
+        assert len(tape.ops) == 1, name
+        assert taped.data.shape == free[name].data.shape, name
+        assert taped.data.tobytes() == free[name].data.tobytes(), name

@@ -177,6 +177,47 @@ def test_forward_rounds_predictions_variant():
     assert out[-1].hs.shape == (4, D_S)
 
 
+@pytest.mark.parametrize("pre_attention", [False, True])
+def test_only_the_final_round_has_an_as_output_under_representations(pre_attention):
+    """No round but the last feeds its AS distribution to anything."""
+    ae_head, as_head = make_heads()
+    re = init_re_encoder(
+        ParamTable(np.random.default_rng(5)), D_S, "representations", D_T, pre_attention
+    )
+    hs0 = Tensor(RNG.normal(size=(2, 4, D_S)))
+    out = forward_rounds(
+        hs0, ae_head, as_head, re, MessagePassingConfig("representations", 2),
+        pass_pre_attention_as=pre_attention,
+    )
+    assert [r.yas is None for r in out] == [True, True, False]
+    assert out[-1].yas.shape == (2, 4, 3)
+    assert all(r.attention.shape == (2, 4, 4) for r in out)  # every round keeps its attention
+
+
+def test_every_round_has_an_as_output_under_predictions():
+    """Each round's message reads that round's AS distribution."""
+    ae_head, as_head = make_heads()
+    re = init_re_encoder(ParamTable(np.random.default_rng(6)), D_S, "predictions", D_T, False)
+    hs0 = Tensor(RNG.normal(size=(4, D_S)))
+    out = forward_rounds(hs0, ae_head, as_head, re, MessagePassingConfig("predictions", 2))
+    assert len(out) == 3
+    for r in out:
+        assert r.yas.shape == (4, 3)
+        np.testing.assert_allclose(r.yas.data.sum(axis=-1), 1.0, atol=1e-12)
+
+
+def test_as_head_without_output_computes_the_rest_bit_for_bit():
+    ae_head, as_head = make_heads()
+    hs = Tensor(RNG.normal(size=(5, D_S)))
+    _, yae = ae_head_forward(hs, ae_head)
+    constants = attention_constants(5)
+    full = as_head_forward(hs, as_head, yae, constants)
+    part = as_head_forward(hs, as_head, yae, constants, output=False)
+    assert part[2] is None
+    for a, b in zip(full[:2] + full[3:], part[:2] + part[3:]):
+        np.testing.assert_array_equal(a.data, b.data)
+
+
 def test_forward_rounds_pre_attention_message():
     ae_head, as_head = make_heads()
     re = init_re_encoder(ParamTable(np.random.default_rng(4)), D_S, "representations", D_T, True)

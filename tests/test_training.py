@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dregcn_absa import heads
+from dregcn_absa import autodiff, heads
 from dregcn_absa.autodiff import Tape, Tensor, backward
 from dregcn_absa.corpus import EmbeddingMatrix, RelationVocab, Sentence, random_embedding_table
 from dregcn_absa.encoder import MODES, EncoderConfig
@@ -301,6 +301,55 @@ def test_frozen_tables_record_no_backward_work():
     assert not any(t is table for op in tape.ops for t in op.inputs for table in tables)
 
 
+TAPELESS_CONFIGS = {
+    "default": {},
+    "predictions": {"mp": MessagePassingConfig("predictions", 2)},
+    "no_opinion_passing": {"opinion_passing": False},
+    "frozen": {"freeze_embeddings": True},
+}
+
+
+@pytest.mark.parametrize("changes", TAPELESS_CONFIGS.values(), ids=TAPELESS_CONFIGS.keys())
+def test_tapeless_forward_builds_no_backward_state(tiny_corpus, monkeypatch, changes):
+    """With no tape recording, no op of a padded bucket's forward reaches
+    `_record`, and each round's outputs are those of a taped forward."""
+    assert len({s.n for s in tiny_corpus}) > 1  # a padded bucket
+    model, _, _ = build_model(tiny_corpus, ModelConfig(**changes))
+    masks = model.dropout_masks(tiny_corpus, np.random.default_rng(0))
+
+    def record(*args):
+        raise AssertionError("an op recorded without a tape")
+
+    monkeypatch.setattr(autodiff, "_record", record)
+    free = model.forward(tiny_corpus, masks)
+    monkeypatch.undo()
+    with Tape() as tape:
+        taped = model.forward(tiny_corpus, masks)
+    assert tape.ops
+    for a, b in zip(free, taped, strict=True):
+        for name in ("hs", "hae", "yae", "has_pre", "context", "yas", "attention"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x is None) == (y is None), name
+            if x is not None:
+                np.testing.assert_array_equal(x.data, y.data, err_msg=name)
+
+
+def test_zero_attention_gets_no_gradient_without_opinion_passing():
+    """Without opinion passing each round's attention is a constant zero:
+    backward forms no (B, n, n) gradient for it."""
+    batch = synth.overfit_corpus(8, seed=4)
+    model, _, _ = build_model(batch, ModelConfig(opinion_passing=False))
+    masks = model.dropout_masks(batch, np.random.default_rng(0))
+    with Tape() as tape:
+        rounds = model.forward(batch, masks)
+        loss = joint_loss(rounds, batch, len(batch))
+    backward(tape, loss, params=list(model.trainable_parameters().values()))
+    assert len(rounds) == 3
+    for r in rounds:
+        assert not r.attention.data.any()
+        assert r.attention.grad is None
+
+
 def test_second_adam_step_allocates_almost_nothing():
     """Adam works in vectors allocated with its state: a step allocates
     less than a tenth of the parameter bytes (a step one parameter at a
@@ -512,7 +561,7 @@ def test_lone_sentence_forward_builds_its_constants_once(tiny_corpus, monkeypatc
     for s in tiny_corpus:
         with Tape() as tape:
             joint_loss(model.forward(s), s)
-        assert len(tape.ops) == 55
+        assert len(tape.ops) == 51
     assert calls == []
 
 
