@@ -1,7 +1,7 @@
 """Byte-identity of what the commands write, against recorded digests.
 
 `golden_digests` trains on four copies of the tiny fixture corpus with the
-fixture embeddings, in every encoder mode, each plain and with one of four
+fixture embeddings, in every encoder mode, each plain and with one of six
 switches. It hashes every checkpoint, `evaluate` and `predict` output on
 each checkpoint, and `gradcheck --seed 0`. A refactor that claims to keep
 outputs byte-identical must pass this test unchanged.
@@ -52,6 +52,8 @@ VARIANTS = {
     "distinct_reverse_types": "distinct_reverse_types = true\n",
     "mp_predictions": "mp_variant = predictions\n",
     "freeze_embeddings": "freeze_embeddings = true\n",
+    "no_opinion_passing": "opinion_passing = false\n",
+    "pass_pre_attention_as": "pass_pre_attention_as = true\n",
 }
 
 
