@@ -10,7 +10,7 @@ padded length bucket whose `pad_mask` (B, n) marks the real tokens.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -79,15 +79,23 @@ class MessagePassingConfig:
         return 0 if self.variant == "none" else self.rounds
 
 
+FINAL_READS = ("yae", "yas")  # the `RoundOutput` fields the loss and prediction read
+
+
+def message_fields(variant: str, pass_pre_attention_as: bool = False) -> tuple:
+    """The `RoundOutput` fields the next round's message joins after `hs`: [yae; yas],
+    or [hae; h; context] ([hae; h] when passing the pre-attention AS hidden h)."""
+    if variant == "predictions":
+        return ("yae", "yas")
+    if variant == "representations":
+        return ("hae", "has_pre") if pass_pre_attention_as else ("hae", "has_pre", "context")
+    raise ContractViolation(f"variant {variant!r} carries no message")
+
+
 def message_width(variant: str, d_t: int, pass_pre_attention_as: bool = False) -> int:
     """Extra re-encoder input columns beyond d_s for each variant."""
-    if variant == "predictions":
-        return len(AE_TAGS) + len(AS_TAGS)  # 5 + 3
-    if variant == "representations":
-        if pass_pre_attention_as:
-            return 2 * d_t  # AE hidden + pre-attention AS hidden
-        return 3 * d_t  # d_t from AE hidden + 2*d_t from the AS output
-    raise ContractViolation(f"variant {variant!r} carries no message")
+    widths = {"yae": len(AE_TAGS), "yas": len(AS_TAGS), "hae": d_t, "has_pre": d_t, "context": d_t}
+    return sum(widths[f] for f in message_fields(variant, pass_pre_attention_as))
 
 
 def init_ae_head(p: ParamTable, d_s: int, d_t: int) -> AeHead:
@@ -110,11 +118,7 @@ def init_as_head(p: ParamTable, d_s: int, d_t: int) -> AsHead:
 
 
 def init_re_encoder(
-    p: ParamTable,
-    d_s: int,
-    variant: str,
-    d_t: int,
-    pass_pre_attention_as: bool = False,
+    p: ParamTable, d_s: int, variant: str, d_t: int, pass_pre_attention_as: bool = False
 ) -> ReEncoder:
     width = d_s + message_width(variant, d_t, pass_pre_attention_as)
     return ReEncoder(p("re/w", (d_s, width)), p("re/b", (d_s,), 0))
@@ -124,10 +128,11 @@ def init_re_encoder(
 # forward pieces
 
 
-def ae_head_forward(hs: Tensor, head: AeHead):
-    """(hidden, row-stochastic 5-way distribution) for every token."""
+def ae_head_forward(hs: Tensor, head: AeHead, reads=FINAL_READS):
+    """(hidden, row-stochastic 5-way distribution) for every token; the
+    distribution is None unless `reads` names "yae"."""
     hae = relu(linear(hs, head.hidden_weight, head.hidden_bias))
-    yae = softmax_rows(linear(hae, head.out_weight, head.out_bias))
+    yae = softmax_rows(linear(hae, head.out_weight, head.out_bias)) if "yae" in reads else None
     return hae, yae
 
 
@@ -169,61 +174,53 @@ def attention_constants(n: int, pad_mask: Optional[np.ndarray] = None) -> Attent
 
 
 def as_head_forward(
-    hs: Tensor,
-    head: AsHead,
-    yae: Tensor,
-    constants: AttentionConstants,
-    opinion_passing: bool = True,
-    output: bool = True,
+    hs: Tensor, head: AsHead, yae: Optional[Tensor], constants: Optional[AttentionConstants],
+    reads=FINAL_READS,
 ):
     """(AS hidden h, context sum_j M_ij h_j for every token, 3-way
-    distribution from [h_i ; context_i], attention M). Without `output`
-    the distribution is not computed and reads None.
+    distribution from [h_i ; context_i], attention M). The context and the
+    distribution are computed where `reads` names them (the distribution
+    reads the context); an unread one is None.
 
     M is row-stochastic context attention: bilinear relevance scaled by
     inverse token distance and by the context token's predicted opinion
     probability, its AE mass on BP and IP. The positions `constants.mask`
     excludes (the diagonal, padding) get no weight; a row with no candidates
-    (n = 1, or a padded row) comes out all-zero, as does all of M without
-    opinion passing, where M is a constant that gets no gradient.
+    (n = 1, or a padded row) comes out all-zero. Without `constants` (no
+    opinion passing) there is no M: it is None, and the context is a
+    constant zero array.
     """
     has = relu(linear(hs, head.hidden_weight, head.hidden_bias))
-    if opinion_passing:
-        pop = sum_last(yae, *OPINION_CLASS_SLICE)
-        m = bilinear_attention(has, head.bilinear, pop, *constants)
-        context = matmul(m, has)
-    else:
-        m = Tensor(np.zeros(hs.shape[:-1] + (hs.shape[-2],)))
-        context = matmul(m.data, has)
-    yas = softmax_rows(linear((has, context), head.out_weight, head.out_bias)) if output else None
+    m = context = yas = None
+    if constants is not None:
+        m = bilinear_attention(has, head.bilinear, sum_last(yae, *OPINION_CLASS_SLICE), *constants)
+    if "context" in reads or "yas" in reads:
+        context = np.zeros(has.shape) if m is None else matmul(m, has)
+    if "yas" in reads:
+        yas = softmax_rows(linear((has, context), head.out_weight, head.out_bias))
     return has, context, yas, m
 
 
 @dataclass
 class RoundOutput:
+    """One round's outputs; a field that no reader of the round reads is None."""
+
     hs: Tensor
     hae: Tensor
-    yae: Tensor
+    yae: Optional[Tensor]
     has_pre: Tensor  # the AS hidden h
-    context: Tensor  # sum_j M_ij h_j; the AS output reads [h_i ; context_i]
-    yas: Optional[Tensor]  # None where nothing reads it (see `forward_rounds`)
-    attention: Tensor
+    context: Union[Tensor, np.ndarray, None]  # sum_j M_ij h_j; a zero array without M
+    yas: Optional[Tensor]
+    attention: Optional[Tensor]  # None without opinion passing
 
 
 def message_pass(
     variant: str, prev: RoundOutput, re: ReEncoder, pass_pre_attention_as: bool = False
 ) -> Tensor:
-    """Re-encode the shared vectors from the previous round's task outputs:
-    [hs; yae; yas], or [hs; hae; h; context] ([hs; hae; h] when passing the
-    pre-attention AS hidden), joined by the re-encoder's `linear`."""
-    if variant == "predictions":
-        message = (prev.hs, prev.yae, prev.yas)
-    elif variant == "representations":
-        as_parts = (prev.has_pre,) if pass_pre_attention_as else (prev.has_pre, prev.context)
-        message = (prev.hs, prev.hae, *as_parts)
-    else:
-        raise ContractViolation(f"message_pass called with variant {variant!r}")
-    return linear(message, re.weight, re.bias)
+    """Re-encode the shared vectors from the previous round's outputs: `hs`
+    and its `message_fields`, joined by the re-encoder's `linear`."""
+    fields = message_fields(variant, pass_pre_attention_as)
+    return linear((prev.hs, *(getattr(prev, f) for f in fields)), re.weight, re.bias)
 
 
 def forward_rounds(
@@ -239,23 +236,22 @@ def forward_rounds(
     """Every round's outputs, the final round last. Round 0 evaluates both
     heads on the encoder output; each further round re-encodes the shared
     vectors from the previous round's outputs and re-applies the heads with
-    the same parameters. The attention constants depend only on the bucket's
-    shape, so every round shares one set.
+    the same parameters. Every round shares one set of attention constants,
+    which depend only on the bucket's shape; without opinion passing there
+    are none.
 
-    A round computes its AS distribution only where something reads it: the
-    loss and prediction read the final round's, and the next round's
-    message reads each round's under `predictions`. Elsewhere `yas` is None."""
+    A round computes what its readers read: the loss and prediction read the
+    final round's `FINAL_READS`, the next round's message any other round's
+    `message_fields`. Every round keeps its attention, which reads `yae`."""
     rounds: List[RoundOutput] = []
-    constants = attention_constants(hs0.shape[-2], pad_mask)
-    hs = hs0
-    last = mp.effective_rounds
+    constants = attention_constants(hs0.shape[-2], pad_mask) if opinion_passing else None
+    hs, last = hs0, mp.effective_rounds
+    fields = message_fields(mp.variant, pass_pre_attention_as) if last else ()
     for t in range(last + 1):
         if t > 0:
             hs = message_pass(mp.variant, rounds[-1], re, pass_pre_attention_as)
-        hae, yae = ae_head_forward(hs, ae_head)
-        has_pre, context, yas, attn = as_head_forward(
-            hs, as_head, yae, constants, opinion_passing=opinion_passing,
-            output=t == last or mp.variant == "predictions",
-        )
+        reads = FINAL_READS if t == last else fields
+        hae, yae = ae_head_forward(hs, ae_head, reads if constants is None else ("yae", *reads))
+        has_pre, context, yas, attn = as_head_forward(hs, as_head, yae, constants, reads)
         rounds.append(RoundOutput(hs, hae, yae, has_pre, context, yas, attn))
     return rounds

@@ -120,12 +120,14 @@ def test_as_head_shapes_and_opinion_passing_toggle():
     assert context.shape == (4, D_T)
     assert yas.shape == (4, 3)
     np.testing.assert_allclose(yas.data.sum(axis=1), 1.0, atol=1e-12)
-    # disabling opinion passing keeps all widths but zeroes the context
-    has2, context2, _, m2 = as_head_forward(hs, as_head, yae, constants, opinion_passing=False)
-    assert (m2.data == 0).all()
-    assert context2.shape == (4, D_T)
-    np.testing.assert_array_equal(context2.data, 0.0)
+    # without attention constants (no opinion passing) there is no attention:
+    # all widths stay, the context is a constant zero array
+    has2, context2, yas2, m2 = as_head_forward(hs, as_head, yae, None)
+    assert m2 is None
+    assert type(context2) is np.ndarray and context2.shape == (4, D_T)
+    np.testing.assert_array_equal(context2, 0.0)
     np.testing.assert_array_equal(has2.data, has.data)
+    assert yas2.shape == (4, 3)
 
 
 def test_message_width_table():
@@ -191,6 +193,8 @@ def test_only_the_final_round_has_an_as_output_under_representations(pre_attenti
     )
     assert [r.yas is None for r in out] == [True, True, False]
     assert out[-1].yas.shape == (2, 4, 3)
+    # the pre-attention message reads no context, so only the final round has one
+    assert [r.context is None for r in out] == [pre_attention, pre_attention, False]
     assert all(r.attention.shape == (2, 4, 4) for r in out)  # every round keeps its attention
 
 
@@ -212,10 +216,15 @@ def test_as_head_without_output_computes_the_rest_bit_for_bit():
     _, yae = ae_head_forward(hs, ae_head)
     constants = attention_constants(5)
     full = as_head_forward(hs, as_head, yae, constants)
-    part = as_head_forward(hs, as_head, yae, constants, output=False)
+    part = as_head_forward(hs, as_head, yae, constants, reads=("context",))
     assert part[2] is None
     for a, b in zip(full[:2] + full[3:], part[:2] + part[3:]):
         np.testing.assert_array_equal(a.data, b.data)
+    # reading neither leaves the context unread too
+    bare = as_head_forward(hs, as_head, yae, constants, reads=())
+    assert bare[1] is None and bare[2] is None
+    np.testing.assert_array_equal(bare[0].data, full[0].data)
+    np.testing.assert_array_equal(bare[3].data, full[3].data)
 
 
 def test_forward_rounds_pre_attention_message():

@@ -305,8 +305,49 @@ TAPELESS_CONFIGS = {
     "default": {},
     "predictions": {"mp": MessagePassingConfig("predictions", 2)},
     "no_opinion_passing": {"opinion_passing": False},
+    "pass_pre": {"pass_pre_attention_as": True},
     "frozen": {"freeze_embeddings": True},
 }
+
+# per config: tape ops of a training forward plus loss, and how many of them
+# backward does not reach
+DEAD_OP_CONFIGS = {
+    "default": ({}, 52, 0),
+    "predictions": ({"mp": MessagePassingConfig("predictions", 2)}, 56, 0),
+    "no_opinion_passing": ({"opinion_passing": False}, 39, 0),
+    "pass_pre": ({"pass_pre_attention_as": True}, 50, 8),
+    "frozen": ({"freeze_embeddings": True}, 48, 0),
+}
+
+
+@pytest.mark.parametrize("changes, n_ops, n_dead", DEAD_OP_CONFIGS.values(), ids=DEAD_OP_CONFIGS.keys())
+def test_backward_reaches_every_op_but_the_kept_attention(tiny_corpus, changes, n_ops, n_dead):
+    """A training forward computes only what the loss reads, except each
+    non-final round's opinion attention, kept for a reader of the rounds,
+    and the ops that only it reads: backward runs every other op's closure."""
+    model, _, _ = build_model(tiny_corpus, ModelConfig(**changes))
+    masks = model.dropout_masks(tiny_corpus, np.random.default_rng(0))
+    with Tape() as tape:
+        rounds = model.forward(tiny_corpus, masks)
+        loss = joint_loss(rounds, tiny_corpus, len(tiny_corpus))
+    assert len(tape.ops) == n_ops
+    reached = set()
+    for i, op in enumerate(tape.ops):
+        def counted(g, i=i, bwd=op.backward):
+            reached.add(i)
+            bwd(g)
+
+        op.backward = counted
+    # the ops each kept attention reads, walked back from the attention
+    read, feeds_kept = {id(r.attention) for r in rounds[:-1]}, set()
+    for i in reversed(range(n_ops)):
+        if id(tape.ops[i].output) in read:
+            feeds_kept.add(i)
+            read.update(id(t) for t in tape.ops[i].inputs)
+    backward(tape, loss)
+    dead = set(range(n_ops)) - reached
+    assert dead <= feeds_kept
+    assert len(dead) == n_dead
 
 
 @pytest.mark.parametrize("changes", TAPELESS_CONFIGS.values(), ids=TAPELESS_CONFIGS.keys())
@@ -329,25 +370,29 @@ def test_tapeless_forward_builds_no_backward_state(tiny_corpus, monkeypatch, cha
     for a, b in zip(free, taped, strict=True):
         for name in ("hs", "hae", "yae", "has_pre", "context", "yas", "attention"):
             x, y = getattr(a, name), getattr(b, name)
-            assert (x is None) == (y is None), name
+            assert type(x) is type(y), name  # a constant zero context is a plain array in both
             if x is not None:
-                np.testing.assert_array_equal(x.data, y.data, err_msg=name)
+                np.testing.assert_array_equal(getattr(x, "data", x), getattr(y, "data", y), err_msg=name)
 
 
 def test_zero_attention_gets_no_gradient_without_opinion_passing():
-    """Without opinion passing each round's attention is a constant zero:
-    backward forms no (B, n, n) gradient for it."""
+    """Without opinion passing there is no attention, and each round's
+    context is a constant zero array: no tensor on the tape is (B, n, n),
+    so backward forms no gradient of that shape."""
     batch = synth.overfit_corpus(8, seed=4)
     model, _, _ = build_model(batch, ModelConfig(opinion_passing=False))
     masks = model.dropout_masks(batch, np.random.default_rng(0))
     with Tape() as tape:
         rounds = model.forward(batch, masks)
         loss = joint_loss(rounds, batch, len(batch))
-    backward(tape, loss, params=list(model.trainable_parameters().values()))
+    square = rounds[0].hs.shape[:-1] + rounds[0].hs.shape[-2:-1]
+    assert not any(t.shape == square for t in _taped(tape))
     assert len(rounds) == 3
     for r in rounds:
-        assert not r.attention.data.any()
-        assert r.attention.grad is None
+        assert r.attention is None
+        assert type(r.context) is np.ndarray and r.context.shape == r.has_pre.shape
+    backward(tape, loss, params=list(model.trainable_parameters().values()))
+    assert not any(r.context.any() for r in rounds)
 
 
 def test_second_adam_step_allocates_almost_nothing():
