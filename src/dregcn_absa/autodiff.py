@@ -14,7 +14,8 @@ backward starts and its gradient once its op's backward has consumed it.
 A backward closure holds just what its gradient reads, and no array that
 another closure or the caller already holds a copy of: `linear` keeps the
 parts of a joined input rather than the join, `rebuilt_matmul` rebuilds its
-constant operand, and `bilinear_attention` recomputes h W. A closure lives
+constant operand, and `bilinear_attention` rebuilds h W and its scores, so
+that its output P is the only (..., n, n) array it holds. A closure lives
 as long as its tape, so what it holds stays until the step ends.
 
 An op builds backward state only under a tape: with none recording, it
@@ -152,7 +153,10 @@ def _softmax(sv: np.ndarray, mask: Optional[np.ndarray]) -> np.ndarray:
 
 
 def _softmax_grad(p: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return p * (g - (p * g).sum(axis=-1, keepdims=True))
+    """p * (g - rowsum(p * g)), as a new array."""
+    gs = g - (p * g).sum(axis=-1, keepdims=True)
+    gs *= p
+    return gs
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +525,9 @@ def bilinear_attention(
 
     h: (..., n, d); w: (d, d); col_weight: (..., n); factors: constant
     (n, n); mask: broadcastable to (..., n, n). A row with no unmasked
-    position comes out all-zero. The backward is in closed form; it keeps
-    h and W and recomputes h W from them.
+    position comes out all-zero. The backward is in closed form. Of the
+    (..., n, n) arrays its closure holds P alone: it keeps h and W and
+    rebuilds h W and the scores S = (h W h^T) * factors from them.
     """
     hv, wv, cv = _val(h), _val(w), _val(col_weight)
     n = hv.shape[-2]
@@ -532,22 +537,28 @@ def bilinear_attention(
         )
     if factors.shape != (n, n):
         raise DimensionError(f"bilinear_attention: factors {factors.shape} for n = {n}")
-    scaled = (hv @ wv) @ np.swapaxes(hv, -1, -2)
-    scaled *= factors
+    scores = (hv @ wv) @ np.swapaxes(hv, -1, -2)
+    scores *= factors
     cols = cv[..., None, :]
-    p = _softmax(scaled * cols, mask)
+    scores *= cols
+    p = _softmax(scores, mask)
     out = Tensor(p)
     if not _TAPE_STACK:
         return out
 
     def bwd(g):
         gs = _softmax_grad(p, g)
-        _accum(col_weight, (gs * scaled).sum(axis=-2))
-        graw = gs * cols * factors
-        ghw = graw @ hv
+        hw = hv @ wv
+        sg = hw @ np.swapaxes(hv, -1, -2)
+        sg *= factors  # S, as the forward built it
+        sg *= gs
+        _accum(col_weight, sg.sum(axis=-2))
+        gs *= cols
+        gs *= factors  # the gradient of h W h^T
+        ghw = gs @ hv
         gw = np.swapaxes(hv, -1, -2) @ ghw
         _accum(w, gw.reshape(-1, *wv.shape).sum(axis=0))
-        _accum(h, np.swapaxes(graw, -1, -2) @ (hv @ wv) + ghw @ wv.T)
+        _accum(h, np.swapaxes(gs, -1, -2) @ hw + ghw @ wv.T)
 
     _record(out, (h, w, col_weight), bwd)
     return out

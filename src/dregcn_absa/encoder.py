@@ -30,7 +30,6 @@ from .autodiff import (
     ContractViolation,
     DimensionError,
     Tensor,
-    concat,
     conv_branches,
     linear,
     matmul,
@@ -264,9 +263,9 @@ def encode_shared(
     """Project the token embeddings to width d and run the mode's stack(s).
 
     Output width is d (= d_s) in every mode; the dregcn_plus_cnn mode
-    concatenates both stacks and projects back down. `graph` is the
-    bucket's graph; for a padded bucket, `pad_mask` (B, n) marks the real
-    tokens. `emb` is a plain array when the embedding tables are frozen.
+    hands `linear` both stacks to join and project back down. `graph` is
+    the bucket's graph; for a padded bucket, `pad_mask` (B, n) marks the
+    real tokens. `emb` is a plain array when the embedding tables are frozen.
     """
     x0 = linear(emb, params.input_proj_weight, params.input_proj_bias)
     if cfg.mode == "cnn_only":
@@ -288,4 +287,4 @@ def encode_shared(
     if not cfg.uses_cnn:
         return h
     c = cnn_encoder_forward(x0, params.cnn_layers, pad_mask)
-    return linear(concat(h, c), params.combine_weight, params.combine_bias)
+    return linear((h, c), params.combine_weight, params.combine_bias)

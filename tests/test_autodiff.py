@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -481,3 +483,27 @@ def test_every_op_gives_the_same_bytes_with_and_without_a_tape(seed, lengths):
         assert len(tape.ops) == 1, name
         assert taped.data.shape == free[name].data.shape, name
         assert taped.data.tobytes() == free[name].data.tobytes(), name
+
+
+def test_taped_attention_holds_its_output_alone():
+    """A taped `bilinear_attention` over a padded (8, 48, 16) bucket retains,
+    once it returns, at most its output's bytes plus 10 %: of the
+    (8, 48, 48) arrays it forms, its closure keeps P, the output, and
+    rebuilds the scores in the backward (twice the output while it kept
+    them)."""
+    rng = np.random.default_rng(0)
+    lengths = np.append(rng.integers(31, 48, size=7), 48)
+    pad = np.arange(48) < lengths[:, None]
+    h = Tensor(rng.normal(size=(8, 48, 16)) * pad[..., None])
+    w, col = Tensor(rng.normal(size=(16, 16))), Tensor(rng.random((8, 48)))
+    constants = attention_constants(48, pad)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with Tape() as tape:
+            out = ad.bilinear_attention(h, w, col, *constants)
+        retained = tracemalloc.get_traced_memory()[0] - base
+        assert len(tape.ops) == 1  # the tape, and so the closure, is alive
+    finally:
+        tracemalloc.stop()
+    assert retained <= 1.1 * out.data.nbytes
