@@ -3,15 +3,19 @@
 `golden_digests` trains on four copies of the tiny fixture corpus with the
 fixture embeddings, in every encoder mode, each plain and with one of six
 switches. It hashes every checkpoint, `evaluate` and `predict` output on
-each checkpoint, and `gradcheck --seed 0`. A refactor that claims to keep
-outputs byte-identical must pass this test unchanged.
+each checkpoint, and `gradcheck --seed 0`. Those three short sentences do
+not reach the benchmark's GEMM shapes, so the record also holds the four
+lines `tests/snapshot_digests.py --seeds 1` prints: the final and best
+snapshot of one `train` on each `perfbench` workload's seed-1 inputs. A
+refactor that claims to keep outputs byte-identical must pass this test
+unchanged.
 
 Checkpoint bytes follow the float summation order of NumPy and its BLAS, and
 an OpenBLAS built for several CPUs picks its kernels by CPU. So the test
 skips, naming the mismatch, unless the NumPy version, the BLAS build and
 NumPy's CPU features are the recorded ones.
 
-After a change meant to alter outputs, re-record with
+After a change meant to alter outputs, re-record both with
     PYTHONPATH=src python tests/test_golden.py
 """
 
@@ -20,6 +24,8 @@ import hashlib
 import io
 import json
 import pathlib
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -29,6 +35,7 @@ from dregcn_absa import cli
 from dregcn_absa.encoder import MODES
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+SNAPSHOTS = pathlib.Path(__file__).parent / "snapshot_digests.py"
 RECORD = FIXTURES / "golden_digests.json"
 
 CONFIG = """\
@@ -108,20 +115,44 @@ def golden_digests(root: pathlib.Path) -> dict:
     return digests
 
 
-def test_outputs_match_recorded_digests(tmp_path):
+def benchmark_snapshot_digests() -> list:
+    """The lines `snapshot_digests.py --seeds 1` prints. It runs in its own
+    process because it pins BLAS to one thread before NumPy loads, as the
+    benchmark does."""
+    run = subprocess.run(
+        [sys.executable, str(SNAPSHOTS), "--seeds", "1"],
+        cwd=SNAPSHOTS.parent.parent, capture_output=True, text=True, check=True,
+    )
+    return run.stdout.splitlines()
+
+
+def recorded_here() -> dict:
+    """The record, or a skip naming the first way this environment differs."""
     recorded = json.loads(RECORD.read_text())
     here = environment()
     for key, value in recorded["environment"].items():
         if here.get(key) != value:
             pytest.skip(f"outputs were recorded under {key} {value!r}, this is {here.get(key)!r}")
+    return recorded
+
+
+def test_outputs_match_recorded_digests(tmp_path):
+    recorded = recorded_here()
     digests = golden_digests(tmp_path)
     changed = sorted(k for k in recorded["digests"] if digests.get(k) != recorded["digests"][k])
     assert set(digests) == set(recorded["digests"])
     assert not changed, f"{len(changed)} outputs differ, first {changed[:5]}"
 
 
+def test_benchmark_shape_snapshots_match_recorded_digests():
+    recorded = recorded_here()
+    assert benchmark_snapshot_digests() == recorded["benchmark_snapshots"]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         record = {"environment": environment(), "digests": golden_digests(pathlib.Path(tmp))}
+    record["benchmark_snapshots"] = benchmark_snapshot_digests()
     RECORD.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(record['digests'])} digests to {RECORD}")
+    print(f"wrote {len(record['digests'])} digests and {len(record['benchmark_snapshots'])} "
+          f"snapshot lines to {RECORD}")

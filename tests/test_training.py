@@ -612,20 +612,36 @@ def test_lone_sentence_forward_builds_its_constants_once(tiny_corpus, monkeypatc
     assert calls == []
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_initial_parameters_keep_their_recorded_draws(fixtures_dir, mode):
-    """Each parameter of a new default model, in declaration order, hashes
-    as recorded in fixtures/initial_parameters.json. PCG64 draws do not
-    depend on BLAS, so this pins the draw order that checkpoints depend on."""
-    recorded = json.loads((fixtures_dir / "initial_parameters.json").read_text())[mode]
+# Every parameter layout of a default model: each mode, and the default mode
+# with each other re-encoder width, with no round to read it, and with none.
+LAYOUTS = {mode: ModelConfig(encoder=EncoderConfig(mode=mode)) for mode in MODES}
+LAYOUTS.update({
+    "dregcn_plus_cnn/mp_predictions": ModelConfig(mp=MessagePassingConfig("predictions")),
+    "dregcn_plus_cnn/pass_pre_attention_as": ModelConfig(pass_pre_attention_as=True),
+    "dregcn_plus_cnn/rounds_0": ModelConfig(mp=MessagePassingConfig(rounds=0)),
+    "dregcn_plus_cnn/mp_none": ModelConfig(mp=MessagePassingConfig("none")),
+})
+
+
+def initial_parameter_digests(cfg: ModelConfig) -> list:
+    """(name, sha256) of each parameter of a new model, in declaration order."""
     vocab = {"good": 0, "screen": 1, "battery": 2}
     general = EmbeddingMatrix(vocab, np.arange(64.0).reshape(4, 16) / 64, 16)
     domain = EmbeddingMatrix(vocab, np.arange(32.0).reshape(4, 8) / 32, 8)
     rv = RelationVocab({"<self>": 0, "<unk>": 1, "nsubj": 2, "amod": 3, "det": 4})
-    cfg = ModelConfig(encoder=EncoderConfig(mode=mode))
     model = Model(cfg, general, domain, rv, np.random.default_rng(0))
-    digests = [(k, hashlib.sha256(p.data.tobytes()).hexdigest()) for k, p in model.parameters().items()]
-    assert digests == list(recorded.items())
+    return [(k, hashlib.sha256(p.data.tobytes()).hexdigest()) for k, p in model.parameters().items()]
+
+
+@pytest.mark.parametrize("mode", LAYOUTS)
+def test_initial_parameters_keep_their_recorded_draws(fixtures_dir, mode):
+    """Each parameter of a new model in every layout, in declaration order,
+    hashes as recorded in fixtures/initial_parameters.json. PCG64 draws do
+    not depend on BLAS, so this pins the draw order that checkpoints depend
+    on. After a change meant to alter the draws, re-record with
+        PYTHONPATH=src python tests/test_training.py"""
+    recorded = json.loads((fixtures_dir / "initial_parameters.json").read_text())[mode]
+    assert initial_parameter_digests(LAYOUTS[mode]) == list(recorded.items())
 
 
 def test_parameters_share_no_memory_with_their_sources(tmp_path):
@@ -780,3 +796,12 @@ def test_length_buckets_share_log2_length_and_cover_the_corpus():
     for b in buckets:
         assert 1 <= len(b) <= MAX_BUCKET and b == sorted(b)
         assert len({int(np.ceil(np.log2(corpus[i].n))) for i in b}) == 1
+
+
+if __name__ == "__main__":
+    import pathlib
+
+    record = {name: dict(initial_parameter_digests(cfg)) for name, cfg in LAYOUTS.items()}
+    path = pathlib.Path(__file__).parent / "fixtures" / "initial_parameters.json"
+    path.write_text(json.dumps(record, indent=1) + "\n")
+    print(f"wrote {len(record)} layouts to {path}")
