@@ -68,20 +68,6 @@ class EncoderConfig:
         return self.mode in ("cnn_only", "dregcn_plus_cnn")
 
 
-@dataclass
-class DreGcnLayer:
-    weight: Tensor  # (d, d + m)
-    bias: Tensor  # (d,)
-
-
-@dataclass
-class CnnLayer:
-    conv_weights: List[Tensor]  # one (width, d, d) kernel per width
-    conv_biases: List[Tensor]
-    proj_weight: Tensor  # (d, d * n_widths)
-    proj_bias: Tensor
-
-
 class ParamTable:
     """Every trainable tensor of a model by checkpoint name, in declaration
     order (a checkpoint's member order). `p(name, shape, bound)` declares
@@ -134,8 +120,29 @@ class ParamTable:
         return values, grads
 
 
-def init_dregcn_layer(p: ParamTable, name: str, d: int, m: int) -> DreGcnLayer:
-    return DreGcnLayer(p(f"{name}_w", (d, d + m)), p(f"{name}_b", (d,), 0))
+@dataclass
+class Dense:
+    """An affine layer x W^T + b, which `linear` applies."""
+
+    weight: Tensor  # (out, in)
+    bias: Tensor  # (out,)
+
+
+def init_dense(p: ParamTable, prefix: str, out_dim: int, in_dim: int) -> Dense:
+    """Declare `<prefix>w` (out_dim, in_dim), Glorot, then `<prefix>b`, zero:
+    the one place an affine layer's names and initialisation are set."""
+    return Dense(p(f"{prefix}w", (out_dim, in_dim)), p(f"{prefix}b", (out_dim,), 0))
+
+
+@dataclass
+class CnnLayer:
+    conv_weights: List[Tensor]  # one (width, d, d) kernel per width
+    conv_biases: List[Tensor]
+    proj: Dense  # (d, d * n_widths)
+
+
+def init_dregcn_layer(p: ParamTable, name: str, d: int, m: int) -> Dense:
+    return init_dense(p, f"{name}_", d, d + m)
 
 
 def init_relation_table(p: ParamTable, n_types: int, m: int) -> Tensor:
@@ -147,8 +154,7 @@ def init_cnn_layer(p: ParamTable, name: str, d: int, widths: Sequence[int]) -> C
     for j, w in enumerate(widths):
         conv_w.append(p(f"{name}_conv{j}_w", (w, d, d)))
         conv_b.append(p(f"{name}_conv{j}_b", (d,), 0))
-    proj = p(f"{name}_proj_w", (d, d * len(widths)))
-    return CnnLayer(conv_w, conv_b, proj, p(f"{name}_proj_b", (d,), 0))
+    return CnnLayer(conv_w, conv_b, init_dense(p, f"{name}_proj_", d, d * len(widths)))
 
 
 def normalize_adjacency(a: np.ndarray) -> np.ndarray:
@@ -186,7 +192,7 @@ def dregcn_layer_forward(
     h: Tensor,
     a: np.ndarray,
     messages: Optional[Tensor],
-    layer: DreGcnLayer,
+    layer: Dense,
 ) -> Tensor:
     """Typed graph convolution: each edge (i, j) of type k contributes
     W [h_j; R[k]]; summed over neighbors, bias and ReLU on top.
@@ -198,13 +204,12 @@ def dregcn_layer_forward(
     """
     if a.shape != h.shape[:-1] + (h.shape[-2],):
         raise DimensionError(f"adjacency {a.shape} does not match features {h.shape}")
-    if messages is None:
-        return relu(linear(matmul(a, h), layer.weight, layer.bias))
-    if messages.shape[:-1] != h.shape[:-1]:
+    if messages is not None and messages.shape[:-1] != h.shape[:-1]:
         raise ContractViolation(
             f"relation messages shape {messages.shape} does not match features {h.shape}"
         )
-    return relu(linear((matmul(a, h), messages), layer.weight, layer.bias))
+    ah = matmul(a, h)
+    return relu(linear(ah if messages is None else (ah, messages), layer.weight, layer.bias))
 
 
 def cnn_encoder_forward(
@@ -216,25 +221,23 @@ def cnn_encoder_forward(
     x = e
     for layer in layers:
         branches = conv_branches(x, layer.conv_weights, layer.conv_biases, pad_mask)
-        x = linear(branches, layer.proj_weight, layer.proj_bias)
+        x = linear(branches, layer.proj.weight, layer.proj.bias)
     return x
 
 
 @dataclass
 class EncoderParams:
-    input_proj_weight: Tensor  # (d, d_g + d_d)
-    input_proj_bias: Tensor
-    graph_layers: List[DreGcnLayer] = field(default_factory=list)
+    input_proj: Dense  # (d, d_g + d_d)
+    graph_layers: List[Dense] = field(default_factory=list)  # each (d, d + m)
     relation_table: Optional[Tensor] = None  # (|N|, m); None in vanilla_gcn
     cnn_layers: List[CnnLayer] = field(default_factory=list)
-    combine_weight: Optional[Tensor] = None  # (d, 2d) for dregcn_plus_cnn
-    combine_bias: Optional[Tensor] = None
+    combine: Optional[Dense] = None  # (d, 2d) for dregcn_plus_cnn
 
 
 def init_encoder_params(
     p: ParamTable, cfg: EncoderConfig, emb_dim: int, n_relation_types: int
 ) -> EncoderParams:
-    params = EncoderParams(p("enc/in_w", (cfg.d, emb_dim)), p("enc/in_b", (cfg.d,), 0))
+    params = EncoderParams(init_dense(p, "enc/in_", cfg.d, emb_dim))
     if cfg.mode in ("dregcn", "dregcn_plus_cnn"):
         params.relation_table = init_relation_table(p, n_relation_types, cfg.m)
     if cfg.uses_graph:
@@ -248,8 +251,7 @@ def init_encoder_params(
             init_cnn_layer(p, f"enc/cnn{i}", cfg.d, cfg.kernel_widths) for i in range(cfg.cnn_layers)
         ]
     if cfg.mode == "dregcn_plus_cnn":
-        params.combine_weight = p("enc/combine_w", (cfg.d, 2 * cfg.d))
-        params.combine_bias = p("enc/combine_b", (cfg.d,), 0)
+        params.combine = init_dense(p, "enc/combine_", cfg.d, 2 * cfg.d)
     return params
 
 
@@ -267,7 +269,7 @@ def encode_shared(
     the bucket's graph; for a padded bucket, `pad_mask` (B, n) marks the
     real tokens. `emb` is a plain array when the embedding tables are frozen.
     """
-    x0 = linear(emb, params.input_proj_weight, params.input_proj_bias)
+    x0 = linear(emb, params.input_proj.weight, params.input_proj.bias)
     if cfg.mode == "cnn_only":
         return cnn_encoder_forward(x0, params.cnn_layers, pad_mask)
 
@@ -287,4 +289,4 @@ def encode_shared(
     if not cfg.uses_cnn:
         return h
     c = cnn_encoder_forward(x0, params.cnn_layers, pad_mask)
-    return linear((h, c), params.combine_weight, params.combine_bias)
+    return linear((h, c), params.combine.weight, params.combine.bias)

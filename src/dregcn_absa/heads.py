@@ -25,7 +25,7 @@ from .autodiff import (
     sum_last,
 )
 from .corpus import AE_TAGS, AS_TAGS
-from .encoder import ParamTable
+from .encoder import Dense, ParamTable, init_dense
 
 OPINION_CLASS_SLICE = (2, 4)  # BP, IP columns of the AE distribution
 
@@ -40,25 +40,15 @@ MAX_ROUNDS = 10
 
 @dataclass
 class AeHead:
-    hidden_weight: Tensor  # (d_t, d_s)
-    hidden_bias: Tensor
-    out_weight: Tensor  # (5, d_t)
-    out_bias: Tensor
+    hidden: Dense  # (d_t, d_s)
+    out: Dense  # (5, d_t)
 
 
 @dataclass
 class AsHead:
-    hidden_weight: Tensor  # (d_t, d_s)
-    hidden_bias: Tensor
+    hidden: Dense  # (d_t, d_s)
     bilinear: Tensor  # (d_t, d_t), the attention transformation
-    out_weight: Tensor  # (3, 2 * d_t)
-    out_bias: Tensor
-
-
-@dataclass
-class ReEncoder:
-    weight: Tensor  # (d_s, d_s + message width)
-    bias: Tensor
+    out: Dense  # (3, 2 * d_t)
 
 
 @dataclass
@@ -99,29 +89,22 @@ def message_width(variant: str, d_t: int, pass_pre_attention_as: bool = False) -
 
 
 def init_ae_head(p: ParamTable, d_s: int, d_t: int) -> AeHead:
-    return AeHead(
-        p("ae/hidden_w", (d_t, d_s)),
-        p("ae/hidden_b", (d_t,), 0),
-        p("ae/out_w", (len(AE_TAGS), d_t)),
-        p("ae/out_b", (len(AE_TAGS),), 0),
-    )
+    hidden = init_dense(p, "ae/hidden_", d_t, d_s)
+    return AeHead(hidden, init_dense(p, "ae/out_", len(AE_TAGS), d_t))
 
 
 def init_as_head(p: ParamTable, d_s: int, d_t: int) -> AsHead:
     return AsHead(
-        p("as/hidden_w", (d_t, d_s)),
-        p("as/hidden_b", (d_t,), 0),
+        init_dense(p, "as/hidden_", d_t, d_s),
         p("as/bilinear", (d_t, d_t)),
-        p("as/out_w", (len(AS_TAGS), 2 * d_t)),
-        p("as/out_b", (len(AS_TAGS),), 0),
+        init_dense(p, "as/out_", len(AS_TAGS), 2 * d_t),
     )
 
 
 def init_re_encoder(
     p: ParamTable, d_s: int, variant: str, d_t: int, pass_pre_attention_as: bool = False
-) -> ReEncoder:
-    width = d_s + message_width(variant, d_t, pass_pre_attention_as)
-    return ReEncoder(p("re/w", (d_s, width)), p("re/b", (d_s,), 0))
+) -> Dense:
+    return init_dense(p, "re/", d_s, d_s + message_width(variant, d_t, pass_pre_attention_as))
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +114,8 @@ def init_re_encoder(
 def ae_head_forward(hs: Tensor, head: AeHead, reads=FINAL_READS):
     """(hidden, row-stochastic 5-way distribution) for every token; the
     distribution is None unless `reads` names "yae"."""
-    hae = relu(linear(hs, head.hidden_weight, head.hidden_bias))
-    yae = softmax_rows(linear(hae, head.out_weight, head.out_bias)) if "yae" in reads else None
+    hae = relu(linear(hs, head.hidden.weight, head.hidden.bias))
+    yae = softmax_rows(linear(hae, head.out.weight, head.out.bias)) if "yae" in reads else None
     return hae, yae
 
 
@@ -190,14 +173,14 @@ def as_head_forward(
     opinion passing) there is no M: it is None, and the context is a
     constant zero array.
     """
-    has = relu(linear(hs, head.hidden_weight, head.hidden_bias))
+    has = relu(linear(hs, head.hidden.weight, head.hidden.bias))
     m = context = yas = None
     if constants is not None:
         m = bilinear_attention(has, head.bilinear, sum_last(yae, *OPINION_CLASS_SLICE), *constants)
     if "context" in reads or "yas" in reads:
         context = np.zeros(has.shape) if m is None else matmul(m, has)
     if "yas" in reads:
-        yas = softmax_rows(linear((has, context), head.out_weight, head.out_bias))
+        yas = softmax_rows(linear((has, context), head.out.weight, head.out.bias))
     return has, context, yas, m
 
 
@@ -214,12 +197,9 @@ class RoundOutput:
     attention: Optional[Tensor]  # None without opinion passing
 
 
-def message_pass(
-    variant: str, prev: RoundOutput, re: ReEncoder, pass_pre_attention_as: bool = False
-) -> Tensor:
+def message_pass(fields: tuple, prev: RoundOutput, re: Dense) -> Tensor:
     """Re-encode the shared vectors from the previous round's outputs: `hs`
-    and its `message_fields`, joined by the re-encoder's `linear`."""
-    fields = message_fields(variant, pass_pre_attention_as)
+    and the message's `fields`, joined by the re-encoder's `linear`."""
     return linear((prev.hs, *(getattr(prev, f) for f in fields)), re.weight, re.bias)
 
 
@@ -227,7 +207,7 @@ def forward_rounds(
     hs0: Tensor,
     ae_head: AeHead,
     as_head: AsHead,
-    re: Optional[ReEncoder],
+    re: Optional[Dense],
     mp: MessagePassingConfig,
     opinion_passing: bool = True,
     pad_mask: Optional[np.ndarray] = None,
@@ -249,7 +229,7 @@ def forward_rounds(
     fields = message_fields(mp.variant, pass_pre_attention_as) if last else ()
     for t in range(last + 1):
         if t > 0:
-            hs = message_pass(mp.variant, rounds[-1], re, pass_pre_attention_as)
+            hs = message_pass(fields, rounds[-1], re)
         reads = FINAL_READS if t == last else fields
         hae, yae = ae_head_forward(hs, ae_head, reads if constants is None else ("yae", *reads))
         has_pre, context, yas, attn = as_head_forward(hs, as_head, yae, constants, reads)

@@ -22,10 +22,9 @@ from .corpus import (
     build_dependency_graph,
     embed_tokens,
 )
-from .encoder import EncoderConfig, ParamTable, encode_shared, init_encoder_params
+from .encoder import Dense, EncoderConfig, ParamTable, encode_shared, init_encoder_params
 from .heads import (
     MessagePassingConfig,
-    ReEncoder,
     RoundOutput,
     forward_rounds,
     init_ae_head,
@@ -117,7 +116,7 @@ class Model:
         d_s = cfg.encoder.d
         self.ae_head = init_ae_head(p, d_s, cfg.d_t)
         self.as_head = init_as_head(p, d_s, cfg.d_t)
-        self.re_encoder: Optional[ReEncoder] = None
+        self.re_encoder: Optional[Dense] = None
         if cfg.mp.variant != "none":
             self.re_encoder = init_re_encoder(p, d_s, cfg.mp.variant, cfg.d_t, cfg.pass_pre_attention_as)
         self._table = p

@@ -560,12 +560,12 @@ def opinion_attention_unfused(has, ws, pop):
 
 def _sentence_encoder(model, s, emb):
     cfg, params = model.cfg.encoder, model.encoder_params
-    x0 = linear(emb, params.input_proj_weight, params.input_proj_bias)
+    x0 = linear(emb, params.input_proj.weight, params.input_proj.bias)
 
     def cnn(x):
         for layer in params.cnn_layers:
             branches = conv_branches_unfused(x, layer.conv_weights, layer.conv_biases)
-            x = linear(branches, layer.proj_weight, layer.proj_bias)
+            x = linear(branches, layer.proj.weight, layer.proj.bias)
         return x
 
     if cfg.mode == "cnn_only":
@@ -595,7 +595,7 @@ def _sentence_encoder(model, s, emb):
         h = relu(add(pre, layer.bias))
     if cfg.mode == "dregcn":
         return h
-    return linear(concat(h, cnn(x0)), params.combine_weight, params.combine_bias)
+    return linear(concat(h, cnn(x0)), params.combine.weight, params.combine.bias)
 
 
 def token_indices(table, words):
@@ -624,16 +624,16 @@ def sentence_forward(model, s, keep=None):
             else:
                 message = concat(hs_prev, hae, has_pre if cfg.pass_pre_attention_as else has_final)
             hs = linear(message, re.weight, re.bias)
-        hae = relu(linear(hs, ae.hidden_weight, ae.hidden_bias))
-        yae = ad.softmax_rows(linear(hae, ae.out_weight, ae.out_bias))
-        has = relu(linear(hs, asp.hidden_weight, asp.hidden_bias))
+        hae = relu(linear(hs, ae.hidden.weight, ae.hidden.bias))
+        yae = ad.softmax_rows(linear(hae, ae.out.weight, ae.out.bias))
+        has = relu(linear(hs, asp.hidden.weight, asp.hidden.bias))
         if cfg.opinion_passing:
             pop = sum_axis(slice_last(yae, 2, 4), axis=1)
             att = opinion_attention_unfused(has, asp.bilinear, pop)
         else:
             att = Tensor(np.zeros((s.n, s.n)))
         has_final = concat(has, matmul(att, has))
-        yas = ad.softmax_rows(linear(has_final, asp.out_weight, asp.out_bias))
+        yas = ad.softmax_rows(linear(has_final, asp.out.weight, asp.out.bias))
         prev = (hs, hae, yae, has, has_final, yas)
     return yae, yas
 
