@@ -11,7 +11,10 @@ For each `perfbench` workload and seed it generates the inputs that
 the benchmark's settings and prints two lines, `W S final <sha256>` and
 `W S best <sha256>`, over the bytes of the final and the best snapshot
 vector. The golden test's three short sentences
-do not reach these bucket shapes. pytest does not collect this file.
+do not reach these bucket shapes, so `tests/test_golden.py` also runs this
+script with `--seeds 1` and compares its four lines with its record. For
+more seeds, run it in two trees and compare. pytest does not collect this
+file.
 """
 
 import argparse
