@@ -11,12 +11,16 @@ inputs) and the tensors passed as `params` keep a `.grad`, and only they and
 the loss keep their `.data`: every other op output drops its value as the
 backward starts and its gradient once its op's backward has consumed it.
 
-A backward closure holds just what its gradient reads, and no array that
-another closure or the caller already holds a copy of: `linear` keeps the
-parts of a joined input rather than the join, `rebuilt_matmul` rebuilds its
-constant operand, and `bilinear_attention` rebuilds h W and its scores, so
-that its output P is the only (..., n, n) array it holds. A closure lives
-as long as its tape, so what it holds stays until the step ends.
+A backward closure owns the gradient `backward` hands it and may work in
+it, as a fused op works in the arrays it has just made: the attention masks
+its scores in place, and `conv_branches` forms its input gradient's columns
+in its rebuilt window matrix. A closure holds just what its gradient reads,
+and no array that another closure or the caller already holds a copy of:
+`linear` keeps the parts of a joined input rather than the join,
+`rebuilt_matmul` rebuilds its constant operand, and `bilinear_attention`
+rebuilds h W and its scores, so that its output P is the only (..., n, n)
+array it holds. A closure lives as long as its tape, so what it holds stays
+until the step ends.
 
 An op builds backward state only under a tape: with none recording, it
 returns its output before it makes its closure or computes anything that
@@ -121,6 +125,17 @@ def _accum(t, g: np.ndarray) -> None:
         t.grad += g
 
 
+def _adopt(t, g: np.ndarray) -> None:
+    """`_accum` of a fresh array that nothing else holds: a first gradient
+    takes it as it is."""
+    if not isinstance(t, Tensor):
+        return
+    if t.grad is None:
+        t.grad = g
+    else:
+        t.grad += g
+
+
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     while g.ndim > len(shape):
         g = g.sum(axis=0)
@@ -133,19 +148,21 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 def _softmax(sv: np.ndarray, mask: Optional[np.ndarray]) -> np.ndarray:
     """Softmax over the last axis restricted to `mask` (broadcast against
     `sv`; None keeps every position). A row with no unmasked position comes
-    out all-zero."""
+    out all-zero. Under a mask it works in `sv`, which the caller hands
+    over, and returns it."""
     if mask is None:
-        e = np.exp(sv - sv.max(axis=-1, keepdims=True))
-        return e / e.sum(axis=-1, keepdims=True)
-    e = np.where(mask, sv, -np.inf)
-    mx = e.max(axis=-1, keepdims=True)
+        e = np.exp(sv - np.maximum.reduce(sv, axis=-1, keepdims=True))
+        return e / np.add.reduce(e, axis=-1, keepdims=True)
+    e = sv
+    np.copyto(e, -np.inf, where=~mask)
+    mx = np.maximum.reduce(e, axis=-1, keepdims=True)
     empty = mx == -np.inf  # rows with no candidate
     any_empty = empty.any()
     if any_empty:
         mx[empty] = 0.0  # such a row exponentiates to all 0 ...
     e -= mx
     np.exp(e, out=e)
-    z = e.sum(axis=-1, keepdims=True)
+    z = np.add.reduce(e, axis=-1, keepdims=True)
     if any_empty:
         z[empty] = 1.0  # ... and stays 0 after the division
     e /= z
@@ -153,10 +170,10 @@ def _softmax(sv: np.ndarray, mask: Optional[np.ndarray]) -> np.ndarray:
 
 
 def _softmax_grad(p: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """p * (g - rowsum(p * g)), as a new array."""
-    gs = g - (p * g).sum(axis=-1, keepdims=True)
-    gs *= p
-    return gs
+    """p * (g - rowsum(p * g)), worked in `g`, which the caller hands over."""
+    g -= (p * g).sum(axis=-1, keepdims=True)
+    g *= p
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +356,7 @@ def relu(x: ArrayLike) -> Tensor:
 def sum_last(a: ArrayLike, start: int, stop: int) -> Tensor:
     """a[..., start:stop] summed over the last axis, as one op."""
     av = _val(a)
-    out = Tensor(av[..., start:stop].sum(axis=-1))
+    out = Tensor(np.add.reduce(av[..., start:stop], axis=-1))
     if not _TAPE_STACK:
         return out
     shape = av.shape
@@ -376,7 +393,7 @@ def rows(table: Tensor, idx) -> Tensor:
 
 def sum_all(a: ArrayLike) -> Tensor:
     av = _val(a)
-    out = Tensor(av.sum())
+    out = Tensor(np.add.reduce(av, axis=None))
     if not _TAPE_STACK:
         return out
     shape = av.shape
@@ -424,7 +441,7 @@ def nll_rows(probs: ArrayLike, gold_idx, weights) -> Tensor:
         )
     picked = np.take_along_axis(pv, idx[..., None], axis=-1)[..., 0]
     clamped = np.maximum(picked, LOG_CLAMP)
-    out = Tensor(float(-(w * np.log(clamped)).sum()))
+    out = Tensor(float(-np.add.reduce(w * np.log(clamped), axis=None)))
     if not _TAPE_STACK:
         return out
     shape = pv.shape
@@ -459,10 +476,12 @@ def conv_branches(
 
     x: (..., n, d_in); weights[k]: (width_k, d_in, c_k) with odd widths;
     biases[k]: (c_k,). The input is zero-padded by max(width)//2 on each side
-    and a width-w kernel reads the centre w offsets of that window. Rows
-    where `pad_mask` (..., n) is False are zeroed first, so a padded
-    sentence convolves exactly as it would alone. The backward keeps only the
-    padded input; the window matrix is rebuilt from it.
+    and every branch reads one shared window matrix of it: a width-w kernel
+    multiplies the centre w offsets of each window, as its own product, into
+    its columns of the output. Rows where `pad_mask` (..., n) is False are
+    zeroed first, so a padded sentence convolves exactly as it would alone.
+    The backward keeps only the padded input; the window matrix is rebuilt
+    from it.
     """
     xv = _val(x)
     wvs = [_val(w) for w in weights]
@@ -479,35 +498,48 @@ def conv_branches(
     real = None if pad_mask is None else np.asarray(pad_mask, dtype=bool)[..., None]
     xp = np.zeros(xv.shape[:-2] + (n + 2 * half, d))
     xp[..., half : half + n, :] = xv if real is None else np.where(real, xv, 0.0)
-    # every branch as one (span * d_in, sum c_k) kernel, zero outside its offsets
     blocks = list(accumulate([0] + [w.shape[2] for w in wvs]))
-    kernel = np.zeros((span, d, blocks[-1]))
-    for w, lo, hi in zip(wvs, blocks[:-1], blocks[1:]):
-        k0 = half - w.shape[0] // 2
-        kernel[k0 : k0 + w.shape[0], :, lo:hi] = w
-    kernel = kernel.reshape(span * d, -1)
-    pre = _windows(xp, n, span).reshape(-1, span * d) @ kernel + np.concatenate(bvs)
-    y = np.maximum(0.0, pre, out=pre)
+    firsts = [half - w.shape[0] // 2 for w in wvs]  # each branch's first window offset
+    cols = _windows(xp, n, span).reshape(-1, span * d)
+    y = np.empty((cols.shape[0], blocks[-1]))
+    for wv, k0, lo, hi in zip(wvs, firsts, blocks[:-1], blocks[1:]):
+        np.matmul(
+            cols[:, k0 * d : (k0 + wv.shape[0]) * d], wv.reshape(-1, hi - lo), out=y[:, lo:hi]
+        )
+    del cols  # before the bias, whose broadcast takes a ufunc buffer
+    y += np.concatenate(bvs)
+    np.maximum(0.0, y, out=y)
     x_shape = xv.shape
     out = Tensor(y.reshape(x_shape[:-1] + (blocks[-1],)))
     if not _TAPE_STACK:
         return out
 
     def bwd(g):
-        g2 = g.reshape(-1, blocks[-1]) * (y > 0)
-        gk = (_windows(xp, n, span).reshape(-1, span * d).T @ g2).reshape(span, d, -1)
+        g2 = g.reshape(-1, blocks[-1])
+        g2 *= y > 0
+        cols = _windows(xp, n, span).reshape(-1, span * d)
+        gk = (cols.T @ g2).reshape(span, d, -1)
         gb = g2.sum(axis=0)
-        for w, b, wv, lo, hi in zip(weights, biases, wvs, blocks[:-1], blocks[1:]):
-            k0 = half - wv.shape[0] // 2
+        for w, b, wv, k0, lo, hi in zip(weights, biases, wvs, firsts, blocks[:-1], blocks[1:]):
             _accum(w, gk[k0 : k0 + wv.shape[0], :, lo:hi])
             _accum(b, gb[lo:hi])
-        gcols = (g2 @ kernel.T).reshape(x_shape[:-1] + (span, d))
-        del g2, gk  # gone before the scatter below, this closure's peak
-        gxp = np.zeros_like(xp)
-        for k in range(span):
-            gxp[..., k : k + n, :] += gcols[..., k, :]
-        gx = gxp[..., half : half + n, :]
-        _accum(x, gx if real is None else np.where(real, gx, 0.0))
+        del gk
+        # the input gradient is one product with every branch as one
+        # (span * d_in, sum c_k) kernel, zero outside the branch's offsets
+        kernel = np.zeros((span, d, blocks[-1]))
+        for wv, k0, lo, hi in zip(wvs, firsts, blocks[:-1], blocks[1:]):
+            kernel[k0 : k0 + wv.shape[0], :, lo:hi] = wv
+        gcols = np.matmul(g2, kernel.reshape(span * d, -1).T, out=cols)
+        del kernel
+        gcols = gcols.reshape(x_shape[:-1] + (span, d))
+        gx = np.zeros(x_shape)
+        for k in range(span):  # offset k of window i reads unpadded row i + k - half
+            lo, hi = max(0, k - half), min(n, n + k - half)
+            if lo < hi:
+                gx[..., lo:hi, :] += gcols[..., lo + half - k : hi + half - k, k, :]
+        if real is not None:
+            np.copyto(gx, 0.0, where=~real)
+        _adopt(x, gx)
 
     _record(out, (x, *weights, *biases), bwd)
     return out
@@ -579,9 +611,12 @@ def backward(tape: Tape, loss: Tensor, params: Sequence[Tensor] = ()) -> None:
 
     Afterwards only leaves (tensors that no op on the tape produced) and the
     tensors in `params` hold a `.grad`. Every other op output's gradient is
-    dropped as soon as its op's backward has run: the tape is in execution
-    order, so by then every consumer of that output has added its share.
-    The tape keeps its ops.
+    dropped as its op's backward runs: the tape is in execution order, so by
+    then every consumer of that output has added its share.
+
+    Each closure is handed its output's gradient to own: it may work in it,
+    and so it gets a copy when that output is in `params`, whose gradient
+    must stay as it was. The tape keeps its ops.
     """
     if loss.data.shape != ():
         raise ContractViolation(f"backward: loss has shape {loss.data.shape}, not scalar")
@@ -603,11 +638,14 @@ def backward(tape: Tape, loss: Tensor, params: Sequence[Tensor] = ()) -> None:
     loss.grad = np.ones((), dtype=np.float64)
     for op in reversed(tape.ops):
         out = op.output
-        if out.grad is None:
+        g = out.grad
+        if g is None:
             continue
-        op.backward(out.grad)
-        if id(out) not in keep:
+        if id(out) in keep:
+            g = g.copy()
+        else:
             out.grad = None
+        op.backward(g)
 
 
 def finite_diff_gradcheck(

@@ -170,7 +170,7 @@ def relation_counts(a: np.ndarray, arcs: np.ndarray, n_types: int) -> np.ndarray
     b, i, j, k = arcs.T
     shape = a.shape[:-1] + (n_types,)
     cell = np.ravel_multi_index((b, i, k), shape)
-    counts = np.bincount(cell, weights=a[b, i, j], minlength=int(np.prod(shape)))
+    counts = np.bincount(cell, weights=a[b, i, j], minlength=math.prod(shape))
     return counts.reshape(shape)
 
 

@@ -417,7 +417,7 @@ def backward_keep_all(tape, loss, params=()):
         g = op.output.grad
         if g is None:
             continue
-        op.backward(g)
+        op.backward(g.copy())  # a closure may work in what it is handed
     for p in params:
         if p.grad is None:
             p.grad = np.zeros_like(p.data)
@@ -491,7 +491,7 @@ def masked_softmax(scores, mask, zero_fully_masked=False):
         raise ad.DimensionError(f"masked_softmax: mask shape {m.shape} != scores {sv.shape}")
     if not zero_fully_masked and not m.any(axis=-1).all():
         raise DegenerateMaskError("masked_softmax: a row has every position masked")
-    p = ad._softmax(sv, m)
+    p = ad._softmax(sv.copy(), m)  # it works in the array it is handed
     out = Tensor(p)
     _record(out, (scores,), lambda g: _accum(scores, ad._softmax_grad(p, g)))
     return out
