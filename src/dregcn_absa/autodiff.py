@@ -524,14 +524,15 @@ def conv_branches(
             _accum(w, gk[k0 : k0 + wv.shape[0], :, lo:hi])
             _accum(b, gb[lo:hi])
         del gk
-        # the input gradient is one product with every branch as one
-        # (span * d_in, sum c_k) kernel, zero outside the branch's offsets
+        # the input gradient's columns are one product against every branch
+        # as one (span * d_in, sum c_k) kernel, zero outside the branch's
+        # offsets: per-branch products would sum in another order
         kernel = np.zeros((span, d, blocks[-1]))
         for wv, k0, lo, hi in zip(wvs, firsts, blocks[:-1], blocks[1:]):
             kernel[k0 : k0 + wv.shape[0], :, lo:hi] = wv
         gcols = np.matmul(g2, kernel.reshape(span * d, -1).T, out=cols)
-        del kernel
         gcols = gcols.reshape(x_shape[:-1] + (span, d))
+        del kernel  # before the scatter's array
         gx = np.zeros(x_shape)
         for k in range(span):  # offset k of window i reads unpadded row i + k - half
             lo, hi = max(0, k - half), min(n, n + k - half)

@@ -13,9 +13,11 @@ bucket of the first mini-batch once, forward and loss under a tape, and
 backward over the model's trainable parameters, and prints one line per
 op in tape order:
 
-- `held`: what the op left allocated when it recorded, its output and
-  closure included, counted from the previous op's record (so work done
-  between two ops, such as building constants, falls to the later one);
+- `held`: how far the traced level moved from the previous op's record to
+  this op's: its output, what its closure keeps, and whatever built between
+  the two ops (such as constants). An op records before it returns, so its
+  locals still alive then count here and come off the next op's `held`,
+  which can be negative;
 - `peak`: the highest level between those two records, from the same start;
 - `bwd`: how far its backward closure rose above the level it started at;
 - `bwd_level`: that closure's highest level above the forward's start.
