@@ -3,7 +3,9 @@
 `golden_digests` trains on four copies of the tiny fixture corpus with the
 fixture embeddings, in every encoder mode, each plain and with one of six
 switches. It hashes every checkpoint, `evaluate` and `predict` output on
-each checkpoint, and `gradcheck --seed 0`. Those three short sentences do
+each checkpoint, `gradcheck --seed 0`, and `ablate` with `test_cli`'s small
+config on the fixture corpus and on its four copies, trained 10 epochs (the
+former reads f1_i = 0.00 in every row, the latter does not). Those three short sentences do
 not reach the benchmark's GEMM shapes, so the record also holds the four
 lines `tests/snapshot_digests.py --seeds 1` prints: the final and best
 snapshot of one `train` on each `perfbench` workload's seed-1 inputs. A
@@ -33,6 +35,7 @@ import pytest
 
 from dregcn_absa import cli
 from dregcn_absa.encoder import MODES
+from test_cli import SMALL_CONFIG
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 SNAPSHOTS = pathlib.Path(__file__).parent / "snapshot_digests.py"
@@ -112,6 +115,14 @@ def golden_digests(root: pathlib.Path) -> dict:
                     _main([command, "--checkpoint", str(ckpt), "--corpus", str(corpus), "--out", str(written)])
                     digests[f"{key}/{ckpt.stem}.{command}"] = _sha(written.read_bytes())
     digests["gradcheck --seed 0"] = _sha(_main(["gradcheck", "--seed", "0"]).encode())
+    small, longer = root / "small.conf", root / "small-10-epochs.conf"
+    small.write_text(SMALL_CONFIG)
+    longer.write_text(SMALL_CONFIG.replace("epochs = 1", "epochs = 10"))
+    for name, path, conf in (
+        ("tiny.corpus", FIXTURES / "tiny.corpus", small),
+        ("4 x tiny.corpus, 10 epochs", corpus, longer),
+    ):
+        digests[f"ablate {name}"] = _sha(_main(["ablate", "--corpus", str(path), "--config", str(conf)]).encode())
     return digests
 
 
