@@ -360,27 +360,18 @@ ABLATION_ROWS: Tuple[Tuple[str, Dict[str, object]], ...] = (
 )
 
 
-def run_ablation(
-    cfg: Dict[str, object], corpus: Sequence[Sentence]
-) -> List[Tuple[str, float]]:
-    """Six named configurations, identical seed and train/dev split."""
-    rows = []
-    for label, overrides in ABLATION_ROWS:
-        row_cfg = dict(cfg)
-        row_cfg.update(overrides)
-        train_cfg, model_cfg = build_configs(row_cfg)
-        general, domain, _ = _load_embeddings(row_cfg, corpus)
-        report = multi_run(corpus, train_cfg, model_cfg, general, domain)
-        rows.append((label, report.averaged.f1_i))
-    return rows
-
-
 def cmd_ablate(args: argparse.Namespace) -> int:
+    """The six `ABLATION_ROWS` with one seed, split and pair of embedding
+    tables; every row's configs are built first, so a bad value exits 1."""
     _check_out_file(args.out)
     cfg = merged_config(args)
     corpus, _ = _read_corpus(args.corpus)
-    rows = run_ablation(cfg, corpus)
-    lines = [f"{i} {label} f1_i = {100 * f1:.2f}" for i, (label, f1) in enumerate(rows)]
+    rows = [(label, build_configs({**cfg, **overrides})) for label, overrides in ABLATION_ROWS]
+    general, domain, _ = _load_embeddings(cfg, corpus)
+    lines = []
+    for i, (label, (train_cfg, model_cfg)) in enumerate(rows):
+        report = multi_run(corpus, train_cfg, model_cfg, general, domain)
+        lines.append(f"{i} {label} f1_i = {100 * report.averaged.f1_i:.2f}")
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -567,17 +558,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dregcn-absa", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def config_flags(p, *flags):  # each of `flags` overrides the config key it names
         p.add_argument("--config")
         p.add_argument("--seed", type=int)
-        p.add_argument("--runs", type=int)
-        p.add_argument("--mode")
-        p.add_argument("--mp-variant", dest="mp_variant")
-        p.add_argument("--rounds", type=int)
-        p.add_argument("--epochs", type=int)
+        for flag, kind in flags:
+            p.add_argument(flag, type=kind)
 
+    run_flags = (("--runs", int), ("--rounds", int), ("--epochs", int))
     p = sub.add_parser("train", help="train and write checkpoint(s) + manifest")
-    common(p)
+    config_flags(p, *run_flags, ("--mode", str), ("--mp-variant", str))
     p.add_argument("--corpus", required=True)
     p.add_argument("--dev-corpus", dest="dev_corpus")
     p.add_argument("--test-corpus", dest="test_corpus")
@@ -599,13 +588,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("ablate", help="run the six-configuration ablation grid")
-    common(p)
+    config_flags(p, *run_flags)  # each row sets its own mode and variant
     p.add_argument("--corpus", required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    common(p)
+    config_flags(p)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("stats", help="sentence/aspect/opinion span counts")

@@ -20,7 +20,8 @@ import numpy as np
 
 from .autodiff import Tensor, concat, rows
 
-AE_TAGS = ("BA", "IA", "BP", "IP", "O")
+ASPECT_TAGS, OPINION_TAGS = ("BA", "IA"), ("BP", "IP")  # each (begin, inside)
+AE_TAGS = (*ASPECT_TAGS, *OPINION_TAGS, "O")
 AE_INDEX = {t: i for i, t in enumerate(AE_TAGS)}
 AS_TAGS = ("pos", "neg", "neu")
 AS_INDEX = {t: i for i, t in enumerate(AS_TAGS)}
@@ -32,7 +33,7 @@ REVERSE_PREFIX = "rev:"
 _RESERVED = frozenset((SELF_RELATION, UNK_RELATION))  # as is every name with REVERSE_PREFIX
 # the (AE tag, AS tag) pairs a token may carry
 _TAG_PAIRS = frozenset(
-    (ae, asx) for ae in AE_TAGS for asx in (AS_TAGS if ae in ("BA", "IA") else (AS_NONE,))
+    (ae, asx) for ae in AE_TAGS for asx in (AS_TAGS if ae in ASPECT_TAGS else (AS_NONE,))
 )
 
 
@@ -82,7 +83,7 @@ class Sentence:
         if bad_tags:  # every AE tag is known: an AS tag does not fit its token
             pairs = enumerate(zip(self.ae_tags, self.as_tags))
             i, (ae, asx) = next((i, tags) for i, tags in pairs if tags not in _TAG_PAIRS)
-            aspect = ae in ("BA", "IA")
+            aspect = ae in ASPECT_TAGS
             kind, want = ("aspect", "pos/neg/neu") if aspect else ("non-aspect", repr(AS_NONE))
             raise ValueError(f"token {i}: {kind} token must carry {want}, got {asx!r}")
         heads = self.heads

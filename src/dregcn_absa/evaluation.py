@@ -5,10 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .corpus import AS_TAGS, Sentence
+from .corpus import ASPECT_TAGS, AS_TAGS, OPINION_TAGS, Sentence
 
-BEGIN = {"BA": "aspect", "BP": "opinion"}
-INSIDE = {"IA": "aspect", "IP": "opinion"}
+SPAN_TAGS = {"aspect": ASPECT_TAGS, "opinion": OPINION_TAGS}  # by span kind
+BEGIN = {begin: kind for kind, (begin, _) in SPAN_TAGS.items()}
+INSIDE = {inside: kind for kind, (_, inside) in SPAN_TAGS.items()}
 
 
 @dataclass(frozen=True, order=True)
@@ -20,7 +21,7 @@ class Span:
     def __post_init__(self):
         if not (0 <= self.start < self.end):
             raise ValueError(f"invalid span bounds ({self.start}, {self.end})")
-        if self.kind not in ("aspect", "opinion"):
+        if self.kind not in SPAN_TAGS:
             raise ValueError(f"invalid span kind {self.kind!r}")
 
 

@@ -24,10 +24,10 @@ from .autodiff import (
     softmax_rows,
     sum_last,
 )
-from .corpus import AE_TAGS, AS_TAGS
+from .corpus import AE_INDEX, AE_TAGS, AS_TAGS, OPINION_TAGS
 from .encoder import Dense, ParamTable, init_dense
 
-OPINION_CLASS_SLICE = (2, 4)  # BP, IP columns of the AE distribution
+OPINION_CLASS_SLICE = (AE_INDEX[OPINION_TAGS[0]], AE_INDEX[OPINION_TAGS[-1]] + 1)  # adjacent in AE_TAGS
 
 MP_VARIANTS = ("none", "predictions", "representations")
 
@@ -163,7 +163,7 @@ def as_head_forward(
     """(AS hidden h, context sum_j M_ij h_j for every token, 3-way
     distribution from [h_i ; context_i], attention M). The context and the
     distribution are computed where `reads` names them (the distribution
-    reads the context); an unread one is None.
+    reads the context), and M where either is; an unread one is None.
 
     M is row-stochastic context attention: bilinear relevance scaled by
     inverse token distance and by the context token's predicted opinion
@@ -175,9 +175,9 @@ def as_head_forward(
     """
     has = relu(linear(hs, head.hidden.weight, head.hidden.bias))
     m = context = yas = None
-    if constants is not None:
-        m = bilinear_attention(has, head.bilinear, sum_last(yae, *OPINION_CLASS_SLICE), *constants)
     if "context" in reads or "yas" in reads:
+        if constants is not None:
+            m = bilinear_attention(has, head.bilinear, sum_last(yae, *OPINION_CLASS_SLICE), *constants)
         context = np.zeros(has.shape) if m is None else matmul(m, has)
     if "yas" in reads:
         yas = softmax_rows(linear((has, context), head.out.weight, head.out.bias))
@@ -194,7 +194,7 @@ class RoundOutput:
     has_pre: Tensor  # the AS hidden h
     context: Union[Tensor, np.ndarray, None]  # sum_j M_ij h_j; a zero array without M
     yas: Optional[Tensor]
-    attention: Optional[Tensor]  # None without opinion passing
+    attention: Optional[Tensor]  # None without opinion passing, or if neither of the above is read
 
 
 def message_pass(fields: tuple, prev: RoundOutput, re: Dense) -> Tensor:
@@ -222,7 +222,8 @@ def forward_rounds(
 
     A round computes what its readers read: the loss and prediction read the
     final round's `FINAL_READS`, the next round's message any other round's
-    `message_fields`. Every round keeps its attention, which reads `yae`."""
+    `message_fields`. Only a round that reads its context or `yas` builds
+    the attention they read, and the `yae` that it reads."""
     rounds: List[RoundOutput] = []
     constants = attention_constants(hs0.shape[-2], pad_mask) if opinion_passing else None
     hs, last = hs0, mp.effective_rounds
@@ -231,7 +232,8 @@ def forward_rounds(
         if t > 0:
             hs = message_pass(fields, rounds[-1], re)
         reads = FINAL_READS if t == last else fields
-        hae, yae = ae_head_forward(hs, ae_head, reads if constants is None else ("yae", *reads))
+        attends = constants is not None and ("context" in reads or "yas" in reads)
+        hae, yae = ae_head_forward(hs, ae_head, ("yae", *reads) if attends else reads)
         has_pre, context, yas, attn = as_head_forward(hs, as_head, yae, constants, reads)
         rounds.append(RoundOutput(hs, hae, yae, has_pre, context, yas, attn))
     return rounds

@@ -21,6 +21,7 @@ from .autodiff import Tape, Tensor, add_n, backward, nll_rows
 from .corpus import (
     AE_INDEX,
     AE_TAGS,
+    ASPECT_TAGS,
     AS_INDEX,
     AS_NONE,
     AS_TAGS,
@@ -77,7 +78,7 @@ class TrainConfig:
 
 def as_loss_mask(gold_ae_tags: Sequence[str]) -> np.ndarray:
     """True exactly where the gold AE tag marks an aspect token."""
-    return np.array([t in ("BA", "IA") for t in gold_ae_tags], dtype=bool)
+    return np.array([t in ASPECT_TAGS for t in gold_ae_tags], dtype=bool)
 
 
 def length_buckets(sentences: Sequence[Sentence]) -> List[List[int]]:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import dregcn_absa
 from dregcn_absa import autodiff as ad
 from dregcn_absa import cli
-from dregcn_absa.corpus import parse_corpus_file
+from dregcn_absa.corpus import parse_corpus_file, random_embedding_table
 from dregcn_absa.encoder import MODES, EncoderConfig
 from dregcn_absa.evaluation import METRICS
 from dregcn_absa.heads import MAX_ROUNDS, MP_VARIANTS, MessagePassingConfig
@@ -870,6 +870,36 @@ def test_ablate_emits_six_labeled_rows(workspace, capsys):
     assert all("f1_i = " in l for l in lines)
 
 
+@pytest.mark.parametrize("argv", [
+    ["ablate", "--mode", "cnn_only"],
+    ["ablate", "--mp-variant", "none"],
+    ["gradcheck", "--rounds", "3"],
+], ids=["ablate-mode", "ablate-mp-variant", "gradcheck-rounds"])
+def test_a_command_takes_no_flag_it_does_not_read(workspace, capsys, argv):
+    """Every ablate row sets its own mode and variant, and gradcheck builds
+    no model from the config, so these flags are usage errors, not no-ops."""
+    _, corpus, config = workspace
+    extra = ["--corpus", corpus, "--config", config] if argv[0] == "ablate" else []
+    assert cli.main([*argv, *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: ") and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_ablate_builds_its_embedding_tables_once(workspace, monkeypatch, capsys):
+    """The six rows share one seed, so they share one pair of tables."""
+    _, corpus, config = workspace
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])  # the width
+        return random_embedding_table(*args)
+
+    monkeypatch.setattr(cli, "random_embedding_table", counted)
+    assert cli.main(["ablate", "--corpus", corpus, "--config", config]) == 0
+    assert calls == [6, 3]  # SMALL_CONFIG's general_dim and domain_dim
+
+
 # ---------------------------------------------------------------------------
 # gradcheck command
 
@@ -882,10 +912,12 @@ def test_gradcheck_passes_and_lists_every_check(capsys):
     assert any("full_model_T2" in l for l in lines)
 
 
-@pytest.mark.parametrize("seed", [2, 3])
+@pytest.mark.parametrize("seed", [2, 3, 4, 5, 6, 7])
 def test_gradcheck_passes_beyond_seed_0(seed, capsys):
     """Other seeds draw other instances, which a change in rounding reaches
-    as it reaches seed 0's."""
+    as it reaches seed 0's. Seed 1 is left out: one of its instances fails
+    on central-difference round-off, not on a wrong gradient (ROADMAP item
+    12)."""
     assert cli.main(["gradcheck", "--seed", str(seed)]) == 0
     lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
     assert lines and all(l.startswith("ok ") for l in lines)

@@ -3,6 +3,7 @@ import pytest
 
 from dregcn_absa import heads
 from dregcn_absa.autodiff import Tape, Tensor, backward, bilinear_attention, mul, sum_all, sum_last
+from dregcn_absa.corpus import AE_INDEX, AE_TAGS
 from dregcn_absa.encoder import ParamTable
 from dregcn_absa.heads import (
     OPINION_CLASS_SLICE,
@@ -74,10 +75,11 @@ def test_ae_head_distribution():
 
 
 def test_opinion_probs_slice():
-    _, as_head = make_heads()
+    """The opinion probability is the AE mass on exactly BP and IP."""
+    assert AE_TAGS[slice(*OPINION_CLASS_SLICE)] == ("BP", "IP")
     yae = Tensor(np.abs(RNG.normal(size=(4, 5))))
     pop = sum_last(yae, *OPINION_CLASS_SLICE)
-    np.testing.assert_allclose(pop.data, yae.data[:, 2:4].sum(axis=1))
+    np.testing.assert_allclose(pop.data, yae.data[:, AE_INDEX["BP"]] + yae.data[:, AE_INDEX["IP"]])
 
 
 def test_attention_zero_diagonal_and_stochastic_rows():
@@ -193,9 +195,13 @@ def test_only_the_final_round_has_an_as_output_under_representations(pre_attenti
     )
     assert [r.yas is None for r in out] == [True, True, False]
     assert out[-1].yas.shape == (2, 4, 3)
-    # the pre-attention message reads no context, so only the final round has one
-    assert [r.context is None for r in out] == [pre_attention, pre_attention, False]
-    assert all(r.attention.shape == (2, 4, 4) for r in out)  # every round keeps its attention
+    # the pre-attention message reads no context, so only the final round has
+    # one, and the attention and the AE distribution that the context reads
+    unread = [pre_attention, pre_attention, False]
+    assert [r.context is None for r in out] == unread
+    assert [r.attention is None for r in out] == unread
+    assert [r.yae is None for r in out] == unread
+    assert out[-1].attention.shape == (2, 4, 4)
 
 
 def test_every_round_has_an_as_output_under_predictions():
@@ -220,11 +226,10 @@ def test_as_head_without_output_computes_the_rest_bit_for_bit():
     assert part[2] is None
     for a, b in zip(full[:2] + full[3:], part[:2] + part[3:]):
         np.testing.assert_array_equal(a.data, b.data)
-    # reading neither leaves the context unread too
+    # reading neither leaves the context and the attention unread too
     bare = as_head_forward(hs, as_head, yae, constants, reads=())
-    assert bare[1] is None and bare[2] is None
+    assert bare[1] is None and bare[2] is None and bare[3] is None
     np.testing.assert_array_equal(bare[0].data, full[0].data)
-    np.testing.assert_array_equal(bare[3].data, full[3].data)
 
 
 def test_forward_rounds_pre_attention_message():
