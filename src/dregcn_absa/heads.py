@@ -194,7 +194,7 @@ class RoundOutput:
     has_pre: Tensor  # the AS hidden h
     context: Union[Tensor, np.ndarray, None]  # sum_j M_ij h_j; a zero array without M
     yas: Optional[Tensor]
-    attention: Optional[Tensor]  # None without opinion passing, or if neither of the above is read
+    attention: Optional[Tensor]  # None without opinion passing, or if context and yas are unread
 
 
 def message_pass(fields: tuple, prev: RoundOutput, re: Dense) -> Tensor:
@@ -223,7 +223,7 @@ def forward_rounds(
     A round computes what its readers read: the loss and prediction read the
     final round's `FINAL_READS`, the next round's message any other round's
     `message_fields`. Only a round that reads its context or `yas` builds
-    the attention they read, and the `yae` that it reads."""
+    the attention they read and the `yae` the attention reads."""
     rounds: List[RoundOutput] = []
     constants = attention_constants(hs0.shape[-2], pad_mask) if opinion_passing else None
     hs, last = hs0, mp.effective_rounds

@@ -4,13 +4,13 @@
 fixture embeddings, in every encoder mode, each plain and with one of six
 switches. It hashes every checkpoint, `evaluate` and `predict` output on
 each checkpoint, `gradcheck --seed 0`, and `ablate` with `test_cli`'s small
-config on the fixture corpus and on its four copies, trained 10 epochs (the
-former reads f1_i = 0.00 in every row, the latter does not). Those three short sentences do
-not reach the benchmark's GEMM shapes, so the record also holds the four
-lines `tests/snapshot_digests.py --seeds 1` prints: the final and best
-snapshot of one `train` on each `perfbench` workload's seed-1 inputs. A
-refactor that claims to keep outputs byte-identical must pass this test
-unchanged.
+config on the fixture corpus and on its four copies trained 10 epochs (the
+former reads f1_i = 0.00 in every row, the latter does not). Those three
+short sentences do not reach the benchmark's GEMM shapes, so the record
+also holds the four lines `tests/snapshot_digests.py --seeds 1` prints: the
+final and best snapshot of one `train` on each `perfbench` workload's
+seed-1 inputs. A refactor that claims to keep outputs byte-identical must
+pass this test unchanged.
 
 Checkpoint bytes follow the float summation order of NumPy and its BLAS, and
 an OpenBLAS built for several CPUs picks its kernels by CPU. So the test
