@@ -8,13 +8,15 @@ Run from the repository root; nothing needs installing:
 
 For each `perfbench` workload and seed it generates the inputs that
 `perfbench/run.py --workload W --seed S` generates, trains on them once with
-the benchmark's settings and prints two lines, `W S final <sha256>` and
+the benchmark's settings and prints three lines: `W S final <sha256>` and
 `W S best <sha256>`, over the bytes of the final and the best snapshot
-vector. The golden test's three short sentences
-do not reach these bucket shapes, so `tests/test_golden.py` also runs this
-script with `--seeds 1` and compares its four lines with its record. For
-more seeds, run it in two trees and compare. pytest does not collect this
-file.
+vector, and `W S predict <sha256>`, over the bytes of the final round's
+`yae` then `yas` from a tape-free `Model.forward([s])` on the best snapshot,
+for every test sentence in order, as the benchmark predicts one sentence
+per forward. The golden test's three short sentences do not reach these
+shapes, so `tests/test_golden.py` also runs this script with `--seeds 1`
+and compares its six lines with its record. For more seeds, run it in two
+trees and compare. pytest does not collect this file.
 """
 
 import argparse
@@ -42,6 +44,13 @@ def main(argv=None) -> None:
             )
             for kind, vector in (("final", result.final_snapshot), ("best", result.best_snapshot)):
                 print(name, seed, kind, hashlib.sha256(vector.tobytes()).hexdigest(), flush=True)
+            result.model.restore(result.best_snapshot)
+            predicted = hashlib.sha256()
+            for s in bench.test:
+                final = result.model.forward([s])[-1]
+                predicted.update(final.yae.data.tobytes())
+                predicted.update(final.yas.data.tobytes())
+            print(name, seed, "predict", predicted.hexdigest(), flush=True)
 
 
 if __name__ == "__main__":
