@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -103,6 +102,11 @@ class Tape:
 _TAPE_STACK: list[Tape] = []
 
 
+def recording() -> bool:
+    """Whether a tape records the ops run now."""
+    return bool(_TAPE_STACK)
+
+
 def _record(output: Tensor, inputs: Sequence, backward) -> None:
     if _TAPE_STACK:
         _TAPE_STACK[-1].record(output, inputs, backward)
@@ -145,26 +149,30 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g
 
 
-def _softmax(sv: np.ndarray, mask: Optional[np.ndarray]) -> np.ndarray:
-    """Softmax over the last axis restricted to `mask` (broadcast against
-    `sv`; None keeps every position). A row with no unmasked position comes
-    out all-zero. Under a mask it works in `sv`, which the caller hands
-    over, and returns it."""
-    if mask is None:
+def _softmax(
+    sv: np.ndarray, excluded: Optional[np.ndarray] = None, empty: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Softmax over the last axis that gives the positions `excluded`
+    (broadcast against `sv`; None excludes none) no weight. `empty` marks
+    the rows that exclude every position, with `sv`'s shape but the last
+    axis (broadcast likewise; None when no row does): they come out
+    all-zero. The caller derives both once from its mask, so that a softmax
+    neither inverts the mask nor searches its rows. Under `excluded` it
+    works in `sv`, which the caller hands over, and returns it."""
+    if excluded is None:
         e = np.exp(sv - np.maximum.reduce(sv, axis=-1, keepdims=True))
         return e / np.add.reduce(e, axis=-1, keepdims=True)
     e = sv
-    np.copyto(e, -np.inf, where=~mask)
+    np.copyto(e, -np.inf, where=excluded)
     mx = np.maximum.reduce(e, axis=-1, keepdims=True)
-    empty = mx == -np.inf  # rows with no candidate
-    any_empty = empty.any()
-    if any_empty:
-        mx[empty] = 0.0  # such a row exponentiates to all 0 ...
+    if empty is not None:
+        empty = empty[..., None]
+        np.copyto(mx, 0.0, where=empty)  # such a row exponentiates to all 0 ...
     e -= mx
     np.exp(e, out=e)
     z = np.add.reduce(e, axis=-1, keepdims=True)
-    if any_empty:
-        z[empty] = 1.0  # ... and stays 0 after the division
+    if empty is not None:
+        np.copyto(z, 1.0, where=empty)  # ... and stays 0 after the division
     e /= z
     return e
 
@@ -233,6 +241,16 @@ def _join_checked(op: str, vals: Sequence[np.ndarray]) -> None:
         )
 
 
+def _join(op: str, vals: Sequence[np.ndarray]) -> np.ndarray:
+    """`vals` joined on the last axis. NumPy checks the shapes as it joins;
+    only when it refuses does `_join_checked` look for the cause to name."""
+    try:
+        return np.concatenate(vals, axis=-1)
+    except ValueError:
+        _join_checked(op, vals)
+        raise
+
+
 def _split_accum(parts: Sequence, widths: Sequence[int], g: np.ndarray) -> None:
     """Hand each of the joined `parts`, in order, its slice of the joined
     gradient: the next `width` columns."""
@@ -256,8 +274,7 @@ def linear(
     """
     if isinstance(x, tuple):
         parts, vals = x, [_val(p) for p in x]
-        _join_checked("linear", vals)
-        xv = vals[0] if len(vals) == 1 else np.concatenate(vals, axis=-1)
+        xv = vals[0] if len(vals) == 1 else _join("linear", vals)
     else:
         parts, xv = None, _val(x)  # one operand: no list, no join
     wv = _val(w)
@@ -291,8 +308,7 @@ def linear(
 def concat(*parts: ArrayLike) -> Tensor:
     """Concatenation along the last axis."""
     vals = [_val(p) for p in parts]
-    _join_checked("concat", vals)
-    out = Tensor(np.concatenate(vals, axis=-1))
+    out = Tensor(_join("concat", vals))
     if not _TAPE_STACK:
         return out
     widths = [v.shape[-1] for v in vals]
@@ -484,52 +500,56 @@ def conv_branches(
     from it.
     """
     xv = _val(x)
-    wvs = [_val(w) for w in weights]
-    bvs = [_val(b) for b in biases]
-    if xv.ndim < 2 or not wvs or any(
-        w.ndim != 3 or w.shape[1] != xv.shape[-1] or w.shape[0] % 2 == 0 for w in wvs
-    ):
+    d = xv.shape[-1] if xv.ndim >= 2 else None
+    # each branch's kernel, half-width and output columns [lo, hi), the widest
+    # half-width and the output width, in one pass that checks the kernels
+    branches, half, width = [], 0, 0
+    for w in weights:
+        wv = _val(w)
+        if d is None or wv.ndim != 3 or wv.shape[1] != d or wv.shape[0] % 2 == 0:
+            break
+        hw = wv.shape[0] // 2
+        branches.append((wv, hw, width, width + wv.shape[2]))
+        half, width = max(half, hw), width + wv.shape[2]
+    if not branches or len(branches) < len(weights):
         raise DimensionError(
-            f"conv_branches: x {xv.shape}, kernels {[w.shape for w in wvs]} (odd widths)"
+            f"conv_branches: x {xv.shape}, kernels {[_val(w).shape for w in weights]} (odd widths)"
         )
-    n, d = xv.shape[-2:]
-    half = max(w.shape[0] for w in wvs) // 2
+    n = xv.shape[-2]
     span = 2 * half + 1
     real = None if pad_mask is None else np.asarray(pad_mask, dtype=bool)[..., None]
     xp = np.zeros(xv.shape[:-2] + (n + 2 * half, d))
     xp[..., half : half + n, :] = xv if real is None else np.where(real, xv, 0.0)
-    blocks = list(accumulate([0] + [w.shape[2] for w in wvs]))
-    firsts = [half - w.shape[0] // 2 for w in wvs]  # each branch's first window offset
     cols = _windows(xp, n, span).reshape(-1, span * d)
-    y = np.empty((cols.shape[0], blocks[-1]))
-    for wv, k0, lo, hi in zip(wvs, firsts, blocks[:-1], blocks[1:]):
+    y = np.empty((cols.shape[0], width))
+    for wv, hw, lo, hi in branches:  # offsets half - hw .. half + hw of each window
         np.matmul(
-            cols[:, k0 * d : (k0 + wv.shape[0]) * d], wv.reshape(-1, hi - lo), out=y[:, lo:hi]
+            cols[:, (half - hw) * d : (half + hw + 1) * d], wv.reshape(-1, hi - lo), out=y[:, lo:hi]
         )
     del cols  # before the bias, whose broadcast takes a ufunc buffer
-    y += np.concatenate(bvs)
+    y += np.concatenate([_val(b) for b in biases])
     np.maximum(0.0, y, out=y)
     x_shape = xv.shape
-    out = Tensor(y.reshape(x_shape[:-1] + (blocks[-1],)))
+    out = Tensor(y.reshape(x_shape[:-1] + (width,)))
     if not _TAPE_STACK:
         return out
 
     def bwd(g):
-        g2 = g.reshape(-1, blocks[-1])
+        g2 = g.reshape(-1, width)
         g2 *= y > 0
         cols = _windows(xp, n, span).reshape(-1, span * d)
         gk = (cols.T @ g2).reshape(span, d, -1)
         gb = g2.sum(axis=0)
-        for w, b, wv, k0, lo, hi in zip(weights, biases, wvs, firsts, blocks[:-1], blocks[1:]):
-            _accum(w, gk[k0 : k0 + wv.shape[0], :, lo:hi])
+        for w, b, (wv, hw, lo, hi) in zip(weights, biases, branches):
+            _accum(w, gk[half - hw : half + hw + 1, :, lo:hi])
             _accum(b, gb[lo:hi])
         del gk
         # the input gradient's columns are one product against every branch
         # as one (span * d_in, sum c_k) kernel, zero outside the branch's
         # offsets: per-branch products would sum in another order
-        kernel = np.zeros((span, d, blocks[-1]))
-        for wv, k0, lo, hi in zip(wvs, firsts, blocks[:-1], blocks[1:]):
-            kernel[k0 : k0 + wv.shape[0], :, lo:hi] = wv
+        kernel = np.zeros((span, d, width))
+        for wv, hw, lo, hi in branches:
+            kernel[half - hw : half + hw + 1, :, lo:hi] = wv
         gcols = np.matmul(g2, kernel.reshape(span * d, -1).T, out=cols)
         gcols = gcols.reshape(x_shape[:-1] + (span, d))
         del kernel  # before the scatter's array
@@ -551,14 +571,19 @@ def bilinear_attention(
     w: ArrayLike,
     col_weight: ArrayLike,
     factors: np.ndarray,
-    mask: np.ndarray,
+    excluded: np.ndarray,
+    empty: Optional[np.ndarray],
 ) -> Tensor:
-    """Row-stochastic attention P[..., i, :] = softmax over the unmasked j of
-    (h_i W h_j) * factors[i, j] * col_weight[..., j], as one op.
+    """Row-stochastic attention P[..., i, :] = softmax over the j not
+    excluded for i of (h_i W h_j) * factors[i, j] * col_weight[..., j], as
+    one op.
 
     h: (..., n, d); w: (d, d); col_weight: (..., n); factors: constant
-    (n, n); mask: broadcastable to (..., n, n). A row with no unmasked
-    position comes out all-zero. The backward is in closed form. Of the
+    (n, n); excluded: broadcastable to (..., n, n), True where j is no
+    candidate for i; empty: broadcastable to (..., n), True for a row that
+    excludes every j (None when no row does), which comes out all-zero.
+    The masks are constants of the forward's shape (`heads.AttentionConstants`),
+    made once and read by every round. The backward is in closed form. Of the
     (..., n, n) arrays its closure holds P alone: it keeps h and W and
     rebuilds h W and the scores S = (h W h^T) * factors from them.
     """
@@ -574,7 +599,7 @@ def bilinear_attention(
     scores *= factors
     cols = cv[..., None, :]
     scores *= cols
-    p = _softmax(scores, mask)
+    p = _softmax(scores, excluded, empty)
     out = Tensor(p)
     if not _TAPE_STACK:
         return out

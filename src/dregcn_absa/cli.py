@@ -521,19 +521,23 @@ def gradcheck_suite(seed: int = 0) -> List[Tuple[str, float]]:
     wb = Tensor(rng.normal(size=(d, d)))
     pop_b = Tensor(rng.random((2, n)))
     factors = rng.random((n, n))
-    att_mask = ~np.eye(n, dtype=bool) & pad[:, None, :] & pad[:, :, None]
+    _, excluded, empty = attention_constants(n, pad)  # random factors, the bucket's masks
     probe_a = np.random.default_rng(seed + 7).normal(size=(2, n, n))
 
     def att_fn():
-        return sum_all(mul(bilinear_attention(xb, wb, pop_b, factors, att_mask), probe_a))
+        return sum_all(mul(bilinear_attention(xb, wb, pop_b, factors, excluded, empty), probe_a))
 
     checks.append(("bilinear_attention_bucket", finite_diff_gradcheck(att_fn, [xb, wb, pop_b])))
     return checks
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    train_cfg, _ = build_configs(merged_config(args))
-    checks = gradcheck_suite(train_cfg.seed)
+    # the seed is the one key read, so it is the one key checked
+    try:
+        seed = TrainConfig(seed=typed_value("seed", int, merged_config(args)["seed"])).seed
+    except (TypeError, ValueError) as exc:
+        raise UsageError(str(exc)) from exc
+    checks = gradcheck_suite(seed)
     failed = [(name, err) for name, err in checks if err >= GRADCHECK_THRESHOLD]
     for name, err in checks:
         status = "FAIL" if err >= GRADCHECK_THRESHOLD else "ok"

@@ -128,32 +128,38 @@ def distance_factors(n: int) -> np.ndarray:
 
 class AttentionConstants(NamedTuple):
     """What the opinion attention needs of a forward's shape alone, built once
-    per forward by `attention_constants` and shared by every round."""
+    per forward by `attention_constants` and read by every round's
+    `bilinear_attention`, whose softmax so neither inverts a mask nor
+    searches its rows for one with no candidate."""
 
     factors: np.ndarray  # (n, n) distance factors
-    mask: np.ndarray  # broadcastable to (..., n, n): True where j is a candidate for i
+    excluded: np.ndarray  # broadcastable to (..., n, n): True where j is no candidate for i
+    empty: Optional[np.ndarray]  # (..., n): True for a row with no candidate; None if none is
 
 
-# The distance factors and the off-diagonal mask of the longest n asked for
-# so far, read-only; a shorter n reads their top-left corner.
-_LENGTH_TABLES = (distance_factors(0), np.ones((0, 0), dtype=bool))
+# The distance factors and the identity of the longest n asked for so far,
+# read-only; a shorter n reads their top-left corner.
+_LENGTH_TABLES = (distance_factors(0), np.eye(0, dtype=bool))
 
 
 def attention_constants(n: int, pad_mask: Optional[np.ndarray] = None) -> AttentionConstants:
-    """The distance factors over n tokens and the candidate mask, which
-    excludes the diagonal and, given `pad_mask` (B, n), padded positions.
-    Both are views of the tables every forward shares; `distance_factors`
-    runs only when n is longer than any before it."""
+    """The distance factors over n tokens, the positions no row may attend
+    to (its own, and given `pad_mask` (B, n), padded ones) and the rows with
+    no candidate. Without `pad_mask` the first two are views of the tables
+    every forward shares, and a row is empty only when n = 1; with it,
+    both masks are computed here, once per forward. `distance_factors` runs
+    only when n is longer than any before it."""
     global _LENGTH_TABLES
     if _LENGTH_TABLES[0].shape[0] < n:
-        _LENGTH_TABLES = (distance_factors(n), ~np.eye(n, dtype=bool))
+        _LENGTH_TABLES = (distance_factors(n), np.eye(n, dtype=bool))
         for table in _LENGTH_TABLES:
             table.flags.writeable = False
-    factors, mask = (table[:n, :n] for table in _LENGTH_TABLES)
-    if pad_mask is not None:
-        real = np.asarray(pad_mask, dtype=bool)
-        mask = mask & real[..., None, :] & real[..., :, None]
-    return AttentionConstants(factors, mask)
+    factors, excluded = (table[:n, :n] for table in _LENGTH_TABLES)
+    if pad_mask is None:
+        return AttentionConstants(factors, excluded, None if n > 1 else excluded.all(axis=-1))
+    padded = ~np.asarray(pad_mask, dtype=bool)
+    excluded = excluded | padded[..., None, :] | padded[..., :, None]
+    return AttentionConstants(factors, excluded, excluded.all(axis=-1))
 
 
 def as_head_forward(
@@ -167,9 +173,9 @@ def as_head_forward(
 
     M is row-stochastic context attention: bilinear relevance scaled by
     inverse token distance and by the context token's predicted opinion
-    probability, its AE mass on BP and IP. The positions `constants.mask`
-    excludes (the diagonal, padding) get no weight; a row with no candidates
-    (n = 1, or a padded row) comes out all-zero. Without `constants` (no
+    probability, its AE mass on BP and IP. The positions
+    `constants.excluded` names (the diagonal, padding) get no weight; a row
+    with no candidates (n = 1, or a padded row) comes out all-zero. Without `constants` (no
     opinion passing) there is no M: it is None, and the context is a
     constant zero array.
     """

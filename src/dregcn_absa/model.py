@@ -14,7 +14,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union, get_ty
 
 import numpy as np
 
-from .autodiff import Tensor, mul
+from .autodiff import Tensor, mul, recording
 from .corpus import (
     EmbeddingMatrix,
     RelationVocab,
@@ -178,13 +178,16 @@ class Model:
         n = max(lengths)
         pad_mask = None if min(lengths) == n else np.arange(n) < np.array(lengths)[:, None]
         tables = self.general_param, self.domain_param
-        if self.cfg.freeze_embeddings:  # constants: no tape op, no gradient
+        if self.cfg.freeze_embeddings or not recording():  # no gradient read: gather the arrays
             tables = tuple(t.data for t in tables)
         emb = embed_tokens(bucket, self.general_emb, self.domain_emb, *tables)
         if dropout is not None:
-            keep = np.zeros(emb.shape)
-            for b, mask in enumerate(dropout):
-                keep[b, : len(mask)] = mask
+            kept = np.concatenate(dropout)  # the masks' rows, in bucket then token order
+            if pad_mask is None:
+                keep = kept.reshape(emb.shape)
+            else:
+                keep = np.zeros(emb.shape)
+                keep[pad_mask] = kept
             emb = mul(emb, keep) if isinstance(emb, Tensor) else emb * keep
         graph = None
         if self.cfg.encoder.uses_graph:

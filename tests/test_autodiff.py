@@ -326,6 +326,17 @@ def test_linear_of_parts_checks_their_shapes():
         ad.linear((t(3, 2), t(3, 2)), w)  # joined width 4, not 5
 
 
+def test_concat_checks_its_operands():
+    """`concat` names the cause when NumPy refuses the join: no operands, or
+    leading dimensions that disagree (in length or in number)."""
+    with pytest.raises(DimensionError, match="no operands"):
+        ad.concat()
+    with pytest.raises(DimensionError, match="leading dimensions disagree"):
+        ad.concat(t(3, 2), t(4, 3))
+    with pytest.raises(DimensionError, match="leading dimensions disagree"):
+        ad.concat(t(3, 2), t(2, 3, 2))
+
+
 def _conv_params(widths, d_in, c_out):
     weights = [t(w, d_in, c_out) for w in widths]
     return weights, [t(c_out) for _ in widths]

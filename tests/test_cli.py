@@ -923,6 +923,18 @@ def test_gradcheck_passes_beyond_seed_0(seed, capsys):
     assert lines and all(l.startswith("ok ") for l in lines)
 
 
+def test_gradcheck_config_reads_only_its_seed(tmp_path, capsys):
+    """gradcheck reads `seed` alone from its config file, so a value of a key
+    it never reads (here a non-integer epoch count) does not fail it. Fails
+    at the parent, which built every config from the whole file."""
+    config = tmp_path / "gradcheck.cfg"
+    config.write_text("epochs = 2.5\nseed = 3\n")
+    assert cli.main(["gradcheck", "--config", str(config)]) == 0
+    from_file = capsys.readouterr()
+    assert cli.main(["gradcheck", "--seed", "3"]) == 0
+    assert from_file == capsys.readouterr()
+
+
 def test_gradcheck_detects_corrupted_backward_rule(monkeypatch, capsys):
     original = ad.Tape.record
 

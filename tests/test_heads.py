@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -58,12 +60,71 @@ def test_attention_tables_are_read_only_views_of_one_table(monkeypatch):
     for n in (1, longest + 3, 2, longest + 1):
         constants = attention_constants(n)
         np.testing.assert_array_equal(constants.factors, distance_factors(n))
-        np.testing.assert_array_equal(constants.mask, ~np.eye(n, dtype=bool))
-        assert not constants.factors.flags.writeable and not constants.mask.flags.writeable
+        np.testing.assert_array_equal(constants.excluded, np.eye(n, dtype=bool))
+        assert not constants.factors.flags.writeable and not constants.excluded.flags.writeable
         assert np.shares_memory(constants.factors, grown.factors)
+        assert np.shares_memory(constants.excluded, grown.excluded)
     assert calls == [longest + 3]
     padded = attention_constants(4, np.array([[True, True, False, False]]))
-    assert padded.mask.shape == (1, 4, 4) and padded.mask[0, :2, :2].sum() == 2
+    assert padded.excluded.shape == (1, 4, 4) and (~padded.excluded[0, :2, :2]).sum() == 2
+
+
+def test_unpadded_attention_constants_allocate_no_square_array():
+    """An unpadded forward's masks are read from the shared tables: the
+    excluded positions are a read-only view of the identity table, no row
+    is empty when n > 1, and no (n, n) array is allocated. Fails at the
+    parent, whose constants held the candidate mask instead."""
+    n = heads._LENGTH_TABLES[0].shape[0] + 64
+    grown = attention_constants(n)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        constants = attention_constants(n)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n // 4  # a (n, n) bool array is n * n bytes
+    assert np.shares_memory(constants.excluded, grown.excluded)
+    assert np.shares_memory(constants.excluded, heads._LENGTH_TABLES[1])
+    assert not constants.excluded.flags.writeable
+    assert constants.empty is None
+
+
+def test_padded_attention_constants_are_the_candidate_mask_complements():
+    """With padding, the excluded positions and the empty rows equal the
+    complement of the candidate mask (off the diagonal, both positions
+    real) and the rows where it has no candidate. A 1-token sentence's
+    only real row is empty, as is the only row at n = 1. Fails at the
+    parent, whose constants held the candidate mask instead."""
+    n = 5
+    pad = np.arange(n) < np.array([[5], [1], [3]])
+    candidate = ~np.eye(n, dtype=bool) & pad[:, None, :] & pad[:, :, None]
+    constants = attention_constants(n, pad)
+    assert constants.excluded.dtype == bool and constants.empty.dtype == bool
+    np.testing.assert_array_equal(constants.excluded, ~candidate)
+    np.testing.assert_array_equal(constants.empty, ~candidate.any(axis=-1))
+    assert constants.empty[1].all() and not constants.empty[0].any()
+    lone = attention_constants(1)
+    np.testing.assert_array_equal(lone.excluded, [[True]])
+    np.testing.assert_array_equal(lone.empty, [True])
+
+
+def test_attention_over_a_bucket_with_a_one_token_sentence_matches_the_oracle():
+    """`bilinear_attention` over a padded bucket that holds a 1-token
+    sentence gives, bit for bit, the oracle's masked softmax of the same
+    scores under the candidate mask, with all-zero rows for rows that have
+    no candidate."""
+    rng = np.random.default_rng(8)
+    n, d = 5, 4
+    pad = np.arange(n) < np.array([[5], [1], [3]])
+    h, w, col = rng.normal(size=(3, n, d)), rng.normal(size=(d, d)), rng.random((3, n))
+    got = bilinear_attention(h, w, col, *attention_constants(n, pad)).data
+    scores = (h @ w) @ np.swapaxes(h, -1, -2) * distance_factors(n) * col[:, None, :]
+    candidate = ~np.eye(n, dtype=bool) & pad[:, None, :] & pad[:, :, None]
+    want = oracles.masked_softmax(Tensor(scores), candidate, zero_fully_masked=True).data
+    assert got.tobytes() == want.tobytes()
+    assert not got[1].any() and not got[2, 3:].any()
+    np.testing.assert_allclose(got[0].sum(axis=-1), 1.0, atol=1e-12)
 
 
 def test_ae_head_distribution():

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dregcn_absa import autodiff, heads
+from dregcn_absa import autodiff, corpus, heads
 from dregcn_absa.autodiff import Tape, Tensor, backward
 from dregcn_absa.corpus import EmbeddingMatrix, RelationVocab, Sentence, random_embedding_table
 from dregcn_absa.encoder import MODES, EncoderConfig
@@ -39,7 +39,7 @@ from dregcn_absa.training import (
 )
 
 import synth
-from oracles import backward_keep_all, random_gold_sentence
+from oracles import backward_keep_all, per_sentence_joint_loss, random_gold_sentence
 
 
 def small_model_config(mode="dregcn", variant="none", rounds=0, dropout=0.0):
@@ -341,6 +341,43 @@ def test_backward_reaches_every_op(tiny_corpus, changes, n_ops, n_dead):
         op.backward = counted
     backward(tape, loss)
     assert len(set(range(n_ops)) - reached) == n_dead
+
+
+
+def test_tapeless_forward_gathers_the_embedding_arrays(tiny_corpus, monkeypatch):
+    """With no tape recording, `Model.forward` hands `embed_tokens` the
+    tables' arrays, so the lookup runs no `rows` or `concat` op; a taped
+    forward still runs both (`test_backward_reaches_every_op` pins its 51
+    ops). The two give the same bytes. Fails at the parent, whose tape-free
+    lookup ran both ops."""
+    model, _, _ = build_model(tiny_corpus, ModelConfig())
+    calls = []
+    for name in ("rows", "concat"):
+        op = getattr(corpus, name)
+        monkeypatch.setattr(corpus, name, lambda *a, op=op, name=name: calls.append(name) or op(*a))
+    free = model.forward(tiny_corpus)[-1]
+    assert calls == []
+    with Tape():
+        taped = model.forward(tiny_corpus)[-1]
+    assert calls == ["rows", "rows", "concat"]
+    for name in ("yae", "yas"):
+        assert getattr(free, name).data.tobytes() == getattr(taped, name).data.tobytes(), name
+
+
+def test_joint_loss_matches_per_sentence_targets(tiny_corpus):
+    """`joint_loss` fills a padded bucket's targets over its real positions
+    at once; the loss and every parameter gradient are byte-identical to
+    those from targets filled one sentence at a time (`oracles`)."""
+    assert len({s.n for s in tiny_corpus}) > 1  # a padded bucket
+    model, _, _ = build_model(tiny_corpus, ModelConfig())
+    params = list(model.trainable_parameters().values())
+    results = []
+    for loss_fn in (joint_loss, per_sentence_joint_loss):
+        with Tape() as tape:
+            loss = loss_fn(model.forward(tiny_corpus), tiny_corpus, len(tiny_corpus) + 2)
+        backward(tape, loss, params=params)
+        results.append([loss.data.tobytes()] + [p.grad.tobytes() for p in params])
+    assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("changes", TAPELESS_CONFIGS.values(), ids=TAPELESS_CONFIGS.keys())
