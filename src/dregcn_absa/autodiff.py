@@ -232,22 +232,18 @@ def rebuilt_matmul(build: Callable[[], np.ndarray], b: Tensor) -> Tensor:
     return out
 
 
-def _join_checked(op: str, vals: Sequence[np.ndarray]) -> None:
-    if not vals:
-        raise DimensionError(f"{op}: no operands")
-    if any(v.shape[:-1] != vals[0].shape[:-1] for v in vals):
-        raise DimensionError(
-            f"{op}: leading dimensions disagree: " + ", ".join(str(v.shape) for v in vals)
-        )
-
-
 def _join(op: str, vals: Sequence[np.ndarray]) -> np.ndarray:
     """`vals` joined on the last axis. NumPy checks the shapes as it joins;
-    only when it refuses does `_join_checked` look for the cause to name."""
+    only when it refuses is the cause looked for, to name it."""
     try:
         return np.concatenate(vals, axis=-1)
     except ValueError:
-        _join_checked(op, vals)
+        if not vals:
+            raise DimensionError(f"{op}: no operands") from None
+        if any(v.shape[:-1] != vals[0].shape[:-1] for v in vals):
+            raise DimensionError(
+                f"{op}: leading dimensions disagree: " + ", ".join(str(v.shape) for v in vals)
+            ) from None
         raise
 
 

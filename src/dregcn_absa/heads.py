@@ -129,7 +129,7 @@ def distance_factors(n: int) -> np.ndarray:
 class AttentionConstants(NamedTuple):
     """What the opinion attention needs of a forward's shape alone, built once
     per forward by `attention_constants` and read by every round's
-    `bilinear_attention`, whose softmax so neither inverts a mask nor
+    `bilinear_attention`, so that its softmax neither inverts a mask nor
     searches its rows for one with no candidate."""
 
     factors: np.ndarray  # (n, n) distance factors
@@ -175,9 +175,9 @@ def as_head_forward(
     inverse token distance and by the context token's predicted opinion
     probability, its AE mass on BP and IP. The positions
     `constants.excluded` names (the diagonal, padding) get no weight; a row
-    with no candidates (n = 1, or a padded row) comes out all-zero. Without `constants` (no
-    opinion passing) there is no M: it is None, and the context is a
-    constant zero array.
+    with no candidates (`constants.empty`: n = 1, or a padded row) comes out
+    all-zero. Without `constants` (no opinion passing) there is no M: it is
+    None, and the context is a constant zero array.
     """
     has = relu(linear(hs, head.hidden.weight, head.hidden.bias))
     m = context = yas = None

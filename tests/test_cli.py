@@ -925,8 +925,7 @@ def test_gradcheck_passes_beyond_seed_0(seed, capsys):
 
 def test_gradcheck_config_reads_only_its_seed(tmp_path, capsys):
     """gradcheck reads `seed` alone from its config file, so a value of a key
-    it never reads (here a non-integer epoch count) does not fail it. Fails
-    at the parent, which built every config from the whole file."""
+    it never reads (here a non-integer epoch count) does not fail it."""
     config = tmp_path / "gradcheck.cfg"
     config.write_text("epochs = 2.5\nseed = 3\n")
     assert cli.main(["gradcheck", "--config", str(config)]) == 0

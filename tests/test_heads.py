@@ -72,8 +72,7 @@ def test_attention_tables_are_read_only_views_of_one_table(monkeypatch):
 def test_unpadded_attention_constants_allocate_no_square_array():
     """An unpadded forward's masks are read from the shared tables: the
     excluded positions are a read-only view of the identity table, no row
-    is empty when n > 1, and no (n, n) array is allocated. Fails at the
-    parent, whose constants held the candidate mask instead."""
+    is empty when n > 1, and no (n, n) array is allocated."""
     n = heads._LENGTH_TABLES[0].shape[0] + 64
     grown = attention_constants(n)
     tracemalloc.start()
@@ -94,8 +93,7 @@ def test_padded_attention_constants_are_the_candidate_mask_complements():
     """With padding, the excluded positions and the empty rows equal the
     complement of the candidate mask (off the diagonal, both positions
     real) and the rows where it has no candidate. A 1-token sentence's
-    only real row is empty, as is the only row at n = 1. Fails at the
-    parent, whose constants held the candidate mask instead."""
+    only real row is empty, as is the only row at n = 1."""
     n = 5
     pad = np.arange(n) < np.array([[5], [1], [3]])
     candidate = ~np.eye(n, dtype=bool) & pad[:, None, :] & pad[:, :, None]

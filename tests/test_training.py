@@ -348,8 +348,7 @@ def test_tapeless_forward_gathers_the_embedding_arrays(tiny_corpus, monkeypatch)
     """With no tape recording, `Model.forward` hands `embed_tokens` the
     tables' arrays, so the lookup runs no `rows` or `concat` op; a taped
     forward still runs both (`test_backward_reaches_every_op` pins its 51
-    ops). The two give the same bytes. Fails at the parent, whose tape-free
-    lookup ran both ops."""
+    ops). The two give the same bytes."""
     model, _, _ = build_model(tiny_corpus, ModelConfig())
     calls = []
     for name in ("rows", "concat"):
