@@ -149,16 +149,16 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g
 
 
-def _softmax(
-    sv: np.ndarray, excluded: Optional[np.ndarray] = None, empty: Optional[np.ndarray] = None
-) -> np.ndarray:
+def _softmax(sv: np.ndarray, excluded: Optional[np.ndarray], empty=None) -> np.ndarray:
     """Softmax over the last axis that gives the positions `excluded`
     (broadcast against `sv`; None excludes none) no weight. `empty` marks
     the rows that exclude every position, with `sv`'s shape but the last
     axis (broadcast likewise; None when no row does): they come out
-    all-zero. The caller derives both once from its mask, so that a softmax
-    neither inverts the mask nor searches its rows. Under `excluded` it
-    works in `sv`, which the caller hands over, and returns it."""
+    all-zero. Both come from one mask, derived once by its caller
+    (`heads.attention_constants`), so that no softmax inverts the mask or
+    searches its rows; a row excluded whole but not marked empty would come
+    out NaN. Under `excluded` it works in `sv`, which the caller hands over,
+    and returns it."""
     if excluded is None:
         e = np.exp(sv - np.maximum.reduce(sv, axis=-1, keepdims=True))
         return e / np.add.reduce(e, axis=-1, keepdims=True)
@@ -496,22 +496,19 @@ def conv_branches(
     from it.
     """
     xv = _val(x)
-    d = xv.shape[-1] if xv.ndim >= 2 else None
+    if xv.ndim < 2 or not weights:
+        raise DimensionError(f"conv_branches: x {xv.shape}, {len(weights)} kernels")
+    n, d = xv.shape[-2:]
     # each branch's kernel, half-width and output columns [lo, hi), the widest
-    # half-width and the output width, in one pass that checks the kernels
+    # half-width and the output width, in one plain loop that checks them
     branches, half, width = [], 0, 0
     for w in weights:
         wv = _val(w)
-        if d is None or wv.ndim != 3 or wv.shape[1] != d or wv.shape[0] % 2 == 0:
-            break
+        if wv.ndim != 3 or wv.shape[1] != d or wv.shape[0] % 2 == 0:
+            raise DimensionError(f"conv_branches: x {xv.shape}, kernel {wv.shape} (odd widths)")
         hw = wv.shape[0] // 2
         branches.append((wv, hw, width, width + wv.shape[2]))
         half, width = max(half, hw), width + wv.shape[2]
-    if not branches or len(branches) < len(weights):
-        raise DimensionError(
-            f"conv_branches: x {xv.shape}, kernels {[_val(w).shape for w in weights]} (odd widths)"
-        )
-    n = xv.shape[-2]
     span = 2 * half + 1
     real = None if pad_mask is None else np.asarray(pad_mask, dtype=bool)[..., None]
     xp = np.zeros(xv.shape[:-2] + (n + 2 * half, d))
@@ -566,23 +563,23 @@ def bilinear_attention(
     h: ArrayLike,
     w: ArrayLike,
     col_weight: ArrayLike,
-    factors: np.ndarray,
-    excluded: np.ndarray,
-    empty: Optional[np.ndarray],
+    constants: Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]],
 ) -> Tensor:
     """Row-stochastic attention P[..., i, :] = softmax over the j not
     excluded for i of (h_i W h_j) * factors[i, j] * col_weight[..., j], as
     one op.
 
-    h: (..., n, d); w: (d, d); col_weight: (..., n); factors: constant
-    (n, n); excluded: broadcastable to (..., n, n), True where j is no
-    candidate for i; empty: broadcastable to (..., n), True for a row that
+    h: (..., n, d); w: (d, d); col_weight: (..., n); constants: the
+    forward's (factors, excluded, empty) as `heads.attention_constants`
+    builds them, once per forward for every round: factors constant
+    (n, n); excluded broadcastable to (..., n, n), True where j is no
+    candidate for i; empty broadcastable to (..., n), True for a row that
     excludes every j (None when no row does), which comes out all-zero.
-    The masks are constants of the forward's shape (`heads.AttentionConstants`),
-    made once and read by every round. The backward is in closed form. Of the
-    (..., n, n) arrays its closure holds P alone: it keeps h and W and
-    rebuilds h W and the scores S = (h W h^T) * factors from them.
+    The backward is in closed form. Of the (..., n, n) arrays its closure
+    holds P alone: it keeps h and W and rebuilds h W and the scores
+    S = (h W h^T) * factors from them.
     """
+    factors, excluded, empty = constants
     hv, wv, cv = _val(h), _val(w), _val(col_weight)
     n = hv.shape[-2]
     if hv.ndim < 2 or wv.shape != (hv.shape[-1],) * 2 or cv.shape != hv.shape[:-1]:

@@ -521,11 +521,11 @@ def gradcheck_suite(seed: int = 0) -> List[Tuple[str, float]]:
     wb = Tensor(rng.normal(size=(d, d)))
     pop_b = Tensor(rng.random((2, n)))
     factors = rng.random((n, n))
-    _, excluded, empty = attention_constants(n, pad)  # random factors, the bucket's masks
+    constants = attention_constants(n, pad)._replace(factors=factors)  # the bucket's masks
     probe_a = np.random.default_rng(seed + 7).normal(size=(2, n, n))
 
     def att_fn():
-        return sum_all(mul(bilinear_attention(xb, wb, pop_b, factors, excluded, empty), probe_a))
+        return sum_all(mul(bilinear_attention(xb, wb, pop_b, constants), probe_a))
 
     checks.append(("bilinear_attention_bucket", finite_diff_gradcheck(att_fn, [xb, wb, pop_b])))
     return checks

@@ -381,23 +381,14 @@ def embed_tokens(
     so the lookup stays on the tape and the embeddings fine-tune. Given
     the tables' arrays instead (frozen embeddings, or no tape recording),
     the lookup is two gathers and one concatenate: a constant array that
-    records nothing. Each table's row indices fill the bucket's real
-    positions in one assignment.
+    records nothing.
     """
-    lengths = [s.n for s in sentences]
-    n = max(lengths)
-    words = [w for s in sentences for w in s.tokens]  # the real positions' words, in order
-    real = None if min(lengths) == n else np.arange(n) < np.array(lengths)[:, None]
+    n = max(s.n for s in sentences)
 
     def indices(table: EmbeddingMatrix) -> np.ndarray:
-        """(B, n) row indices: the words' rows fill the real positions."""
-        oov = table.oov_index
-        found = np.array(list(map(table.vocab.get, words, repeat(oov))), dtype=np.intp)
-        if real is None:
-            return found.reshape(len(sentences), n)
-        idx = np.full(real.shape, oov, dtype=np.intp)
-        idx[real] = found
-        return idx
+        get, oov = table.vocab.get, table.oov_index
+        padded = [[get(w, oov) for w in s.tokens] + [oov] * (n - s.n) for s in sentences]
+        return np.array(padded, dtype=np.intp)
 
     if isinstance(general_param, Tensor):
         return concat(rows(general_param, indices(general)), rows(domain_param, indices(domain)))

@@ -128,9 +128,10 @@ def distance_factors(n: int) -> np.ndarray:
 
 class AttentionConstants(NamedTuple):
     """What the opinion attention needs of a forward's shape alone, built once
-    per forward by `attention_constants` and read by every round's
+    per forward by `attention_constants` and handed whole to every round's
     `bilinear_attention`, so that its softmax neither inverts a mask nor
-    searches its rows for one with no candidate."""
+    searches its rows for one with no candidate. `empty` is derived from
+    `excluded` where both are built, so the two cannot disagree."""
 
     factors: np.ndarray  # (n, n) distance factors
     excluded: np.ndarray  # broadcastable to (..., n, n): True where j is no candidate for i
@@ -183,7 +184,7 @@ def as_head_forward(
     m = context = yas = None
     if "context" in reads or "yas" in reads:
         if constants is not None:
-            m = bilinear_attention(has, head.bilinear, sum_last(yae, *OPINION_CLASS_SLICE), *constants)
+            m = bilinear_attention(has, head.bilinear, sum_last(yae, *OPINION_CLASS_SLICE), constants)
         context = np.zeros(has.shape) if m is None else matmul(m, has)
     if "yas" in reads:
         yas = softmax_rows(linear((has, context), head.out.weight, head.out.bias))

@@ -182,12 +182,9 @@ class Model:
             tables = tuple(t.data for t in tables)
         emb = embed_tokens(bucket, self.general_emb, self.domain_emb, *tables)
         if dropout is not None:
-            kept = np.concatenate(dropout)  # the masks' rows, in bucket then token order
-            if pad_mask is None:
-                keep = kept.reshape(emb.shape)
-            else:
-                keep = np.zeros(emb.shape)
-                keep[pad_mask] = kept
+            keep = np.zeros(emb.shape)
+            for b, mask in enumerate(dropout):
+                keep[b, : len(mask)] = mask
             emb = mul(emb, keep) if isinstance(emb, Tensor) else emb * keep
         graph = None
         if self.cfg.encoder.uses_graph:

@@ -108,17 +108,15 @@ def joint_loss(
     bucket = [batch] if isinstance(batch, Sentence) else list(batch)
     final = outputs[-1]
     shape = final.yae.shape[:-1]
-    lengths = np.array([s.n for s in bucket])
-    real = np.arange(shape[-1]) < lengths[:, None]  # each target fills these, in bucket order
-    ae_tags = [t for s in bucket for t in s.ae_tags]
     ae_idx = np.zeros(shape, dtype=np.intp)
-    ae_idx[real] = [AE_INDEX[t] for t in ae_tags]
     as_idx = np.zeros(shape, dtype=np.intp)
-    as_idx[real] = [AS_INDEX[t] if t != AS_NONE else 0 for s in bucket for t in s.as_tags]
     weight = np.zeros(shape)
-    weight[real] = np.repeat(1.0 / (batch_size * lengths), lengths)
     aspect = np.zeros(shape, dtype=bool)
-    aspect[real] = as_loss_mask(ae_tags)
+    for b, s in enumerate(bucket):
+        ae_idx[b, : s.n] = [AE_INDEX[t] for t in s.ae_tags]
+        as_idx[b, : s.n] = [AS_INDEX[t] if t != AS_NONE else 0 for t in s.as_tags]
+        weight[b, : s.n] = 1.0 / (batch_size * s.n)
+        aspect[b, : s.n] = as_loss_mask(s.ae_tags)
     ae_term = nll_rows(final.yae, ae_idx, weight)
     as_term = nll_rows(final.yas, as_idx, weight * aspect)
     return add_n([ae_term, as_term])

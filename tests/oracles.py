@@ -650,32 +650,6 @@ def sentence_loss(model, s, keep=None):
     return add_n([nll_rows(yae, ae_idx, weight), nll_rows(yas, as_idx, weight * aspect)])
 
 
-def per_sentence_loss_targets(bucket, shape, batch_size):
-    """A bucket's loss targets as (B, n) arrays, filled one sentence at a
-    time: AE and AS class indices, token weights 1 / (batch_size * n_s) and
-    the gold-aspect mask, zero on padding."""
-    ae_idx = np.zeros(shape, dtype=np.intp)
-    as_idx = np.zeros(shape, dtype=np.intp)
-    weight = np.zeros(shape)
-    aspect = np.zeros(shape, dtype=bool)
-    for b, s in enumerate(bucket):
-        ae_idx[b, : s.n] = [AE_TAGS.index(t) for t in s.ae_tags]
-        as_idx[b, : s.n] = [POLARITIES.index(t) if t in POLARITIES else 0 for t in s.as_tags]
-        weight[b, : s.n] = 1.0 / (batch_size * s.n)
-        aspect[b, : s.n] = [t in KIND_TAGS["aspect"] for t in s.ae_tags]
-    return ae_idx, as_idx, weight, aspect
-
-
-def per_sentence_joint_loss(outputs, bucket, batch_size):
-    """`training.joint_loss` of a bucket's forward, from the targets of
-    `per_sentence_loss_targets`."""
-    final = outputs[-1]
-    ae_idx, as_idx, weight, aspect = per_sentence_loss_targets(
-        bucket, final.yae.shape[:-1], batch_size
-    )
-    return add_n([nll_rows(final.yae, ae_idx, weight), nll_rows(final.yas, as_idx, weight * aspect)])
-
-
 def per_sentence_batch_loss(model, batch, rng):
     """Batch mean of sentence losses, one forward per sentence; the inverted
     dropout mask of each sentence is drawn just before its forward."""

@@ -116,7 +116,7 @@ def test_criterion_03_attention_contract():
         head = init_as_head(ParamTable(rng), 10, d_t)
         has = Tensor(rng.normal(size=(n, d_t)))
         pop = Tensor(rng.random(n))
-        m = bilinear_attention(has, head.bilinear, pop, *attention_constants(n)).data
+        m = bilinear_attention(has, head.bilinear, pop, attention_constants(n)).data
         assert (np.diag(m) == 0).all(), f"draw {draw}: nonzero diagonal"
         gap = np.abs(m.sum(axis=1) - 1.0).max()
         worst_row_gap = max(worst_row_gap, gap)

@@ -358,6 +358,21 @@ def test_conv_branches_matches_unfused_oracle(n, widths):
         assert np.abs(a - b).max() <= 1e-12
 
 
+def test_conv_branches_checks_its_kernels():
+    """`conv_branches` raises `DimensionError` for an input without a token
+    axis, no kernels, an even kernel width or a kernel whose input width is
+    not the tokens' width."""
+    weights, biases = _conv_params((3, 5), 4, 3)
+    with pytest.raises(DimensionError, match="0 kernels"):
+        ad.conv_branches(t(6, 4), [], [])
+    with pytest.raises(DimensionError, match=r"x \(4,\)"):
+        ad.conv_branches(t(4), weights, biases)
+    with pytest.raises(DimensionError, match="odd widths"):
+        ad.conv_branches(t(6, 4), *_conv_params((3, 4), 4, 3))  # an even width
+    with pytest.raises(DimensionError, match="odd widths"):
+        ad.conv_branches(t(6, 4), *_conv_params((3,), 5, 3))  # kernels over d = 5
+
+
 @pytest.mark.parametrize("lead", [(), (3,)])
 def test_conv_branches_all_true_mask_equals_no_mask(lead):
     weights, biases = _conv_params((3, 5), 4, 3)
@@ -488,7 +503,7 @@ def _every_op(rng, lengths):
         "nll_rows": lambda: ad.nll_rows(probs, gold, weights),
         "conv_branches": lambda: ad.conv_branches(x, kernels, kernel_biases, pad),
         "bilinear_attention": lambda: ad.bilinear_attention(
-            h, square, col, *attention_constants(n, pad)
+            h, square, col, attention_constants(n, pad)
         ),
     }
 
@@ -525,7 +540,7 @@ def test_taped_attention_holds_its_output_alone():
     try:
         base = tracemalloc.get_traced_memory()[0]
         with Tape() as tape:
-            out = ad.bilinear_attention(h, w, col, *constants)
+            out = ad.bilinear_attention(h, w, col, constants)
         retained = tracemalloc.get_traced_memory()[0] - base
         assert len(tape.ops) == 1  # the tape, and so the closure, is alive
     finally:
@@ -552,8 +567,8 @@ def test_tapeless_attention_peaks_under_2_5_times_its_output():
     h = Tensor(rng.normal(size=(1, 47, 16)))
     w, col = Tensor(rng.normal(size=(16, 16))), Tensor(rng.random((1, 47)))
     constants = attention_constants(47, np.ones((1, 47), dtype=bool))
-    out = ad.bilinear_attention(h, w, col, *constants)
-    peak = _traced_peak(lambda: ad.bilinear_attention(h, w, col, *constants))
+    out = ad.bilinear_attention(h, w, col, constants)
+    peak = _traced_peak(lambda: ad.bilinear_attention(h, w, col, constants))
     assert peak <= 2.5 * out.data.nbytes
 
 

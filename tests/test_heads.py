@@ -116,7 +116,7 @@ def test_attention_over_a_bucket_with_a_one_token_sentence_matches_the_oracle():
     n, d = 5, 4
     pad = np.arange(n) < np.array([[5], [1], [3]])
     h, w, col = rng.normal(size=(3, n, d)), rng.normal(size=(d, d)), rng.random((3, n))
-    got = bilinear_attention(h, w, col, *attention_constants(n, pad)).data
+    got = bilinear_attention(h, w, col, attention_constants(n, pad)).data
     scores = (h @ w) @ np.swapaxes(h, -1, -2) * distance_factors(n) * col[:, None, :]
     candidate = ~np.eye(n, dtype=bool) & pad[:, None, :] & pad[:, :, None]
     want = oracles.masked_softmax(Tensor(scores), candidate, zero_fully_masked=True).data
@@ -146,7 +146,7 @@ def test_attention_zero_diagonal_and_stochastic_rows():
     n = 6
     has = Tensor(RNG.normal(size=(n, D_T)))
     pop = Tensor(RNG.random(n))
-    m = bilinear_attention(has, as_head.bilinear, pop, *attention_constants(n))
+    m = bilinear_attention(has, as_head.bilinear, pop, attention_constants(n))
     assert (np.diag(m.data) == 0).all()
     np.testing.assert_allclose(m.data.sum(axis=1), 1.0, atol=1e-9)
 
@@ -155,7 +155,7 @@ def test_attention_single_token_row_is_zero():
     _, as_head = make_heads()
     has = Tensor(RNG.normal(size=(1, D_T)))
     pop = Tensor(RNG.random(1))
-    m = bilinear_attention(has, as_head.bilinear, pop, *attention_constants(1))
+    m = bilinear_attention(has, as_head.bilinear, pop, attention_constants(1))
     assert m.shape == (1, 1) and (m.data == 0).all()
 
 
@@ -165,7 +165,7 @@ def test_attention_respects_pad_mask():
     has = Tensor(RNG.normal(size=(n, D_T)))
     pop = Tensor(RNG.random(n))
     pad = np.array([True, True, True, False, False])
-    m = bilinear_attention(has, as_head.bilinear, pop, *attention_constants(n, pad))
+    m = bilinear_attention(has, as_head.bilinear, pop, attention_constants(n, pad))
     assert (m.data[:, ~pad] == 0).all()
     assert (m.data[~pad] == 0).all()
     np.testing.assert_allclose(m.data[pad].sum(axis=1), 1.0, atol=1e-9)
@@ -324,7 +324,7 @@ def test_attention_matches_unfused_oracle(n):
     probe = RNG.normal(size=(n, n))
     params = [has, as_head.bilinear, pop]
     fused, g_fused = _attention_value_and_grads(
-        lambda: bilinear_attention(has, as_head.bilinear, pop, *attention_constants(n)),
+        lambda: bilinear_attention(has, as_head.bilinear, pop, attention_constants(n)),
         params,
         probe,
     )
@@ -345,7 +345,7 @@ def test_attention_bucket_matches_each_sentence_alone():
     pop = Tensor(RNG.random((len(lengths), n)))
     probe = RNG.normal(size=(len(lengths), n, n))
     out, (g_has, g_w, g_pop) = _attention_value_and_grads(
-        lambda: bilinear_attention(has, as_head.bilinear, pop, *attention_constants(n, pad)),
+        lambda: bilinear_attention(has, as_head.bilinear, pop, attention_constants(n, pad)),
         [has, as_head.bilinear, pop],
         probe,
     )

@@ -39,7 +39,7 @@ from dregcn_absa.training import (
 )
 
 import synth
-from oracles import backward_keep_all, per_sentence_joint_loss, random_gold_sentence
+from oracles import backward_keep_all, random_gold_sentence
 
 
 def small_model_config(mode="dregcn", variant="none", rounds=0, dropout=0.0):
@@ -343,7 +343,6 @@ def test_backward_reaches_every_op(tiny_corpus, changes, n_ops, n_dead):
     assert len(set(range(n_ops)) - reached) == n_dead
 
 
-
 def test_tapeless_forward_gathers_the_embedding_arrays(tiny_corpus, monkeypatch):
     """With no tape recording, `Model.forward` hands `embed_tokens` the
     tables' arrays, so the lookup runs no `rows` or `concat` op; a taped
@@ -361,22 +360,6 @@ def test_tapeless_forward_gathers_the_embedding_arrays(tiny_corpus, monkeypatch)
     assert calls == ["rows", "rows", "concat"]
     for name in ("yae", "yas"):
         assert getattr(free, name).data.tobytes() == getattr(taped, name).data.tobytes(), name
-
-
-def test_joint_loss_matches_per_sentence_targets(tiny_corpus):
-    """`joint_loss` fills a padded bucket's targets over its real positions
-    at once; the loss and every parameter gradient are byte-identical to
-    those from targets filled one sentence at a time (`oracles`)."""
-    assert len({s.n for s in tiny_corpus}) > 1  # a padded bucket
-    model, _, _ = build_model(tiny_corpus, ModelConfig())
-    params = list(model.trainable_parameters().values())
-    results = []
-    for loss_fn in (joint_loss, per_sentence_joint_loss):
-        with Tape() as tape:
-            loss = loss_fn(model.forward(tiny_corpus), tiny_corpus, len(tiny_corpus) + 2)
-        backward(tape, loss, params=params)
-        results.append([loss.data.tobytes()] + [p.grad.tobytes() for p in params])
-    assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("changes", TAPELESS_CONFIGS.values(), ids=TAPELESS_CONFIGS.keys())
