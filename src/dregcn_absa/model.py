@@ -117,16 +117,16 @@ class Model:
         self.ae_head = init_ae_head(p, d_s, cfg.d_t)
         self.as_head = init_as_head(p, d_s, cfg.d_t)
         self.re_encoder: Optional[Dense] = None
-        if cfg.mp.variant != "none":
+        if cfg.mp.effective_rounds:  # no round, no re-encoder to read
             self.re_encoder = init_re_encoder(p, d_s, cfg.mp.variant, cfg.d_t, cfg.pass_pre_attention_as)
-        self._table = p
+        self._tensors = p.tensors  # not `p`, whose source may be a checkpoint's arrays
         self.param_vector, self.grad_vector = p.pack()
 
     # -- parameter registry -------------------------------------------------
 
     def parameters(self) -> Dict[str, Tensor]:
         """Every parameter by its checkpoint name, in declaration order."""
-        return dict(self._table.tensors)
+        return dict(self._tensors)
 
     def trainable_parameters(self) -> Dict[str, Tensor]:
         params = self.parameters()
@@ -271,7 +271,7 @@ def load_checkpoint(path: str) -> Model:
         model = Model(cfg, general, domain, rv, arrays)
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint {path!r}: {type(exc).__name__}: {exc}") from exc
-    extra = set(arrays) - set(model.parameters())
+    extra = set(arrays) - set(model.parameters()) - {"re/w", "re/b", "as/bilinear"}  # held unread once
     if extra:
         raise CheckpointError(f"malformed checkpoint {path!r}: extra parameters {sorted(extra)}")
     return model

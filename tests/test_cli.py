@@ -347,6 +347,40 @@ def test_wrong_parameter_member_exits_2(trained, capsys, edit, message):
         assert "Traceback" not in out.err and out.out == ""
 
 
+# Version-1 files from before a model declared only the parameters its
+# forward reads: each holds members its config no longer declares. `train`
+# wrote them with test_golden.CONFIG, `--runs 1` and the fixture embeddings
+# on fixtures/tiny.corpus; the digests are of `evaluate` and `predict` on it.
+OLDER_CHECKPOINTS = {
+    "v1_rounds_0.npz": (
+        {"re/w", "re/b"},
+        "52ab58af4fd7005a4ecffc1832bdbbd85d3be2bdacdc45b34bce88fd6db80c0b",
+        "2632bf8f0df33a2a61c18ce197062fd14b25244af446ef4b3c27501f1f13d7a5",
+    ),
+    "v1_no_opinion_passing.npz": (
+        set(),
+        "19f8d559f5c65d5932fa1710a40c2542a05677588ceb042ab60454f3654e3e26",
+        "1cdf53a272f7bc4a747c5229f3f69ddd50f5821284494c13a715fc9c8669c4b0",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", OLDER_CHECKPOINTS)
+def test_older_checkpoints_drop_their_unread_members(tmp_path, name):
+    """An older file loads without the members its config does not declare
+    and evaluates and predicts the bytes it did when it was written."""
+    fixtures = pathlib.Path(__file__).parent / "fixtures"
+    checkpoint, corpus = str(fixtures / name), str(fixtures / "tiny.corpus")
+    dropped, *digests = OLDER_CHECKPOINTS[name]
+    for command, digest in zip(("evaluate", "predict"), digests):
+        out = tmp_path / command
+        assert cli.main([command, "--checkpoint", checkpoint, "--corpus", corpus, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, command
+    with np.load(checkpoint) as data:
+        stored = {k[len("param:"):] for k in data.files if k.startswith("param:")}
+    assert stored - set(load_checkpoint(checkpoint).parameters()) == dropped
+
+
 def test_load_checkpoint_draws_nothing(trained, monkeypatch):
     """A checkpoint's parameters are its stored arrays: loading one makes
     no random generator and draws no throwaway model."""
@@ -912,12 +946,21 @@ def test_gradcheck_passes_and_lists_every_check(capsys):
     assert any("full_model_T2" in l for l in lines)
 
 
-@pytest.mark.parametrize("seed", [2, 3, 4, 5, 6, 7])
+ROUND_OFF = (
+    "full_model_T2 reads max_rel_err 1.237e-04 at as/bilinear[1, 1]: a central difference at "
+    "eps = 1e-5 cannot resolve that coordinate's 3.2e-08 gradient (round-off, not a wrong "
+    "gradient; ROADMAP item 12)"
+)
+
+
+@pytest.mark.parametrize(
+    "seed", [pytest.param(1, marks=pytest.mark.xfail(strict=True, reason=ROUND_OFF)), 2, 3, 4, 5, 6, 7]
+)
 def test_gradcheck_passes_beyond_seed_0(seed, capsys):
     """Other seeds draw other instances, which a change in rounding reaches
-    as it reaches seed 0's. Seed 1 is left out: one of its instances fails
-    on central-difference round-off, not on a wrong gradient (ROADMAP item
-    12)."""
+    as it reaches seed 0's. Seed 1 fails on central-difference round-off,
+    not on a wrong gradient; its strict xfail turns red once the check can
+    tell the two apart."""
     assert cli.main(["gradcheck", "--seed", str(seed)]) == 0
     lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
     assert lines and all(l.startswith("ok ") for l in lines)

@@ -20,6 +20,7 @@ NumPy's CPU features are the recorded ones.
 
 After a change meant to alter outputs, re-record both with
     PYTHONPATH=src python tests/test_golden.py
+which first prints each entry that changes, or "none".
 """
 
 import contextlib
@@ -162,10 +163,27 @@ def test_benchmark_shape_snapshots_match_recorded_digests():
     assert benchmark_snapshot_digests() == recorded["benchmark_snapshots"]
 
 
+def changed_entries(old: dict, new: dict) -> list:
+    """Each environment key, digest key and snapshot line (by number) whose
+    value differs between two records or that only one of them holds."""
+    changed = []
+    for part in ("environment", "digests"):
+        a, b = old.get(part, {}), new[part]
+        changed += [f"{part}: {k}" for k in sorted(set(a) | set(b)) if a.get(k) != b.get(k)]
+    a, b = old.get("benchmark_snapshots", []), new["benchmark_snapshots"]
+    changed += [f"benchmark_snapshots: line {i + 1}" for i in range(max(len(a), len(b)))
+                if a[i : i + 1] != b[i : i + 1]]
+    return changed
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         record = {"environment": environment(), "digests": golden_digests(pathlib.Path(tmp))}
     record["benchmark_snapshots"] = benchmark_snapshot_digests()
+    changed = changed_entries(json.loads(RECORD.read_text()) if RECORD.exists() else {}, record)
+    print(f"{len(changed)} changed entries:" if changed else "changed entries: none")
+    for entry in changed:
+        print(f"  {entry}")
     RECORD.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(record['digests'])} digests and {len(record['benchmark_snapshots'])} "
           f"snapshot lines to {RECORD}")

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import tracemalloc
 from dataclasses import replace
@@ -654,6 +655,41 @@ def test_initial_parameters_keep_their_recorded_draws(fixtures_dir, mode):
     assert initial_parameter_digests(LAYOUTS[mode]) == list(recorded.items())
 
 
+# each message-passing variant with no round to read a re-encoder and with two
+MP_SETTINGS = [("none", 2), ("predictions", 0), ("predictions", 2), ("representations", 0),
+               ("representations", 2)]
+
+
+def unread_parameters(corpus, cfg: ModelConfig) -> list:
+    """The trainable parameters of a new `cfg` model that no op on one
+    training step's tape over `corpus` takes as an input. Frozen embedding
+    tables are not trainable: `embed_tokens` gathers their arrays."""
+    rng = np.random.default_rng(0)
+    words = [w for s in corpus for w in s.tokens]
+    general, domain = random_embedding_table(words, 6, rng), random_embedding_table(words, 3, rng)
+    rv = RelationVocab.from_corpus(corpus, cfg.distinct_reverse_types)
+    model = Model(cfg, general, domain, rv, rng)
+    with Tape() as tape:
+        batch_loss(model, corpus, rng)
+    read = {id(t) for op in tape.ops for t in op.inputs}
+    return [name for name, p in model.trainable_parameters().items() if id(p) not in read]
+
+
+def test_no_round_and_no_variant_train_the_same_parameters(tiny_corpus, tiny_embeddings):
+    """`mp_variant = none` and `rounds = 0` run one forward, so under one
+    seed they build one model and train it to the same bytes."""
+    tc = TrainConfig(learning_rate=0.01, batch_size=2, epochs=2, seed=3, runs=1)
+    results = [
+        train(tiny_corpus, tc, small_model_config("dregcn_plus_cnn", variant, rounds, 0.5),
+              *tiny_embeddings)
+        for variant, rounds in (("none", 2), ("representations", 0))
+    ]
+    none, rounds_0 = results
+    assert list(none.model.parameters()) == list(rounds_0.model.parameters())
+    assert none.final_snapshot.tobytes() == rounds_0.final_snapshot.tobytes()
+    assert none.best_snapshot.tobytes() == rounds_0.best_snapshot.tobytes()
+
+
 def test_parameters_share_no_memory_with_their_sources(tmp_path):
     corpus = synth.overfit_corpus(6, seed=1)
     rng = np.random.default_rng(0)
@@ -771,6 +807,27 @@ def test_checkpoint_parameter_names_and_order(tiny_corpus, tmp_path, mode):
         + ("as/hidden_w", "as/hidden_b", "as/bilinear", "as/out_w", "as/out_b", "re/w", "re/b")
     )
     assert files == ["meta"] + [f"param:{k}" for k in expect]
+
+
+def test_a_loaded_model_holds_each_array_once(tiny_corpus, tmp_path):
+    """What `load_checkpoint` leaves allocated is the parameter and gradient
+    vectors, the two embedding tables and small bookkeeping, well under half
+    a vector: no copy of the file's arrays outlives the load (default
+    config, where each vector is 245 kB; such a copy would be another)."""
+    model, _, _ = build_model(tiny_corpus, ModelConfig())
+    path = str(tmp_path / "model.npz")
+    save_checkpoint(model, path)
+    load_checkpoint(path)  # the imports and caches a first load makes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loaded = load_checkpoint(path)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    vector = loaded.param_vector.nbytes
+    tables = loaded.general_emb.matrix.nbytes + loaded.domain_emb.matrix.nbytes
+    assert held <= 2.5 * vector + tables
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
