@@ -47,7 +47,7 @@ class AeHead:
 @dataclass
 class AsHead:
     hidden: Dense  # (d_t, d_s)
-    bilinear: Tensor  # (d_t, d_t), the attention transformation
+    bilinear: Optional[Tensor]  # (d_t, d_t), the attention weight; None without opinion passing
     out: Dense  # (3, 2 * d_t)
 
 
@@ -93,10 +93,10 @@ def init_ae_head(p: ParamTable, d_s: int, d_t: int) -> AeHead:
     return AeHead(hidden, init_dense(p, "ae/out_", len(AE_TAGS), d_t))
 
 
-def init_as_head(p: ParamTable, d_s: int, d_t: int) -> AsHead:
+def init_as_head(p: ParamTable, d_s: int, d_t: int, opinion_passing: bool = True) -> AsHead:
     return AsHead(
         init_dense(p, "as/hidden_", d_t, d_s),
-        p("as/bilinear", (d_t, d_t)),
+        p("as/bilinear", (d_t, d_t)) if opinion_passing else None,
         init_dense(p, "as/out_", len(AS_TAGS), 2 * d_t),
     )
 

@@ -115,7 +115,7 @@ class Model:
         self.encoder_params = init_encoder_params(p, cfg.encoder, emb_dim, relation_vocab.size)
         d_s = cfg.encoder.d
         self.ae_head = init_ae_head(p, d_s, cfg.d_t)
-        self.as_head = init_as_head(p, d_s, cfg.d_t)
+        self.as_head = init_as_head(p, d_s, cfg.d_t, cfg.opinion_passing)
         self.re_encoder: Optional[Dense] = None
         if cfg.mp.effective_rounds:  # no round, no re-encoder to read
             self.re_encoder = init_re_encoder(p, d_s, cfg.mp.variant, cfg.d_t, cfg.pass_pre_attention_as)

@@ -358,7 +358,7 @@ OLDER_CHECKPOINTS = {
         "2632bf8f0df33a2a61c18ce197062fd14b25244af446ef4b3c27501f1f13d7a5",
     ),
     "v1_no_opinion_passing.npz": (
-        set(),
+        {"as/bilinear"},
         "19f8d559f5c65d5932fa1710a40c2542a05677588ceb042ab60454f3654e3e26",
         "1cdf53a272f7bc4a747c5229f3f69ddd50f5821284494c13a715fc9c8669c4b0",
     ),

@@ -624,13 +624,15 @@ def test_lone_sentence_forward_builds_its_constants_once(tiny_corpus, monkeypatc
 
 
 # Every parameter layout of a default model: each mode, and the default mode
-# with each other re-encoder width, with no round to read it, and with none.
+# with each other re-encoder width, with no round to read it, with none, and
+# with no attention weight.
 LAYOUTS = {mode: ModelConfig(encoder=EncoderConfig(mode=mode)) for mode in MODES}
 LAYOUTS.update({
     "dregcn_plus_cnn/mp_predictions": ModelConfig(mp=MessagePassingConfig("predictions")),
     "dregcn_plus_cnn/pass_pre_attention_as": ModelConfig(pass_pre_attention_as=True),
     "dregcn_plus_cnn/rounds_0": ModelConfig(mp=MessagePassingConfig(rounds=0)),
     "dregcn_plus_cnn/mp_none": ModelConfig(mp=MessagePassingConfig("none")),
+    "dregcn_plus_cnn/no_opinion_passing": ModelConfig(opinion_passing=False),
 })
 
 
@@ -673,6 +675,29 @@ def unread_parameters(corpus, cfg: ModelConfig) -> list:
         batch_loss(model, corpus, rng)
     read = {id(t) for op in tape.ops for t in op.inputs}
     return [name for name, p in model.trainable_parameters().items() if id(p) not in read]
+
+
+@pytest.mark.parametrize("freeze", [False, True])
+def test_every_declared_parameter_is_read_by_a_training_step(tiny_corpus, freeze):
+    """Over every mode, opinion passing on and off, each variant with and
+    without rounds, and both switches that change what a round reads, a
+    model declares only parameters its training forward reads: no
+    re-encoder without a round, no attention weight without opinion
+    passing (d = 8, dropout on)."""
+    unread = {}
+    for mode, opinion, (variant, rounds), pre, distinct in itertools.product(
+        MODES, (True, False), MP_SETTINGS, (False, True), (False, True)
+    ):
+        cfg = ModelConfig(
+            encoder=EncoderConfig(mode=mode, d=8, m=4), mp=MessagePassingConfig(variant, rounds),
+            d_t=4, opinion_passing=opinion, pass_pre_attention_as=pre,
+            distinct_reverse_types=distinct, freeze_embeddings=freeze,
+        )
+        names = unread_parameters(tiny_corpus, cfg)
+        if names:
+            unread[(mode, opinion, variant, rounds, pre, distinct)] = names
+    first = list(unread.items())[:3]
+    assert not unread, f"{len(unread)} of 160 configs declare unread parameters, first {first}"
 
 
 def test_no_round_and_no_variant_train_the_same_parameters(tiny_corpus, tiny_embeddings):
