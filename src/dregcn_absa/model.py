@@ -43,7 +43,7 @@ class CheckpointError(ValueError):
 class ModelConfig:
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     mp: MessagePassingConfig = field(default_factory=MessagePassingConfig)
-    d_t: int = 16  # task-head hidden width, default d/2
+    d_t: int = 16  # task-head hidden width, a fixed default that does not follow d
     opinion_passing: bool = True
     dropout: float = 0.5
     freeze_embeddings: bool = False
@@ -89,8 +89,8 @@ def _typed(cls, d: dict, **nested):
 
 
 class Model:
-    """Bundles configuration, vocabularies and every trainable tensor, drawn
-    from `source`, a generator, or copied from a checkpoint's arrays.
+    """Bundles configuration, vocabularies and every trainable tensor its
+    forward reads, drawn from `source` (a generator) or a checkpoint's arrays.
 
     The tensors are views, in declaration order (embedding tables first), of
     `param_vector`, and their gradients views of `grad_vector`."""
