@@ -366,11 +366,10 @@ OLDER_CHECKPOINTS = {
 
 
 @pytest.mark.parametrize("name", OLDER_CHECKPOINTS)
-def test_older_checkpoints_drop_their_unread_members(tmp_path, name):
+def test_older_checkpoints_drop_their_unread_members(tmp_path, fixtures_dir, name):
     """An older file loads without the members its config does not declare
     and evaluates and predicts the bytes it did when it was written."""
-    fixtures = pathlib.Path(__file__).parent / "fixtures"
-    checkpoint, corpus = str(fixtures / name), str(fixtures / "tiny.corpus")
+    checkpoint, corpus = str(fixtures_dir / name), str(fixtures_dir / "tiny.corpus")
     dropped, *digests = OLDER_CHECKPOINTS[name]
     for command, digest in zip(("evaluate", "predict"), digests):
         out = tmp_path / command

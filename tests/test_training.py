@@ -58,7 +58,7 @@ def build_model(corpus, cfg=None, seed=0):
     words = [w for s in corpus for w in s.tokens]
     general = random_embedding_table(words, 6, rng)
     domain = random_embedding_table(words, 3, rng)
-    rv = RelationVocab.from_corpus(corpus)
+    rv = RelationVocab.from_corpus(corpus, cfg.distinct_reverse_types)
     return Model(cfg, general, domain, rv, rng), general, domain
 
 
@@ -666,13 +666,9 @@ def unread_parameters(corpus, cfg: ModelConfig) -> list:
     """The trainable parameters of a new `cfg` model that no op on one
     training step's tape over `corpus` takes as an input. Frozen embedding
     tables are not trainable: `embed_tokens` gathers their arrays."""
-    rng = np.random.default_rng(0)
-    words = [w for s in corpus for w in s.tokens]
-    general, domain = random_embedding_table(words, 6, rng), random_embedding_table(words, 3, rng)
-    rv = RelationVocab.from_corpus(corpus, cfg.distinct_reverse_types)
-    model = Model(cfg, general, domain, rv, rng)
+    model, _, _ = build_model(corpus, cfg)
     with Tape() as tape:
-        batch_loss(model, corpus, rng)
+        batch_loss(model, corpus, np.random.default_rng(1))
     read = {id(t) for op in tape.ops for t in op.inputs}
     return [name for name, p in model.trainable_parameters().items() if id(p) not in read]
 
